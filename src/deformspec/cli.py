@@ -2,13 +2,14 @@
 
 Every compute module is reachable through a subcommand that writes CSV or
 JSON to stdout (or --output).  Exit codes: 0 success / verdict pass,
-1 verdict fail, 2 usage or validation error, 3 numerical error.  Output is
+1 verdict fail, 2 usage, validation or I/O error, 3 numerical error.  Output is
 deterministic: identical argv yields byte-identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,7 @@ from .errors import (
 from .experiments import (
     DEFAULT_TOLERANCES,
     DecayModel,
+    _required_points,
     asymptotics_report,
     convergence_study,
     inverse_limit_report,
@@ -39,26 +41,16 @@ from .io import (
     critical_index_to_dict,
     experiment_to_csv,
     experiment_to_dict,
-    fd_report_to_csv,
     fd_report_to_dict,
-    format_float,
-    gram_to_csv,
-    modes_to_csv,
     read_coefficients,
     sampled_function_to_csv,
+    table_to_csv,
     to_json,
     write_experiment_csv_per_series,
 )
 from .params import OperatorParams, canonical_params, custom_params, deformation_profile, si_params
-from .quadrature import (
-    GAUSS_LEGENDRE_MAX_NODES,
-    SampledFunction,
-    composite_simpson_rule,
-    default_projection_rule,
-    gauss_legendre_rule,
-    uniform_grid,
-)
-from .spectrum import critical_index, eigenfunction, modes
+from .quadrature import SampledFunction, _rule_from_nodes, default_projection_rule, uniform_grid
+from .spectrum import critical_index, eigenfunction, eigenvalue, wavenumber
 from .transform import gram_matrix, l2_norm, parseval_defect, project, reconstruct
 
 EXIT_OK = 0
@@ -176,9 +168,12 @@ def _tolerances_from(args) -> dict:
         if key not in DEFAULT_TOLERANCES:
             raise ValidationError(f"unknown tolerance key {key!r}")
         try:
-            overrides[key] = float(value)
+            tol = float(value)
         except ValueError:
-            raise ValidationError(f"tolerance value for {key!r} must be a real number") from None
+            tol = math.nan
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValidationError(f"tolerance value for {key!r} must be a finite positive real")
+        overrides[key] = tol
     return overrides
 
 
@@ -196,32 +191,14 @@ def _target_function(name: str, params: OperatorParams):
     raise ValidationError(f"unknown target {name!r}; choose C, const or psi:<n>")
 
 
-def _int_list(text: str, flag: str) -> list:
+def _number_list(text: str, flag: str, kind=int) -> list:
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValidationError(f"{flag} expects a comma-separated integer list") from None
+        raise ValidationError(f"{flag} expects a comma-separated list of {kind.__name__} values") from None
     if not values:
         raise ValidationError(f"{flag} must not be empty")
     return values
-
-
-def _float_list(text: str, flag: str) -> list:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"{flag} expects a comma-separated list of reals") from None
-    if not values:
-        raise ValidationError(f"{flag} must not be empty")
-    return values
-
-
-def _rule_from_nodes(params, nodes: int | None, n_max: int):
-    if nodes is None:
-        return default_projection_rule(params, n_max)
-    if nodes <= GAUSS_LEGENDRE_MAX_NODES:
-        return gauss_legendre_rule(params, nodes)
-    return composite_simpson_rule(params, nodes if nodes % 2 == 1 else nodes + 1)
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -249,16 +226,15 @@ def _emit_report(config: RunConfig, report, default_fmt: str = "json") -> int:
 
 
 def _cmd_spectrum(args, config: RunConfig) -> int:
-    mode_list = modes(config.params, args.n_max)
+    if args.n_max < 0:
+        raise ValidationError("n_max must be >= 0")
+    ns = np.arange(args.n_max + 1)
+    header = ["n", "wavenumber", "eigenvalue"]
+    columns = [ns.tolist(), wavenumber(config.params, ns).tolist(), eigenvalue(config.params, ns).tolist()]
     if (config.fmt or "csv") == "csv":
-        _emit(config, modes_to_csv(mode_list))
+        _emit(config, table_to_csv(header, columns))
     else:
-        payload = {
-            "modes": [
-                {"n": m.n, "wavenumber": m.wavenumber, "eigenvalue": m.eigenvalue}
-                for m in mode_list
-            ]
-        }
+        payload = {"modes": [dict(zip(header, row)) for row in zip(*columns)]}
         _emit(config, to_json(payload, _meta(config)))
     return EXIT_OK
 
@@ -275,9 +251,7 @@ def _cmd_critical_index(args, config: RunConfig) -> int:
     if (config.fmt or "json") == "json":
         _emit(config, to_json(payload, _meta(config)))
     else:
-        header = ",".join(payload)
-        row = ",".join(str(payload[k]) if not isinstance(payload[k], float) else format_float(payload[k]) for k in payload)
-        _emit(config, f"{header}\n{row}\n")
+        _emit(config, table_to_csv(list(payload), [[value] for value in payload.values()]))
     return EXIT_OK
 
 
@@ -312,14 +286,7 @@ def _cmd_parseval(args, config: RunConfig) -> int:
     if (config.fmt or "json") == "json":
         _emit(config, to_json(payload, _meta(config)))
     else:
-        _emit(
-            config,
-            "key,value\n"
-            + "\n".join(
-                f"{k},{format_float(v) if isinstance(v, float) else v}" for k, v in payload.items()
-            )
-            + "\n",
-        )
+        _emit(config, table_to_csv(["key", "value"], [list(payload), list(payload.values())]))
     return EXIT_OK
 
 
@@ -327,14 +294,15 @@ def _cmd_gram(args, config: RunConfig) -> int:
     rule = _rule_from_nodes(config.params, args.nodes, args.n_max)
     matrix = gram_matrix(config.params, args.n_max, rule)
     if (config.fmt or "csv") == "csv":
-        _emit(config, gram_to_csv(matrix))
+        n = len(matrix)
+        _emit(config, table_to_csv(["n", *map(str, range(n))], [range(n), *matrix.T]))
     else:
         _emit(config, to_json({"gram": matrix.tolist()}, _meta(config)))
     return EXIT_OK
 
 
 def _cmd_fd_validate(args, config: RunConfig) -> int:
-    sizes = _int_list(args.grid_sizes, "--grid-sizes")
+    sizes = _number_list(args.grid_sizes, "--grid-sizes")
     if len(sizes) == 1:
         from .fdsolver import validate_against_analytic
 
@@ -344,12 +312,19 @@ def _cmd_fd_validate(args, config: RunConfig) -> int:
     if (config.fmt or "json") == "json":
         _emit(config, to_json({"reports": [fd_report_to_dict(r) for r in reports]}, _meta(config)))
     else:
-        _emit(config, "".join(fd_report_to_csv(r) for r in reports))
+        tables = [
+            table_to_csv(
+                ["n", "lambda_fd", "lambda_analytic", "abs_err", "rel_err"],
+                [range(len(r.eigenvalues_fd)), r.eigenvalues_fd, r.eigenvalues_analytic, r.abs_errors, r.rel_errors],
+            )
+            for r in reports
+        ]
+        _emit(config, "".join(tables))
     return EXIT_OK
 
 
 def _cmd_rigidity(args, config: RunConfig) -> int:
-    report = rigidity_report(config.params, _int_list(args.n_list, "--n-list"), config.tolerances)
+    report = rigidity_report(config.params, _number_list(args.n_list, "--n-list"), config.tolerances)
     return _emit_report(config, report)
 
 
@@ -361,11 +336,9 @@ def _cmd_inverse_limit(args, config: RunConfig) -> int:
         n_max=args.n_max,
         mode_weights=lambda n: np.exp(-decay * np.asarray(n, dtype=float)),
     )
-    points = (64 if args.k_max <= 2 else 256) * (args.n_max + 1)
-    grid = uniform_grid(config.params, max(points, 2048))
-    report = inverse_limit_report(
-        model, config.params, _float_list(args.tau_list, "--tau-list"), args.k_max, grid, config.tolerances
-    )
+    grid = uniform_grid(config.params, max(_required_points(args.n_max, args.k_max), 2048))
+    taus = _number_list(args.tau_list, "--tau-list", float)
+    report = inverse_limit_report(model, config.params, taus, args.k_max, grid, config.tolerances)
     return _emit_report(config, report)
 
 
@@ -375,7 +348,7 @@ def _cmd_asymptotics(args, config: RunConfig) -> int:
 
 
 def _cmd_converge(args, config: RunConfig) -> int:
-    n_list = _int_list(args.n_list, "--n-list")
+    n_list = _number_list(args.n_list, "--n-list")
     rule = default_projection_rule(config.params, max(n_list))
     f = _target_function(args.target, config.params)
     report = convergence_study(config.params, f, n_list, rule, config.tolerances)
@@ -416,7 +389,7 @@ def run(argv) -> int:
             argv=argv,
         )
         return _COMMANDS[args.command](args, config)
-    except (ValidationError, DomainError, ResolutionError, FormatError) as exc:
+    except (ValidationError, DomainError, ResolutionError, FormatError, OSError) as exc:
         print(f"deformspec: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericalError, EvaluationError) as exc:

@@ -18,7 +18,7 @@ from .experiments import ExperimentReport
 from .fdsolver import FDSpectrumReport
 from .params import OperatorParams
 from .quadrature import SampledFunction
-from .spectrum import CriticalIndexReport, Mode
+from .spectrum import CriticalIndexReport
 from .transform import CoefficientVector
 
 
@@ -27,24 +27,28 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def modes_to_csv(modes: list[Mode]) -> str:
-    lines = ["n,wavenumber,eigenvalue"]
-    lines += [f"{m.n},{format_float(m.wavenumber)},{format_float(m.eigenvalue)}" for m in modes]
-    return "\n".join(lines) + "\n"
+def table_to_csv(header, columns) -> str:
+    """CSV table: the header row, then row i holds element i of every column.
+
+    A float cell is written by :func:`format_float`, any other cell through
+    ``str``; ndarray columns are converted with ``tolist`` first.
+    """
+    cells = [_cells(column) for column in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _cells(column) -> list:
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    return [format_float(x) if isinstance(x, float) else str(x) for x in column]
 
 
 def sampled_function_to_csv(sf: SampledFunction) -> str:
-    lines = ["v,f"]
-    lines += [
-        f"{format_float(v)},{format_float(y)}" for v, y in zip(sf.grid.points, sf.values)
-    ]
-    return "\n".join(lines) + "\n"
+    return table_to_csv(["v", "f"], [sf.grid.points, sf.values])
 
 
 def coefficients_to_csv(coeffs: CoefficientVector) -> str:
-    lines = ["n,a_n"]
-    lines += [f"{n},{format_float(a)}" for n, a in enumerate(coeffs.coefficients)]
-    return "\n".join(lines) + "\n"
+    return table_to_csv(["n", "a_n"], [range(len(coeffs.coefficients)), coeffs.coefficients])
 
 
 def read_coefficients(path, params: OperatorParams) -> CoefficientVector:
@@ -73,14 +77,6 @@ def read_coefficients(path, params: OperatorParams) -> CoefficientVector:
     return CoefficientVector(params=params, coefficients=np.array(values))
 
 
-def gram_to_csv(matrix: np.ndarray) -> str:
-    n = matrix.shape[0]
-    lines = ["n," + ",".join(str(j) for j in range(n))]
-    for i in range(n):
-        lines.append(str(i) + "," + ",".join(format_float(x) for x in matrix[i]))
-    return "\n".join(lines) + "\n"
-
-
 def critical_index_to_dict(report: CriticalIndexReport) -> dict:
     return {
         "x": report.x,
@@ -88,26 +84,6 @@ def critical_index_to_dict(report: CriticalIndexReport) -> dict:
         "n_star_exact": report.n_star_exact if report.n_star_exact is not None else "none",
         "agree": report.agree,
     }
-
-
-def fd_report_to_csv(report: FDSpectrumReport) -> str:
-    lines = ["n,lambda_fd,lambda_analytic,abs_err,rel_err"]
-    for n in range(len(report.eigenvalues_fd)):
-        lines.append(
-            ",".join(
-                [str(n)]
-                + [
-                    format_float(x)
-                    for x in (
-                        report.eigenvalues_fd[n],
-                        report.eigenvalues_analytic[n],
-                        report.abs_errors[n],
-                        report.rel_errors[n],
-                    )
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
 
 
 def fd_report_to_dict(report: FDSpectrumReport) -> dict:
@@ -133,12 +109,12 @@ def experiment_to_dict(report: ExperimentReport) -> dict:
 
 def experiment_to_csv(report: ExperimentReport) -> str:
     """Long-format table: one row per (series column, index, value)."""
-    lines = ["series,index,value"]
-    for column, values in report.series.items():
-        for i, value in enumerate(values):
-            rendered = format_float(value) if isinstance(value, float) else str(value)
-            lines.append(f"{column},{i},{rendered}")
-    return "\n".join(lines) + "\n"
+    names, index, values = [], [], []
+    for column, series in report.series.items():
+        names += [column] * len(series)
+        index += range(len(series))
+        values += series
+    return table_to_csv(["series", "index", "value"], [names, index, values])
 
 
 def write_experiment_csv_per_series(report: ExperimentReport, directory) -> list[Path]:
@@ -146,13 +122,9 @@ def write_experiment_csv_per_series(report: ExperimentReport, directory) -> list
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for column, values in report.series.items():
+    for column, series in report.series.items():
         path = directory / f"{report.name}__{column}.csv"
-        lines = ["index,value"]
-        for i, value in enumerate(values):
-            rendered = format_float(value) if isinstance(value, float) else str(value)
-            lines.append(f"{i},{rendered}")
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(table_to_csv(["index", "value"], [range(len(series)), series]))
         written.append(path)
     return written
 

@@ -17,6 +17,8 @@ from .errors import EvaluationError, ResolutionError, ValidationError
 from .params import OperatorParams
 
 GAUSS_LEGENDRE_MAX_NODES = 4096
+#: Fewest quadrature nodes per mode a projection accepts (see transform).
+NODES_PER_MODE = 8
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,20 @@ def composite_simpson_rule(params: OperatorParams, points: int) -> QuadratureRul
 def default_projection_rule(params: OperatorParams, n_max: int) -> QuadratureRule:
     """Rule resolving modes 0..n_max: Gauss-Legendre with max(256, 8(n_max+1))
     nodes, or composite Simpson with 32(n_max+1)+1 points past the GL cap."""
-    nodes = max(256, 8 * (int(n_max) + 1))
+    return _rule_from_nodes(params, None, n_max)
+
+
+def _rule_from_nodes(params: OperatorParams, nodes: int | None, n_max: int) -> QuadratureRule:
+    """Gauss-Legendre with `nodes` nodes up to GAUSS_LEGENDRE_MAX_NODES, past it
+    composite Simpson with `nodes` rounded up to an odd point count.  Without a
+    node count, the default projection rule for modes 0..n_max."""
+    simpson_points = nodes
+    if nodes is None:
+        nodes = max(256, NODES_PER_MODE * (int(n_max) + 1))
+        simpson_points = 32 * (int(n_max) + 1)
     if nodes <= GAUSS_LEGENDRE_MAX_NODES:
         return gauss_legendre_rule(params, nodes)
-    points = 32 * (int(n_max) + 1) + 1
-    return composite_simpson_rule(params, points if points % 2 == 1 else points + 1)
+    return composite_simpson_rule(params, simpson_points if simpson_points % 2 else simpson_points + 1)
 
 
 def integrate(rule: QuadratureRule, f: Callable) -> float:

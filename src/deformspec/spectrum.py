@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, ValidationError
+from .errors import DomainError, NumericalError, ResolutionError, ValidationError
 from .params import OperatorParams
 
 
@@ -68,10 +68,21 @@ def wavenumber(params: OperatorParams, n):
 
 
 def eigenvalue(params: OperatorParams, n):
-    """Eigenvalue C_n = pi * (1 - (hbar/c)^2 k_n^2); strictly below pi."""
+    """Eigenvalue C_n = pi * (1 - (hbar/c)^2 k_n^2); strictly below pi.
+
+    Raises :class:`NumericalError` when C_n overflows a 64-bit float, which
+    happens only for a v_c tiny against hbar/c.
+    """
     k = wavenumber(params, n)
     ratio = params.hbar / params.c
-    return math.pi * (1.0 - (ratio * k) ** 2)
+    try:
+        with np.errstate(over="ignore"):
+            out = math.pi * (1.0 - (ratio * k) ** 2)
+    except OverflowError:
+        out = -math.inf
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(f"eigenvalue overflows for hbar/c = {ratio!r} and v_c = {params.v_c!r}")
+    return out
 
 
 def asymptotic_coefficient(params: OperatorParams) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ResolutionError, ValidationError
 from .params import OperatorParams
-from .quadrature import Grid, QuadratureRule, SampledFunction, _evaluate
+from .quadrature import NODES_PER_MODE, Grid, QuadratureRule, SampledFunction, _evaluate
 from .spectrum import eigenfunction, eigenvalue
 
 _CHUNK = 128  # modes per block when filling eigenfunction matrices
@@ -41,7 +41,7 @@ class CoefficientVector:
 
 
 def _require_resolved(rule: QuadratureRule, n_max: int):
-    needed = 8 * (n_max + 1)
+    needed = NODES_PER_MODE * (n_max + 1)
     if len(rule.nodes) < needed:
         raise ResolutionError(
             f"rule has {len(rule.nodes)} nodes; mode {n_max} needs at least {needed}"

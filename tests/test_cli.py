@@ -6,7 +6,7 @@ import pytest
 
 from deformspec import FormatError, canonical_params, project, gauss_legendre_rule, deformation_profile
 from deformspec.cli import run
-from deformspec.io import coefficients_to_csv, read_coefficients
+from deformspec.io import coefficients_to_csv, read_coefficients, table_to_csv
 
 CANON = canonical_params()
 
@@ -126,6 +126,15 @@ class TestReadCoefficients:
         np.testing.assert_array_equal(loaded.coefficients, coeffs.coefficients)
 
 
+class TestTableToCsv:
+    def test_cell_rule(self):
+        text = table_to_csv(["a", "b"], [np.array([0.1, 1e-300]), [np.int64(3), "none"]])
+        assert text == "a,b\n0.10000000000000001,3\n1e-300,none\n"
+
+    def test_header_only(self):
+        assert table_to_csv(["n", "a_n"], [[], []]) == "n,a_n\n"
+
+
 class TestReports:
     def test_rigidity_pass(self, capsys):
         code, out, _ = invoke(capsys, "rigidity", "--n-list", "8,16,32,64", "--no-meta")
@@ -237,6 +246,40 @@ class TestUsageErrors:
 
     def test_bad_target(self, capsys):
         assert invoke(capsys, "project", "--target", "psi:x")[0] == 2
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1e-9", "abc"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, value):
+        code, out, err = invoke(capsys, "rigidity", "--n-list", "8,16", "--tol", f"rigidity.parseval={value}")
+        assert (code, out) == (2, "")
+        assert "finite positive" in err
+
+
+class TestIOErrors:
+    """File-system failures exit 2 with a one-line message, never a traceback."""
+
+    def test_missing_coefficient_file(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, "reconstruct", "--coeffs", str(tmp_path / "missing.csv"))
+        assert (code, out) == (2, "")
+        assert err.startswith("deformspec: error:") and "Traceback" not in err
+
+    def test_output_under_missing_directory(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, "spectrum", "--output", str(tmp_path / "missing" / "x"))
+        assert (code, out) == (2, "")
+        assert err.startswith("deformspec: error:") and "Traceback" not in err
+
+    def test_json_output_into_existing_directory(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, "inverse-limit", "--output", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("deformspec: error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_overflowing_spectrum_exits_three_before_writing(capsys, tmp_path):
+    path = tmp_path / "spectrum.csv"
+    code, out, err = invoke(capsys, "spectrum", "--hbar", "1", "--c", "1", "--v-c", "1e-300", "--output", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("deformspec: numerical error:") and "Warning" not in err
+    assert not path.exists()
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from deformspec import (
     DomainError,
+    NumericalError,
     ResolutionError,
     ValidationError,
     asymptotic_coefficient,
@@ -45,6 +46,12 @@ def test_eigenvalue_values():
     assert eigenvalue(CANON, 0) == pytest.approx(-8.229511331886018, rel=1e-14)
     assert eigenvalue(custom_params(0.1, 1, 0.8256453), 0) == pytest.approx(3.0278816, rel=1e-6)
     assert eigenvalue(CANON, 0) == pytest.approx(math.pi * (1 - wavenumber(CANON, 0) ** 2), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [0, np.arange(5)])
+def test_eigenvalue_overflow_raises(n):
+    with pytest.raises(NumericalError, match="overflows"):
+        eigenvalue(custom_params(1, 1, 1e-300), n)
 
 
 def test_eigenvalues_strictly_below_pi_and_decreasing_to_1e6():
