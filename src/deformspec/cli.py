@@ -392,6 +392,9 @@ def run(argv) -> int:
     except (ValidationError, DomainError, ResolutionError, FormatError, OSError) as exc:
         print(f"deformspec: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"deformspec: error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (NumericalError, EvaluationError) as exc:
         print(f"deformspec: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

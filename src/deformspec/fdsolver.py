@@ -65,12 +65,22 @@ class FDSpectrumReport:
 
 
 def discretize(params: OperatorParams, m: int) -> TridiagonalSymmetricMatrix:
-    """3-point discretization of the operator on m interior points, h = 2 v_c/(m+1)."""
+    """3-point discretization of the operator on m interior points, h = 2 v_c/(m+1).
+
+    Raises :class:`NumericalError` when the diagonal pi - 2 pi hbar^2/(c h)^2
+    overflows a 64-bit float.
+    """
     m = int(m)
     if m < 3:
         raise ValidationError("discretization needs m >= 3 interior points")
     h = 2.0 * params.v_c / (m + 1)
-    coeff = math.pi * params.hbar**2 / (params.c**2 * h**2)
+    try:
+        coeff = math.pi * params.hbar**2 / (params.c**2 * h**2)
+    except (OverflowError, ZeroDivisionError):
+        coeff = math.inf
+    if not math.isfinite(2.0 * coeff):
+        ratio = params.hbar / params.c
+        raise NumericalError(f"3-point coefficient overflows for hbar/c = {ratio!r} and h = {h!r}")
     diag = np.full(m, math.pi - 2.0 * coeff)
     offdiag = np.full(m - 1, coeff)
     return TridiagonalSymmetricMatrix(diag=diag, offdiag=offdiag)

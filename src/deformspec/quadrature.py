@@ -94,11 +94,13 @@ def sample(params: OperatorParams, f: Callable, grid: Grid) -> SampledFunction:
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f on the array x, or point by point when f rejects arrays (TypeError,
+    ValueError) or returns the wrong shape; any other error propagates."""
     try:
         values = np.asarray(f(x), dtype=float)
-        if values.shape != x.shape:
-            raise TypeError
-    except Exception:
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != x.shape:
         values = np.array([float(f(xi)) for xi in x])
     return values
 

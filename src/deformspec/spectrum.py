@@ -86,8 +86,18 @@ def eigenvalue(params: OperatorParams, n):
 
 
 def asymptotic_coefficient(params: OperatorParams) -> float:
-    """Quadratic decay rate alpha = hbar^2 pi^3 / (4 c^2 v_c^2)."""
-    return params.hbar**2 * math.pi**3 / (4.0 * params.c**2 * params.v_c**2)
+    """Quadratic decay rate alpha = hbar^2 pi^3 / (4 c^2 v_c^2).
+
+    Raises :class:`NumericalError` when alpha overflows a 64-bit float.
+    """
+    try:
+        alpha = params.hbar**2 * math.pi**3 / (4.0 * params.c**2 * params.v_c**2)
+    except (OverflowError, ZeroDivisionError):
+        alpha = math.inf
+    if not math.isfinite(alpha):
+        ratio = params.hbar / params.c
+        raise NumericalError(f"decay rate overflows for hbar/c = {ratio!r} and v_c = {params.v_c!r}")
+    return alpha
 
 
 def asymptotic_eigenvalue(params: OperatorParams, n):

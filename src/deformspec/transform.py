@@ -3,10 +3,19 @@
 Coefficients are always computed by quadrature so the transform stays generic
 over the target function; the closed-form integrals known for special targets
 are reserved for tests, which keeps the two routes independent.
+
+On the P+1 equally spaced nodes v_j = -v_c + 2 v_c j/P (composite Simpson)
+the modes sample as psi_n(v_j) = sin((n+1) pi j/P)/sqrt(v_c), so the
+quadrature sums of `project` and `gram_matrix` are a DST-I of the weighted
+values and a DCT-I of the weights, each one real FFT of length 2P.  These are
+the same quadrature sums, evaluated in O(P log P) time and O(P) memory; on
+any other nodes the sums run over the dense basis matrix, which the tests
+also use as the oracle for the FFT route.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,6 +67,24 @@ def _basis_matrix(params: OperatorParams, n_max: int, v: np.ndarray) -> np.ndarr
     return out
 
 
+def _on_uniform_nodes(params: OperatorParams, rule: QuadratureRule) -> bool:
+    """True when the nodes are exactly -v_c + 2 v_c j/P for j = 0..P."""
+    return np.array_equal(rule.nodes, np.linspace(-params.v_c, params.v_c, len(rule.nodes)))
+
+
+def _sine_sums(g: np.ndarray, count: int) -> np.ndarray:
+    """sum_j g_j sin(pi k j/P) for k = 1..count over P+1 samples (DST-I).
+
+    One real FFT of the odd extension of length 2P; the endpoint samples drop
+    out, as they do under the exact zeros of `sinpi`.
+    """
+    p = len(g) - 1
+    x = np.zeros(2 * p)
+    x[1:p] = g[1:p]
+    x[p + 1 :] = -g[p - 1 : 0 : -1]
+    return -0.5 * np.fft.rfft(x).imag[1 : count + 1]
+
+
 def project(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule) -> CoefficientVector:
     """Coefficients a_n = integral of f * psi_n for n = 0..n_max."""
     n_max = int(n_max)
@@ -68,7 +95,10 @@ def project(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRul
     if not np.all(np.isfinite(values)):
         raise ValidationError("target function must be finite on the quadrature nodes")
     weighted = rule.weights * values
-    coeffs = _basis_matrix(params, n_max, rule.nodes) @ weighted
+    if _on_uniform_nodes(params, rule):
+        coeffs = math.sqrt(1.0 / params.v_c) * _sine_sums(weighted, n_max + 1)
+    else:
+        coeffs = _basis_matrix(params, n_max, rule.nodes) @ weighted
     return CoefficientVector(params=params, coefficients=coeffs)
 
 
@@ -117,5 +147,14 @@ def gram_matrix(params: OperatorParams, n_max: int, rule: QuadratureRule) -> np.
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
     _require_resolved(rule, n_max)
+    if _on_uniform_nodes(params, rule):
+        # sin(a) sin(b) = (cos(a - b) - cos(a + b))/2 at a, b = (n+1) pi j/P, (m+1) pi j/P.
+        # The real FFT of the even extension of the weights (a DCT-I) gives
+        # 2 sum_j w_j cos(pi k j/P) less the endpoint terms w_0 + (-1)^k w_P;
+        # those cancel in the difference, as |n-m| and n+m+2 share a parity.
+        w = rule.weights
+        c = np.fft.rfft(np.concatenate([w, w[-2:0:-1]])).real
+        n = np.arange(n_max + 1)
+        return (c[np.abs(n[:, None] - n)] - c[n[:, None] + n + 2]) / (4.0 * params.v_c)
     basis = _basis_matrix(params, n_max, rule.nodes)
     return (basis * rule.weights) @ basis.T

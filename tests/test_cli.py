@@ -282,6 +282,26 @@ def test_overflowing_spectrum_exits_three_before_writing(capsys, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", ["fd-validate", "asymptotics"])
+def test_overflowing_parameters_exit_three(capsys, command):
+    code, out, err = invoke(capsys, command, "--hbar", "1", "--c", "1", "--v-c", "1e-300")
+    assert (code, out) == (3, "")
+    assert err.startswith("deformspec: numerical error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 11.9 GiB for an array", ""])
+def test_memory_error_exits_two(monkeypatch, capsys, message):
+    import deformspec.transform as transform
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(transform, "_basis_matrix", no_memory)
+    code, out, err = invoke(capsys, "inverse-limit", "--n-max", "16")
+    assert (code, out) == (2, "")
+    assert err.startswith("deformspec: error: not enough memory") and message in err
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, capsys):
         argv = ("spectrum", "--n-max", "5")

@@ -11,6 +11,7 @@ from deformspec import (
     TridiagonalSymmetricMatrix,
     ValidationError,
     canonical_params,
+    custom_params,
     discretize,
     eigenfunction,
     eigenvalue,
@@ -50,6 +51,10 @@ class TestDiscretize:
     def test_needs_three_points(self):
         with pytest.raises(ValidationError):
             discretize(CANON, 2)
+
+    def test_coefficient_overflow_raises(self):
+        with pytest.raises(NumericalError, match="overflows"):
+            discretize(custom_params(1, 1, 1e-300), 100)
 
     def test_consistency_on_mode_zero(self):
         # applying A to samples of psi_0 approximates C_0 psi_0 with O(h^2) residual

@@ -76,14 +76,14 @@ GOLDEN = {
     "fd-validate-single-csv": "609515138346b65b4754205dd2643716b81a32b868239b4574352be8f47705ac",
     "gram-default-json": "30892e085712a2596228bc664141a88a078d069de0c01e9035cf9e5e31607ce0",
     "gram-gl-csv": "fd418bca03824fd7b1c5112ee093f08076df9819095af1397fb47b69484ef60e",
-    "gram-simpson-csv": "c9bde1f8952059cb4f6d8f7a82440a742663ab9e3ad13a965707d785976ca08d",
+    "gram-simpson-csv": "02842c7ad612b502a4b057b6b8428c574b327da9f63122e0f58013266288de3c",
     "inverse-limit-csv": "a9eff8edf10958f8216b6b3e77143d40b16e16b753f000d9d2dd7ee95860cd84",
     "inverse-limit-json": "32ded89d821f9a289f44c58b37ec7712f120a0b2c520b3a076326db0408ab38e",
     "parseval-csv": "4bea55c7ee47b4314b06d1a2a8280050276668b0e6b07fe726084860de169007",
     "parseval-json": "0946414bd3a9718eae7dd1c2b0ef0cd1be5013e2b8aaeea6de7fd6d462b1c3e4",
     "project-csv": "8d0e3b81da5bc820f3b1addb41c71c7e835d15984436be1dbb742ab386573262",
     "project-psi-csv": "5474146f9c7c9664ba8f335067e52806953d4cbc6cbffde1869ff0a916dc47a8",
-    "project-simpson-json": "bbfb637295976020e654d543dd1f1c573e351943c27416351a6e0d504850c5a8",
+    "project-simpson-json": "ce9769eb4c4189ee84597ed62cc680242caef1497be60a39cf3cc1ecc728578a",
     "reconstruct-csv": "3d316839a0eea609e07bfb54f1cd91968972b854312269e0eaab6d2b30c28885",
     "reconstruct-json": "3d316839a0eea609e07bfb54f1cd91968972b854312269e0eaab6d2b30c28885",
     "rigidity-csv": "eaa1dbcdda541e6a3b3aa1ff8a53d69411b2cce2618c201b9c6e83271dcfcce7",

@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from deformspec import (
+    DomainError,
     EvaluationError,
     Grid,
     ResolutionError,
@@ -124,6 +125,19 @@ class TestIntegrate:
     def test_scalar_only_callable(self):
         rule = gauss_legendre_rule(CANON, 8)
         assert integrate(rule, math.cos) == pytest.approx(2 * math.sin(CANON.v_c), rel=1e-10)
+
+    def test_error_on_node_array_propagates_without_point_retries(self):
+        calls = []
+
+        def target(v):
+            calls.append(v)
+            if np.any(np.asarray(v) > 0.5 * CANON.v_c):
+                raise DomainError("outside the target's domain")
+            return np.ones_like(v)
+
+        with pytest.raises(DomainError):
+            integrate(composite_simpson_rule(CANON, 4097), target)
+        assert len(calls) == 1
 
     def test_non_finite_value_reported(self):
         rule = gauss_legendre_rule(CANON, 8)

@@ -159,6 +159,11 @@ def test_asymptotic_coefficient_value():
     assert asymptotic_coefficient(CANON) == pytest.approx(11.371, abs=1e-3)
 
 
+def test_asymptotic_coefficient_overflow_raises():
+    with pytest.raises(NumericalError, match="overflows"):
+        asymptotic_coefficient(custom_params(1, 1, 1e-300))
+
+
 def test_asymptotic_eigenvalue_n0_is_pi():
     assert asymptotic_eigenvalue(CANON, 0) == math.pi
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from deformspec import (
     CoefficientVector,
+    QuadratureRule,
     ResolutionError,
     ValidationError,
     apply_operator_spectral,
@@ -27,6 +28,8 @@ from deformspec import (
     sample,
     uniform_grid,
 )
+from deformspec import transform
+from deformspec.transform import _basis_matrix
 
 CANON = canonical_params()
 GL256 = gauss_legendre_rule(CANON, 256)
@@ -233,6 +236,70 @@ class TestGram:
     def test_identity_simpson(self):
         gram = gram_matrix(CANON, 32, composite_simpson_rule(CANON, 4097))
         assert np.max(np.abs(gram - np.eye(33))) < 1e-8
+
+
+def dense_projection(rule, n_max, targets, block=8192):
+    """Oracle for the FFT route: _basis_matrix(...) @ (w*f) per target, summed
+    over node blocks so the basis never holds more than `block` columns."""
+    weighted = np.stack([rule.weights * target(rule.nodes) for target in targets], axis=1)
+    return sum(
+        _basis_matrix(CANON, n_max, rule.nodes[i : i + block]) @ weighted[i : i + block]
+        for i in range(0, len(rule.nodes), block)
+    )
+
+
+def dense_gram(rule, n_max):
+    basis = _basis_matrix(CANON, n_max, rule.nodes)
+    return (basis * rule.weights) @ basis.T
+
+
+# (n_max, Simpson points): the golden corpus's Simpson cases, `gram --n-max 600
+# --nodes 19233`, and the default Simpson rules 32(n_max+1)+1 past the GL cap.
+SIMPSON_SIZES = [(8, 4097), (40, 5001), (600, 19233), (1000, 32033), (1023, 32769), (2000, 64033)]
+
+
+class TestUniformRoute:
+    """project and gram_matrix on uniform nodes (a DST-I and a DCT-I by real
+    FFT) against the dense-basis quadrature sums."""
+
+    @pytest.mark.parametrize("n_max, points", SIMPSON_SIZES)
+    def test_project_matches_dense_basis(self, n_max, points):
+        rule = composite_simpson_rule(CANON, points)
+        k = 2 * n_max // 3
+        targets = [profile, const_one, lambda v: eigenfunction(CANON, k, v)]
+        expected = dense_projection(rule, n_max, targets)
+        for target, column in zip(targets, expected.T):
+            assert np.max(np.abs(project(CANON, target, n_max, rule).coefficients - column)) <= 1e-13
+
+    @pytest.mark.parametrize("n_max, points", [size for size in SIMPSON_SIZES if size[0] <= 600])
+    def test_gram_matches_dense_basis(self, n_max, points):
+        rule = composite_simpson_rule(CANON, points)
+        assert np.max(np.abs(gram_matrix(CANON, n_max, rule) - dense_gram(rule, n_max))) <= 1e-13
+
+    def test_uniform_nodes_never_fill_the_basis(self, monkeypatch):
+        def no_basis(*args):
+            raise AssertionError("dense basis filled on uniform nodes")
+
+        monkeypatch.setattr(transform, "_basis_matrix", no_basis)
+        rule = composite_simpson_rule(CANON, 4097)
+        project(CANON, profile, 8, rule)
+        gram_matrix(CANON, 8, rule)
+
+    def test_non_uniform_simpson_nodes_take_the_dense_route(self):
+        simpson = composite_simpson_rule(CANON, 4097)
+        nodes = simpson.nodes.copy()
+        nodes[1000] = np.nextafter(nodes[1000], 0.0)
+        rule = QuadratureRule("composite_simpson", nodes, simpson.weights)
+        coeffs = project(CANON, profile, 8, rule).coefficients
+        assert np.array_equal(coeffs, _basis_matrix(CANON, 8, nodes) @ (rule.weights * profile(nodes)))
+        assert np.array_equal(gram_matrix(CANON, 8, rule), dense_gram(rule, 8))
+
+    @pytest.mark.parametrize("endpoint", [-CANON.v_c, CANON.v_c])
+    def test_non_finite_endpoint_value_rejected(self, endpoint):
+        # psi_n vanishes at the endpoints, so the FFT drops these samples;
+        # the target must still be finite there
+        with pytest.raises(ValidationError, match="finite"):
+            project(CANON, lambda v: np.where(v == endpoint, np.nan, 1.0), 8, composite_simpson_rule(CANON, 4097))
 
 
 class TestUniqueness:
