@@ -9,9 +9,9 @@ deterministic: identical argv yields byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,16 +59,14 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
-class RunConfig:
-    params: OperatorParams
-    fmt: str
-    output: str | None
-    no_meta: bool
-    tolerances: dict
-    argv: list
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, like every other error."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built once per process: parsing never changes the parser
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     source = common.add_argument_group("operator parameters (default: canonical)")
@@ -76,33 +74,38 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--c", type=float, help="custom c")
     source.add_argument("--v-c", dest="v_c", type=float, help="custom v_c")
     source.add_argument("--si", action="store_true", help="SI constants with the critical interval")
-    out = common.add_argument_group("output")
-    out.add_argument("--format", choices=("csv", "json"), help="override the subcommand default")
-    out.add_argument("--output", help="file path (or directory for per-series report CSVs)")
-    out.add_argument("--no-meta", action="store_true", help="omit the JSON metadata block")
-    out.add_argument(
+    common.add_argument("--output", help="file path (or directory for per-series report CSVs)")
+    formats = {}
+    for default in ("csv", "json"):
+        # One parent per default format: set_defaults on a subparser would
+        # rewrite the --format action that all of its siblings share.
+        parent = formats[default] = argparse.ArgumentParser(add_help=False, parents=[common])
+        parent.add_argument("--format", choices=("csv", "json"), default=default, help=f"default: {default}")
+        parent.add_argument("--no-meta", action="store_true", help="omit the JSON metadata block")
+    report = argparse.ArgumentParser(add_help=False, parents=[formats["json"]])
+    report.add_argument(
         "--tol",
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help=f"tolerance override; keys: {', '.join(sorted(DEFAULT_TOLERANCES))}",
+        help="tolerance override (repeatable); keys begin with the subcommand name, - read as _",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deformspec",
         description="Spectral analysis of the Dirichlet operator pi*(1 + (hbar/c)^2 d^2/dv^2).",
     )
     parser.add_argument("--version", action="version", version=f"deformspec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common], help="closed-form modes 0..n_max")
+    p = sub.add_parser("spectrum", parents=[formats["csv"]], help="closed-form modes 0..n_max")
     p.add_argument("--n-max", type=int, default=16)
 
     p = sub.add_parser("eigenfunction", parents=[common], help="samples of one eigenfunction")
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--grid-points", type=int, default=257)
 
-    sub.add_parser("critical-index", parents=[common], help="floor formula vs exact sign change")
+    sub.add_parser("critical-index", parents=[formats["json"]], help="floor formula vs exact sign change")
 
     p = sub.add_parser("project", parents=[common], help="coefficients of a target function")
     p.add_argument("--target", default="C")
@@ -113,22 +116,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True, help="CSV file with header n,a_n")
     p.add_argument("--grid-points", type=int, default=257)
 
-    p = sub.add_parser("parseval", parents=[common], help="norm vs truncated coefficient sum")
+    p = sub.add_parser("parseval", parents=[formats["json"]], help="norm vs truncated coefficient sum")
     p.add_argument("--target", default="C")
     p.add_argument("--n-max", type=int, default=64)
 
-    p = sub.add_parser("gram", parents=[common], help="pairwise eigenfunction inner products")
+    p = sub.add_parser("gram", parents=[formats["csv"]], help="pairwise eigenfunction inner products")
     p.add_argument("--n-max", type=int, default=16)
     p.add_argument("--nodes", type=int)
 
-    p = sub.add_parser("fd-validate", parents=[common], help="finite-difference cross-validation")
+    p = sub.add_parser("fd-validate", parents=[formats["json"]], help="finite-difference cross-validation")
     p.add_argument("--grid-sizes", default="250,500,1000,2000", help="comma-separated m values")
     p.add_argument("--modes", type=int, default=10, dest="n_modes")
 
-    p = sub.add_parser("rigidity", parents=[common], help="uniform-coefficient obstruction")
+    p = sub.add_parser("rigidity", parents=[report], help="uniform-coefficient obstruction")
     p.add_argument("--n-list", default="8,16,32,64")
 
-    p = sub.add_parser("inverse-limit", parents=[common], help="seminorm decay of reconstructions")
+    p = sub.add_parser("inverse-limit", parents=[report], help="seminorm decay of reconstructions")
     p.add_argument("--A", type=float, default=1.0, dest="amplitude")
     p.add_argument("--beta", type=float, default=2.0, dest="decay_rate")
     p.add_argument("--gamma-mode-decay", type=float, default=1.0, dest="mode_decay")
@@ -136,11 +139,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-list", default="1,2,3,4,5,6,7,8")
     p.add_argument("--k-max", type=int, default=2)
 
-    p = sub.add_parser("asymptotics", parents=[common], help="quadratic-approximant remainder")
+    p = sub.add_parser("asymptotics", parents=[report], help="quadratic-approximant remainder")
     p.add_argument("--n-min", type=int, default=100)
     p.add_argument("--n-max", type=int, default=1000)
 
-    p = sub.add_parser("converge", parents=[common], help="reconstruction convergence study")
+    p = sub.add_parser("converge", parents=[report], help="reconstruction convergence study")
     p.add_argument("--target", default="C")
     p.add_argument("--n-list", default="8,16,32,64,128")
     return parser
@@ -160,13 +163,15 @@ def _params_from(args) -> OperatorParams:
 
 
 def _tolerances_from(args) -> dict:
+    prefix = args.command.replace("-", "_") + "."
+    keys = sorted(key for key in DEFAULT_TOLERANCES if key.startswith(prefix))
     overrides = {}
     for item in args.tol:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValidationError(f"--tol expects KEY=VALUE, got {item!r}")
-        if key not in DEFAULT_TOLERANCES:
-            raise ValidationError(f"unknown tolerance key {key!r}")
+        if key not in keys:
+            raise ValidationError(f"{args.command} reads no tolerance {key!r}; keys: {', '.join(keys)}")
         try:
             tol = float(value)
         except ValueError:
@@ -201,80 +206,79 @@ def _number_list(text: str, flag: str, kind=int) -> list:
     return values
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output is None:
+def _emit(args, text: str) -> None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(config.output).write_text(text)
+        Path(args.output).write_text(text)
 
 
-def _meta(config: RunConfig) -> dict | None:
-    if config.no_meta:
+def _meta(args) -> dict | None:
+    if args.no_meta:
         return None
-    return {"generator": f"deformspec {__version__}", "argv": config.argv}
+    return {"generator": f"deformspec {__version__}", "argv": args.argv}
 
 
-def _emit_report(config: RunConfig, report, default_fmt: str = "json") -> int:
-    fmt = config.fmt or default_fmt
-    if fmt == "json":
-        _emit(config, to_json(experiment_to_dict(report), _meta(config)))
-    elif config.output is not None and Path(config.output).is_dir():
-        write_experiment_csv_per_series(report, config.output)
+def _emit_report(args, report) -> int:
+    if args.format == "json":
+        _emit(args, to_json(experiment_to_dict(report), _meta(args)))
+    elif args.output is not None and Path(args.output).is_dir():
+        write_experiment_csv_per_series(report, args.output)
     else:
-        _emit(config, experiment_to_csv(report))
+        _emit(args, experiment_to_csv(report))
     return EXIT_OK if report.verdict in ("pass", "documented_discrepancy") else EXIT_VERDICT_FAIL
 
 
-def _cmd_spectrum(args, config: RunConfig) -> int:
+def _cmd_spectrum(args) -> int:
     if args.n_max < 0:
         raise ValidationError("n_max must be >= 0")
     ns = np.arange(args.n_max + 1)
     header = ["n", "wavenumber", "eigenvalue"]
-    columns = [ns.tolist(), wavenumber(config.params, ns).tolist(), eigenvalue(config.params, ns).tolist()]
-    if (config.fmt or "csv") == "csv":
-        _emit(config, table_to_csv(header, columns))
+    columns = [ns.tolist(), wavenumber(args.params, ns).tolist(), eigenvalue(args.params, ns).tolist()]
+    if args.format == "csv":
+        _emit(args, table_to_csv(header, columns))
     else:
         payload = {"modes": [dict(zip(header, row)) for row in zip(*columns)]}
-        _emit(config, to_json(payload, _meta(config)))
+        _emit(args, to_json(payload, _meta(args)))
     return EXIT_OK
 
 
-def _cmd_eigenfunction(args, config: RunConfig) -> int:
-    grid = uniform_grid(config.params, args.grid_points - 1)
-    values = eigenfunction(config.params, args.n, grid.points)
-    _emit(config, sampled_function_to_csv(SampledFunction(grid, values)))
+def _cmd_eigenfunction(args) -> int:
+    grid = uniform_grid(args.params, args.grid_points - 1)
+    values = eigenfunction(args.params, args.n, grid.points)
+    _emit(args, sampled_function_to_csv(SampledFunction(grid, values)))
     return EXIT_OK
 
 
-def _cmd_critical_index(args, config: RunConfig) -> int:
-    payload = critical_index_to_dict(critical_index(config.params))
-    if (config.fmt or "json") == "json":
-        _emit(config, to_json(payload, _meta(config)))
+def _cmd_critical_index(args) -> int:
+    payload = critical_index_to_dict(critical_index(args.params))
+    if args.format == "json":
+        _emit(args, to_json(payload, _meta(args)))
     else:
-        _emit(config, table_to_csv(list(payload), [[value] for value in payload.values()]))
+        _emit(args, table_to_csv(list(payload), [[value] for value in payload.values()]))
     return EXIT_OK
 
 
-def _cmd_project(args, config: RunConfig) -> int:
-    rule = _rule_from_nodes(config.params, args.nodes, args.n_max)
-    f = _target_function(args.target, config.params)
-    coeffs = project(config.params, f, args.n_max, rule)
-    _emit(config, coefficients_to_csv(coeffs))
+def _cmd_project(args) -> int:
+    rule = _rule_from_nodes(args.params, args.nodes, args.n_max)
+    f = _target_function(args.target, args.params)
+    coeffs = project(args.params, f, args.n_max, rule)
+    _emit(args, coefficients_to_csv(coeffs))
     return EXIT_OK
 
 
-def _cmd_reconstruct(args, config: RunConfig) -> int:
-    coeffs = read_coefficients(args.coeffs, config.params)
-    grid = uniform_grid(config.params, args.grid_points - 1)
-    _emit(config, sampled_function_to_csv(reconstruct(coeffs, grid)))
+def _cmd_reconstruct(args) -> int:
+    coeffs = read_coefficients(args.coeffs, args.params)
+    grid = uniform_grid(args.params, args.grid_points - 1)
+    _emit(args, sampled_function_to_csv(reconstruct(coeffs, grid)))
     return EXIT_OK
 
 
-def _cmd_parseval(args, config: RunConfig) -> int:
-    f = _target_function(args.target, config.params)
-    rule = default_projection_rule(config.params, args.n_max)
-    norm = l2_norm(config.params, f, rule)
-    defect = parseval_defect(config.params, f, args.n_max, rule)
+def _cmd_parseval(args) -> int:
+    f = _target_function(args.target, args.params)
+    rule = default_projection_rule(args.params, args.n_max)
+    norm = l2_norm(args.params, f, rule)
+    defect = parseval_defect(args.params, f, args.n_max, rule)
     payload = {
         "target": args.target,
         "n_max": args.n_max,
@@ -283,34 +287,34 @@ def _cmd_parseval(args, config: RunConfig) -> int:
         "defect": defect,
         "relative_defect": defect / norm**2 if norm > 0 else 0.0,
     }
-    if (config.fmt or "json") == "json":
-        _emit(config, to_json(payload, _meta(config)))
+    if args.format == "json":
+        _emit(args, to_json(payload, _meta(args)))
     else:
-        _emit(config, table_to_csv(["key", "value"], [list(payload), list(payload.values())]))
+        _emit(args, table_to_csv(["key", "value"], [list(payload), list(payload.values())]))
     return EXIT_OK
 
 
-def _cmd_gram(args, config: RunConfig) -> int:
-    rule = _rule_from_nodes(config.params, args.nodes, args.n_max)
-    matrix = gram_matrix(config.params, args.n_max, rule)
-    if (config.fmt or "csv") == "csv":
+def _cmd_gram(args) -> int:
+    rule = _rule_from_nodes(args.params, args.nodes, args.n_max)
+    matrix = gram_matrix(args.params, args.n_max, rule)
+    if args.format == "csv":
         n = len(matrix)
-        _emit(config, table_to_csv(["n", *map(str, range(n))], [range(n), *matrix.T]))
+        _emit(args, table_to_csv(["n", *map(str, range(n))], [range(n), *matrix.T]))
     else:
-        _emit(config, to_json({"gram": matrix.tolist()}, _meta(config)))
+        _emit(args, to_json({"gram": matrix.tolist()}, _meta(args)))
     return EXIT_OK
 
 
-def _cmd_fd_validate(args, config: RunConfig) -> int:
+def _cmd_fd_validate(args) -> int:
     sizes = _number_list(args.grid_sizes, "--grid-sizes")
     if len(sizes) == 1:
         from .fdsolver import validate_against_analytic
 
-        reports = [validate_against_analytic(config.params, sizes[0], args.n_modes)]
+        reports = [validate_against_analytic(args.params, sizes[0], args.n_modes)]
     else:
-        reports = refinement_study(config.params, sizes, args.n_modes)
-    if (config.fmt or "json") == "json":
-        _emit(config, to_json({"reports": [fd_report_to_dict(r) for r in reports]}, _meta(config)))
+        reports = refinement_study(args.params, sizes, args.n_modes)
+    if args.format == "json":
+        _emit(args, to_json({"reports": [fd_report_to_dict(r) for r in reports]}, _meta(args)))
     else:
         tables = [
             table_to_csv(
@@ -319,16 +323,16 @@ def _cmd_fd_validate(args, config: RunConfig) -> int:
             )
             for r in reports
         ]
-        _emit(config, "".join(tables))
+        _emit(args, "".join(tables))
     return EXIT_OK
 
 
-def _cmd_rigidity(args, config: RunConfig) -> int:
-    report = rigidity_report(config.params, _number_list(args.n_list, "--n-list"), config.tolerances)
-    return _emit_report(config, report)
+def _cmd_rigidity(args) -> int:
+    report = rigidity_report(args.params, _number_list(args.n_list, "--n-list"), args.tolerances)
+    return _emit_report(args, report)
 
 
-def _cmd_inverse_limit(args, config: RunConfig) -> int:
+def _cmd_inverse_limit(args) -> int:
     decay = args.mode_decay
     model = DecayModel(
         amplitude=args.amplitude,
@@ -336,23 +340,23 @@ def _cmd_inverse_limit(args, config: RunConfig) -> int:
         n_max=args.n_max,
         mode_weights=lambda n: np.exp(-decay * np.asarray(n, dtype=float)),
     )
-    grid = uniform_grid(config.params, max(_required_points(args.n_max, args.k_max), 2048))
+    grid = uniform_grid(args.params, max(_required_points(args.n_max, args.k_max), 2048))
     taus = _number_list(args.tau_list, "--tau-list", float)
-    report = inverse_limit_report(model, config.params, taus, args.k_max, grid, config.tolerances)
-    return _emit_report(config, report)
+    report = inverse_limit_report(model, args.params, taus, args.k_max, grid, args.tolerances)
+    return _emit_report(args, report)
 
 
-def _cmd_asymptotics(args, config: RunConfig) -> int:
-    report = asymptotics_report(config.params, args.n_min, args.n_max, config.tolerances)
-    return _emit_report(config, report)
+def _cmd_asymptotics(args) -> int:
+    report = asymptotics_report(args.params, args.n_min, args.n_max, args.tolerances)
+    return _emit_report(args, report)
 
 
-def _cmd_converge(args, config: RunConfig) -> int:
+def _cmd_converge(args) -> int:
     n_list = _number_list(args.n_list, "--n-list")
-    rule = default_projection_rule(config.params, max(n_list))
-    f = _target_function(args.target, config.params)
-    report = convergence_study(config.params, f, n_list, rule, config.tolerances)
-    return _emit_report(config, report)
+    rule = default_projection_rule(args.params, max(n_list))
+    f = _target_function(args.target, args.params)
+    report = convergence_study(args.params, f, n_list, rule, args.tolerances)
+    return _emit_report(args, report)
 
 
 _COMMANDS = {
@@ -380,15 +384,11 @@ def run(argv) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        config = RunConfig(
-            params=_params_from(args),
-            fmt=args.format,
-            output=args.output,
-            no_meta=args.no_meta,
-            tolerances=_tolerances_from(args),
-            argv=argv,
-        )
-        return _COMMANDS[args.command](args, config)
+        args.params = _params_from(args)
+        if "tol" in args:
+            args.tolerances = _tolerances_from(args)
+        args.argv = argv
+        return _COMMANDS[args.command](args)
     except (ValidationError, DomainError, ResolutionError, FormatError, OSError) as exc:
         print(f"deformspec: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

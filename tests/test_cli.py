@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deformspec import FormatError, canonical_params, project, gauss_legendre_rule, deformation_profile
-from deformspec.cli import run
+from deformspec.cli import _COMMANDS, _build_parser, run
+from deformspec.experiments import DEFAULT_TOLERANCES
 from deformspec.io import coefficients_to_csv, read_coefficients, table_to_csv
 
 CANON = canonical_params()
@@ -247,6 +254,22 @@ class TestUsageErrors:
     def test_bad_target(self, capsys):
         assert invoke(capsys, "project", "--target", "psi:x")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["project", "--format", "json"],
+            ["eigenfunction", "--no-meta"],
+            ["spectrum", "--tol", "rigidity.parseval=1"],
+            ["rigidity", "--tol", "converge.final_l2=1"],
+            ["converge", "--tol", "constant_projection.rule_agreement=1"],
+        ],
+        ids=["project-format", "eigenfunction-no-meta", "spectrum-tol", "rigidity-foreign-tol", "library-only-tol"],
+    )
+    def test_flag_the_subcommand_does_not_honour(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("deformspec") and err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1e-9", "abc"])
     def test_tolerance_must_be_finite_and_positive(self, capsys, value):
         code, out, err = invoke(capsys, "rigidity", "--n-list", "8,16", "--tol", f"rigidity.parseval={value}")
@@ -334,3 +357,62 @@ def test_numerical_errors_map_to_exit_three(monkeypatch, capsys):
     code, _, err = invoke(capsys, "spectrum")
     assert code == 3
     assert "synthetic failure" in err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert all(words[0] == "deformspec" for words in lines)
+    parsed = [_build_parser().parse_args(words[1:]) for words in lines]
+    assert sorted(args.command for args in parsed) == sorted(_COMMANDS)
+
+
+REPORTS = {"rigidity", "inverse-limit", "asymptotics", "converge"}
+SMALL_ARGV = {
+    "spectrum": ["--n-max", "4"],
+    "eigenfunction": ["--n", "2", "--grid-points", "9"],
+    "critical-index": [],
+    "project": ["--n-max", "4", "--nodes", "64"],
+    "reconstruct": ["--coeffs", "{coeffs}", "--grid-points", "9"],
+    "parseval": ["--n-max", "8"],
+    "gram": ["--n-max", "3", "--nodes", "64"],
+    "fd-validate": ["--grid-sizes", "40,80", "--modes", "2"],
+    "rigidity": ["--n-list", "2,4"],
+    "inverse-limit": ["--n-max", "4", "--tau-list", "1,2,3", "--k-max", "1"],
+    "asymptotics": ["--n-min", "10", "--n-max", "20"],
+    "converge": ["--n-list", "2,4,8"],
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    command=st.sampled_from(sorted(SMALL_ARGV)),
+    fmt=st.sampled_from([None, "csv", "json"]),
+    no_meta=st.booleans(),
+    tol=st.none() | st.sampled_from(sorted(DEFAULT_TOLERANCES)),
+    si=st.booleans(),
+    to_file=st.booleans(),
+)
+def test_exit_contract(command, fmt, no_meta, tol, si, to_file):
+    """Exit 0-3 without a traceback for any subset of the shared flags; exit 1
+    only from a report whose verdict is fail."""
+    with tempfile.TemporaryDirectory() as tmp:
+        coeffs, output = Path(tmp) / "coeffs.csv", Path(tmp) / "out"
+        coeffs.write_text("n,a_n\n0,0.5\n1,-0.25\n")
+        argv = [command, *(str(coeffs) if arg == "{coeffs}" else arg for arg in SMALL_ARGV[command])]
+        argv += ["--format", fmt] if fmt else []
+        argv += ["--no-meta"] if no_meta else []
+        argv += ["--tol", f"{tol}=1e-3"] if tol else []
+        argv += ["--si"] if si else []
+        argv += ["--output", str(output)] if to_file else []
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(argv)
+        text = output.read_text() if output.exists() else stdout.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 1:
+        assert command in REPORTS
+        if fmt != "csv":
+            assert json.loads(text)["verdict"] == "fail"

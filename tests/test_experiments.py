@@ -47,6 +47,20 @@ class TestAsymptotics:
         report = asymptotics_report(CANON, 1, 50)
         assert np.all(np.array(report.series["eigenvalue"]) < math.pi)
 
+    @pytest.mark.parametrize("n_max", [5000, 20000, 100000])
+    def test_passes_at_large_n(self, n_max):
+        # C_n - (pi - alpha n^2) cancels about log10(n) digits; the identity
+        # slack alone fails 329 of the rows up to n = 5000.
+        assert asymptotics_report(CANON, 100, n_max).verdict == "pass"
+
+    @pytest.mark.parametrize("n_min", [100, 5000, 99999])
+    def test_relative_eigenvalue_shift_fails(self, monkeypatch, n_min):
+        import deformspec.experiments as experiments
+
+        exact = experiments.eigenvalue
+        monkeypatch.setattr(experiments, "eigenvalue", lambda params, n: exact(params, n) * (1 + 1e-12))
+        assert asymptotics_report(CANON, n_min, n_min + 1).verdict == "fail"
+
     def test_range_validation(self):
         with pytest.raises(ValidationError):
             asymptotics_report(CANON, 0, 10)

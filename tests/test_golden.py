@@ -20,7 +20,7 @@ CASES = {
     "spectrum-si-json": (["spectrum", "--si", "--n-max", "5", "--format", "json", "--no-meta"], 0),
     "spectrum-negative-n-max": (["spectrum", "--n-max", "-1"], 2),
     "eigenfunction-csv": (["eigenfunction", "--n", "3", "--grid-points", "65"], 0),
-    "eigenfunction-json": (["eigenfunction", "--n", "3", "--grid-points", "65", "--format", "json"], 0),
+    "eigenfunction-json": (["eigenfunction", "--n", "3", "--grid-points", "65", "--format", "json"], 2),
     "critical-index-json": (["critical-index"], 0),
     "critical-index-csv": (["critical-index", "--format", "csv"], 0),
     "critical-index-custom-csv": (
@@ -28,13 +28,10 @@ CASES = {
         0,
     ),
     "project-csv": (["project", "--target", "C", "--n-max", "16"], 0),
-    "project-simpson-json": (
-        ["project", "--target", "const", "--n-max", "40", "--nodes", "5000", "--format", "json"],
-        0,
-    ),
+    "project-simpson-csv": (["project", "--target", "const", "--n-max", "40", "--nodes", "5000"], 0),
     "project-psi-csv": (["project", "--target", "psi:2", "--n-max", "8", "--nodes", "128"], 0),
     "reconstruct-csv": (["reconstruct", "--coeffs", "{coeffs}", "--grid-points", "33"], 0),
-    "reconstruct-json": (["reconstruct", "--coeffs", "{coeffs}", "--grid-points", "33", "--format", "json"], 0),
+    "reconstruct-json": (["reconstruct", "--coeffs", "{coeffs}", "--grid-points", "33", "--format", "json"], 2),
     "parseval-json": (["parseval", "--n-max", "32"], 0),
     "parseval-csv": (["parseval", "--n-max", "32", "--format", "csv"], 0),
     "gram-gl-csv": (["gram", "--n-max", "8", "--nodes", "4096"], 0),
@@ -70,7 +67,7 @@ GOLDEN = {
     "critical-index-custom-csv": "d9ade9e20ad9db73a58a856d6dc4b7080dc56776e0ffe3c10067e1ec80a721cb",
     "critical-index-json": "e84d219e996e96da08bfc7022a1a5ee9cb20e537c4bad0d54fa3b9c4bdf24109",
     "eigenfunction-csv": "5a8352066c9f633a49d084d44e15aaa585e14ec0d2aa69d264eac63b9f5b960c",
-    "eigenfunction-json": "5a8352066c9f633a49d084d44e15aaa585e14ec0d2aa69d264eac63b9f5b960c",
+    "eigenfunction-json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "fd-validate-csv": "537c0f33cece00e132ce3760a1bc422437faa838ab4c0a8c787047a16a2f3436",
     "fd-validate-json": "bc0f215514cd9d342b6da7a4e24cd9dd47e925fc2eccd54f0f5a6eacc082c1fe",
     "fd-validate-single-csv": "609515138346b65b4754205dd2643716b81a32b868239b4574352be8f47705ac",
@@ -83,9 +80,9 @@ GOLDEN = {
     "parseval-json": "0946414bd3a9718eae7dd1c2b0ef0cd1be5013e2b8aaeea6de7fd6d462b1c3e4",
     "project-csv": "8d0e3b81da5bc820f3b1addb41c71c7e835d15984436be1dbb742ab386573262",
     "project-psi-csv": "5474146f9c7c9664ba8f335067e52806953d4cbc6cbffde1869ff0a916dc47a8",
-    "project-simpson-json": "ce9769eb4c4189ee84597ed62cc680242caef1497be60a39cf3cc1ecc728578a",
+    "project-simpson-csv": "ce9769eb4c4189ee84597ed62cc680242caef1497be60a39cf3cc1ecc728578a",
     "reconstruct-csv": "3d316839a0eea609e07bfb54f1cd91968972b854312269e0eaab6d2b30c28885",
-    "reconstruct-json": "3d316839a0eea609e07bfb54f1cd91968972b854312269e0eaab6d2b30c28885",
+    "reconstruct-json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "rigidity-csv": "eaa1dbcdda541e6a3b3aa1ff8a53d69411b2cce2618c201b9c6e83271dcfcce7",
     "rigidity-fail-json": "cfda5ba7fc5e3a649b341d2e58c4bfda908648e51a4b6a5fca1fdca33d2874cd",
     "rigidity-json": "7774b3b4709cc02336336502bba39bd1e209bcbfc845b9457971649f621b21e4",
