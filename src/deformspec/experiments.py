@@ -338,7 +338,7 @@ def convergence_study(
         partial = CoefficientVector(params, coeffs.coefficients[: n + 1])
         residual_nodes = target_on_nodes - evaluate(partial, rule.nodes)
         l2_errors.append(float(np.sqrt(np.dot(rule.weights, residual_nodes**2))))
-        residual_interior = target_interior - evaluate(partial, window.points[interior])
+        residual_interior = target_interior - evaluate(partial, window.points)[interior]
         sup_errors.append(float(np.max(np.abs(residual_interior))))
     ok = (
         all(b <= a + slack for a, b in zip(l2_errors, l2_errors[1:]))

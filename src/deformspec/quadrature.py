@@ -8,7 +8,7 @@ reference to the sine basis they are used to validate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -23,10 +23,11 @@ NODES_PER_MODE = 8
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing points spanning [-v_c, v_c]; spacing set for uniform grids."""
+    """Strictly increasing points spanning [-v_c, v_c]; `spacing` is the step when
+    they equal `np.linspace` between their ends bit for bit, else None."""
 
     points: np.ndarray
-    spacing: float | None = None
+    spacing: float | None = field(init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -35,8 +36,9 @@ class Grid:
             raise ValidationError("grid needs at least two points")
         if not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0):
             raise ValidationError("grid points must be finite and strictly increasing")
-        if self.spacing is not None and np.max(np.abs(np.diff(pts) - self.spacing)) >= 1e-12:
-            raise ValidationError("spacing does not match the stored points")
+        spacing = float(pts[-1] - pts[0]) / (len(pts) - 1)
+        uniform = np.array_equal(pts, np.linspace(pts[0], pts[-1], len(pts)))
+        object.__setattr__(self, "spacing", spacing if uniform else None)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -85,7 +87,7 @@ def uniform_grid(params: OperatorParams, m: int) -> Grid:
     if m < 2:
         raise ValidationError("uniform grid needs m >= 2 intervals")
     points = np.linspace(-params.v_c, params.v_c, m + 1)
-    return Grid(points=points, spacing=2.0 * params.v_c / m)
+    return Grid(points=points)
 
 
 def sample(params: OperatorParams, f: Callable, grid: Grid) -> SampledFunction:

@@ -4,13 +4,13 @@ Coefficients are always computed by quadrature so the transform stays generic
 over the target function; the closed-form integrals known for special targets
 are reserved for tests, which keeps the two routes independent.
 
-On the P+1 equally spaced nodes v_j = -v_c + 2 v_c j/P (composite Simpson)
-the modes sample as psi_n(v_j) = sin((n+1) pi j/P)/sqrt(v_c), so the
-quadrature sums of `project` and `gram_matrix` are a DST-I of the weighted
-values and a DCT-I of the weights, each one real FFT of length 2P.  These are
-the same quadrature sums, evaluated in O(P log P) time and O(P) memory; on
-any other nodes the sums run over the dense basis matrix, which the tests
-also use as the oracle for the FFT route.
+On the P+1 equally spaced nodes v_j = -v_c + 2 v_c j/P the modes sample as
+psi_n(v_j) = sin((n+1) pi j/P)/sqrt(v_c), so the sums of `project`, `evaluate`
+and `gram_matrix` are a DST-I of the weighted values, a DST-I of the
+coefficients and a DCT-I of the weights, each one real FFT of length 2P: the
+same sums in O(P log P) time and O(P) memory.  On any other nodes the sums run
+over the dense basis matrix, which the tests also use as the oracle for the
+FFT route.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ def _basis_matrix(params: OperatorParams, n_max: int, v: np.ndarray) -> np.ndarr
     return out
 
 
-def _on_uniform_nodes(params: OperatorParams, rule: QuadratureRule) -> bool:
-    """True when the nodes are exactly -v_c + 2 v_c j/P for j = 0..P."""
-    return np.array_equal(rule.nodes, np.linspace(-params.v_c, params.v_c, len(rule.nodes)))
+def _on_uniform_nodes(params: OperatorParams, nodes: np.ndarray) -> bool:
+    """True when the nodes are exactly -v_c + 2 v_c j/P for j = 0..P, P >= 1."""
+    return len(nodes) >= 2 and np.array_equal(nodes, np.linspace(-params.v_c, params.v_c, len(nodes)))
 
 
 def _sine_sums(g: np.ndarray, count: int) -> np.ndarray:
@@ -95,7 +95,7 @@ def project(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRul
     if not np.all(np.isfinite(values)):
         raise ValidationError("target function must be finite on the quadrature nodes")
     weighted = rule.weights * values
-    if _on_uniform_nodes(params, rule):
+    if _on_uniform_nodes(params, rule.nodes):
         coeffs = math.sqrt(1.0 / params.v_c) * _sine_sums(weighted, n_max + 1)
     else:
         coeffs = _basis_matrix(params, n_max, rule.nodes) @ weighted
@@ -105,8 +105,16 @@ def project(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRul
 def evaluate(coeffs: CoefficientVector, v) -> np.ndarray:
     """Pointwise value of the truncated expansion at v."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    basis = _basis_matrix(coeffs.params, coeffs.n_max, v)
-    return coeffs.coefficients @ basis
+    if not _on_uniform_nodes(coeffs.params, v):
+        return coeffs.coefficients @ _basis_matrix(coeffs.params, coeffs.n_max, v)
+    # psi_n(v_j) = sin(pi k j/P)/sqrt(v_c) with k = n+1 is 2P-periodic and odd in k:
+    # fold the coefficients onto k = 0..P with a sign flip past P, then one DST-I,
+    # which ignores slots k = 0 and k = P as their sines vanish at every node.
+    p, a = len(v) - 1, coeffs.coefficients
+    k = np.arange(1, len(a) + 1) % (2 * p)
+    flip = k > p
+    folded = np.bincount(np.where(flip, 2 * p - k, k), np.where(flip, -a, a), p + 1)
+    return np.pad(math.sqrt(1.0 / coeffs.params.v_c) * _sine_sums(folded, p - 1), 1)
 
 
 def reconstruct(coeffs: CoefficientVector, grid: Grid) -> SampledFunction:
@@ -147,7 +155,7 @@ def gram_matrix(params: OperatorParams, n_max: int, rule: QuadratureRule) -> np.
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
     _require_resolved(rule, n_max)
-    if _on_uniform_nodes(params, rule):
+    if _on_uniform_nodes(params, rule.nodes):
         # sin(a) sin(b) = (cos(a - b) - cos(a + b))/2 at a, b = (n+1) pi j/P, (m+1) pi j/P.
         # The real FFT of the even extension of the weights (a DCT-I) gives
         # 2 sum_j w_j cos(pi k j/P) less the endpoint terms w_0 + (-1)^k w_P;

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -319,10 +320,30 @@ def test_memory_error_exits_two(monkeypatch, capsys, message):
     def no_memory(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(transform, "_basis_matrix", no_memory)
+    monkeypatch.setattr(transform, "_sine_sums", no_memory)
     code, out, err = invoke(capsys, "inverse-limit", "--n-max", "16")
     assert (code, out) == (2, "")
     assert err.startswith("deformspec: error: not enough memory") and message in err
+
+
+def test_large_inverse_limit_runs_in_linear_memory(capsys):
+    # 5001 modes on 320065 uniform points: a dense basis would take 12.8 GB
+    tracemalloc.start()
+    try:
+        code, out, _ = invoke(capsys, "inverse-limit", "--n-max", "5000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    assert peak < 100e6
+
+
+@pytest.mark.parametrize("command", ["eigenfunction", "reconstruct", "rigidity", "inverse-limit"])
+def test_si_uniform_grid_commands_exit_zero(capsys, tmp_path, command):
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("n,a_n\n0,0.5\n1,-0.25\n")
+    argv = [str(coeffs) if arg == "{coeffs}" else arg for arg in SMALL_ARGV[command]]
+    assert invoke(capsys, command, *argv, "--si")[0] == 0
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ import hashlib
 
 import pytest
 
+from deformspec import transform
 from deformspec.cli import run
 
 COEFFS = "n,a_n\n0,0.5\n1,-0.25\n2,0.125\n3,-0.0625\n"
@@ -61,8 +62,8 @@ CASES = {
 GOLDEN = {
     "asymptotics-csv": "9ece8332697ed314e981b491ed32f5cdc3916d67a006ed3148838f8bdbeaefd8",
     "asymptotics-json": "658af4b3b318e9359a75f06f0eb1a4cec22cb3e1b41baba6a6fe911898bcc080",
-    "converge-csv": "8bc3c4810c71d86b6a620860d3f7bf9806998195e39c68f529e0b9c9c51f5fbe",
-    "converge-json": "73318d833bb40da52ee7efd122d3f5f14fb911b2999ac9c68cd126adff36ac1f",
+    "converge-csv": "9f5cc40829b147dedf7670429bf8735735a442fd1b0f14098f1e7773f9c401e9",
+    "converge-json": "0737d0a3ca394aa60fccf793f8fcdb614359092f7cdd0e67bfc570b855e2651d",
     "critical-index-csv": "4f38a3f75e763da9617d474149ffcb7c80977e03f2f0d845c416cb7ff928614c",
     "critical-index-custom-csv": "d9ade9e20ad9db73a58a856d6dc4b7080dc56776e0ffe3c10067e1ec80a721cb",
     "critical-index-json": "e84d219e996e96da08bfc7022a1a5ee9cb20e537c4bad0d54fa3b9c4bdf24109",
@@ -74,18 +75,18 @@ GOLDEN = {
     "gram-default-json": "30892e085712a2596228bc664141a88a078d069de0c01e9035cf9e5e31607ce0",
     "gram-gl-csv": "fd418bca03824fd7b1c5112ee093f08076df9819095af1397fb47b69484ef60e",
     "gram-simpson-csv": "02842c7ad612b502a4b057b6b8428c574b327da9f63122e0f58013266288de3c",
-    "inverse-limit-csv": "a9eff8edf10958f8216b6b3e77143d40b16e16b753f000d9d2dd7ee95860cd84",
-    "inverse-limit-json": "32ded89d821f9a289f44c58b37ec7712f120a0b2c520b3a076326db0408ab38e",
+    "inverse-limit-csv": "9f14459d58e55886d3ecbdb49a099240a65100c5f131b3b1e8af67e38f286f66",
+    "inverse-limit-json": "28b20f3b87267115ea3a4236f72c5fecab908ac546ff27ce2578d7a70832ca3f",
     "parseval-csv": "4bea55c7ee47b4314b06d1a2a8280050276668b0e6b07fe726084860de169007",
     "parseval-json": "0946414bd3a9718eae7dd1c2b0ef0cd1be5013e2b8aaeea6de7fd6d462b1c3e4",
     "project-csv": "8d0e3b81da5bc820f3b1addb41c71c7e835d15984436be1dbb742ab386573262",
     "project-psi-csv": "5474146f9c7c9664ba8f335067e52806953d4cbc6cbffde1869ff0a916dc47a8",
     "project-simpson-csv": "ce9769eb4c4189ee84597ed62cc680242caef1497be60a39cf3cc1ecc728578a",
-    "reconstruct-csv": "3d316839a0eea609e07bfb54f1cd91968972b854312269e0eaab6d2b30c28885",
+    "reconstruct-csv": "9f6426bb6397edc43867f3ad674b902a1b539ab40f8bd89f0662142a79b0c261",
     "reconstruct-json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "rigidity-csv": "eaa1dbcdda541e6a3b3aa1ff8a53d69411b2cce2618c201b9c6e83271dcfcce7",
-    "rigidity-fail-json": "cfda5ba7fc5e3a649b341d2e58c4bfda908648e51a4b6a5fca1fdca33d2874cd",
-    "rigidity-json": "7774b3b4709cc02336336502bba39bd1e209bcbfc845b9457971649f621b21e4",
+    "rigidity-csv": "4cc0e49aad9e1b06f87194748c83e60d0f4ad030793911a814069db7d6417566",
+    "rigidity-fail-json": "9589e20752736e05005dfac6fe02b5ced4e0c31ad3f363789a7a74a38632d16b",
+    "rigidity-json": "7d74ef0fba016c132e2d8e6601ff79c1aa3979e53358f0f8d80a6b5438da35b4",
     "spectrum-csv": "4e4530d9456327c5e2a66676038255a56c965e18e06117a20dc4b9360e96a66e",
     "spectrum-json": "a72efeda0f7201711555a7a238b0e545c4db9c98ddf549a9f29dcf1b1747f65d",
     "spectrum-negative-n-max": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -99,7 +100,7 @@ RIGIDITY_SERIES = {
     "rigidity__n.csv": "ccd35ee916c4f5482aa4eb62ebc673d0606cf1a777ecb17f26f90f08acb3ebec",
     "rigidity__norm_sq.csv": "5c5f923fc84c1a613d943909dbd3d47a0956612339bbc33c1c91a31169239b31",
     "rigidity__norm_sq_over_count_minus_pi_sq.csv": "8984ab02bbe991c778de6df36e7e892000a66b4ac593d339fb1ea47c7185ed2b",
-    "rigidity__sup_deviation_from_pi.csv": "73c0c6d353fc00a2ffbbba8f8d346e8e576c938ad803f69750964d043508e571",
+    "rigidity__sup_deviation_from_pi.csv": "ee267b242f81c1e678d8d29388efdd9420c94ea30d96fb45ca7c7822a84e849a",
 }
 
 
@@ -128,3 +129,19 @@ def test_stdout_matches_golden(name, tmp_path, capsys):
 
 def test_per_series_files_match_golden(tmp_path, capsys):
     assert run_rigidity_series(tmp_path, capsys) == (0, "", RIGIDITY_SERIES)
+
+
+def test_dense_basis_fills_stay_small(tmp_path, capsys, monkeypatch):
+    """Uniform points never fill the basis, and the GL cap (4096 nodes, so at
+    most 512 modes) bounds every other fill the corpus makes."""
+    fill = transform._basis_matrix
+    sizes = []
+
+    def recorded(params, n_max, v):
+        sizes.append((n_max + 1) * len(v))
+        return fill(params, n_max, v)
+
+    monkeypatch.setattr(transform, "_basis_matrix", recorded)
+    for name in sorted(CASES):
+        run_case(name, tmp_path, capsys)
+    assert sizes and max(sizes) <= 512 * 4096

@@ -19,6 +19,7 @@ from deformspec import (
     gauss_legendre_rule,
     integrate,
     sample,
+    si_params,
     uniform_grid,
     wavenumber,
 )
@@ -36,6 +37,14 @@ class TestUniformGrid:
         grid = uniform_grid(CANON, 4)
         assert grid.spacing == pytest.approx(CANON.v_c / 2, rel=1e-14)
         assert np.max(np.abs(np.diff(grid.points) - grid.spacing)) < 1e-12
+
+    @pytest.mark.parametrize("params", [CANON, si_params()])
+    def test_spacing_is_derived_from_the_points(self, params):
+        grid = uniform_grid(params, 1000)
+        assert grid.spacing == 2.0 * params.v_c / 1000
+        points = grid.points.copy()
+        points[500] = np.nextafter(points[500], 1.0)
+        assert Grid(points=points).spacing is None
 
     def test_too_few_intervals(self):
         with pytest.raises(ValidationError):

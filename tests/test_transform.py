@@ -282,8 +282,10 @@ class TestUniformRoute:
 
         monkeypatch.setattr(transform, "_basis_matrix", no_basis)
         rule = composite_simpson_rule(CANON, 4097)
-        project(CANON, profile, 8, rule)
+        coeffs = project(CANON, profile, 8, rule)
         gram_matrix(CANON, 8, rule)
+        evaluate(coeffs, rule.nodes)
+        reconstruct(coeffs, uniform_grid(CANON, 256))
 
     def test_non_uniform_simpson_nodes_take_the_dense_route(self):
         simpson = composite_simpson_rule(CANON, 4097)
@@ -293,6 +295,8 @@ class TestUniformRoute:
         coeffs = project(CANON, profile, 8, rule).coefficients
         assert np.array_equal(coeffs, _basis_matrix(CANON, 8, nodes) @ (rule.weights * profile(nodes)))
         assert np.array_equal(gram_matrix(CANON, 8, rule), dense_gram(rule, 8))
+        values = evaluate(CoefficientVector(CANON, coeffs), nodes)
+        assert np.array_equal(values, coeffs @ _basis_matrix(CANON, 8, nodes))
 
     @pytest.mark.parametrize("endpoint", [-CANON.v_c, CANON.v_c])
     def test_non_finite_endpoint_value_rejected(self, endpoint):
@@ -300,6 +304,43 @@ class TestUniformRoute:
         # the target must still be finite there
         with pytest.raises(ValidationError, match="finite"):
             project(CANON, lambda v: np.where(v == endpoint, np.nan, 1.0), 8, composite_simpson_rule(CANON, 4097))
+
+
+def long_double_partial_sum(coefficients, points, samples):
+    """sum_n a_n psi_n(v_j) at the sampled j in np.longdouble, the phase
+    (n+1) j reduced modulo 2P in integers before the sine."""
+    pi = 4 * np.arctan(np.longdouble(1))
+    a = coefficients.astype(np.longdouble)
+    k = np.arange(1, len(a) + 1)
+    sums = [np.sum(a * np.sin(pi * ((k * j) % (2 * points)) / points)) for j in samples]
+    return np.array(sums) / np.sqrt(np.longdouble(CANON.v_c))
+
+
+class TestUniformSynthesis:
+    """evaluate on uniform points (a DST-I of the folded coefficients)."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="long double is double")
+    @pytest.mark.parametrize("n_max, points", [(64, 2048), (511, 4096), (1500, 20000), (2000, 64000)])
+    def test_error_within_bound_and_below_dense_route(self, n_max, points):
+        # a_n = pi is the rigidity partial sum, whose values reach pi (N+1)/sqrt(v_c)
+        coeffs = CoefficientVector(CANON, np.full(n_max + 1, math.pi))
+        v = np.linspace(-CANON.v_c, CANON.v_c, points + 1)
+        samples = np.arange(0, points + 1, 97)
+        reference = long_double_partial_sum(coeffs.coefficients, points, samples)
+        fft_error = np.max(np.abs(evaluate(coeffs, v)[samples] - reference))
+        # 97 divides no P here, so v[samples] misses v_c and takes the dense route
+        dense_error = np.max(np.abs(evaluate(coeffs, v[samples]) - reference))
+        eps = np.finfo(float).eps
+        assert fft_error <= eps * math.log2(2 * points) * np.sum(np.abs(coeffs.coefficients)) / math.sqrt(CANON.v_c)
+        assert fft_error <= dense_error
+
+    def test_folded_modes_match_dense_route(self):
+        # N + 1 > P: modes alias onto k = (n+1) mod 2P, with a sign flip past P
+        coeffs = CoefficientVector(CANON, np.random.default_rng(5).uniform(-1, 1, 101))
+        v = np.linspace(-CANON.v_c, CANON.v_c, 17)
+        values = evaluate(coeffs, v)
+        assert values[0] == 0.0 and values[-1] == 0.0
+        assert np.max(np.abs(values - coeffs.coefficients @ _basis_matrix(CANON, 100, v))) <= 1e-13
 
 
 class TestUniqueness:
