@@ -3,11 +3,13 @@ closed-form spectrum.
 
 The operator is discretized with the 3-point second difference on interior
 points (Dirichlet rows eliminated), giving a symmetric tridiagonal Toeplitz
-matrix.  Eigenvalues come from Sturm-sequence bisection inside Gershgorin
-bounds with a few safeguarded Newton corrections on the characteristic
-recurrence; eigenvectors from shifted inverse iteration with a partially
-pivoted tridiagonal solve.  Nothing here touches the sine basis, so agreement
-with the analytic spectrum is a genuine two-route check.
+matrix.  Eigenvalues come from Sturm-sequence multisection inside Gershgorin
+bounds (each sweep counts at every midpoint of several bisection levels, so
+the brackets are exactly those of one-midpoint bisection) with a few
+safeguarded Newton corrections on the characteristic recurrence;
+eigenvectors from shifted inverse iteration with a partially pivoted
+tridiagonal solve.  Nothing here touches the sine basis, so agreement with
+the analytic spectrum is a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -18,9 +20,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConditioningWarning, NumericalError, ValidationError
+from .errors import ConditioningWarning, NumericalError, ResolutionError, ValidationError
 from .params import OperatorParams
 from .spectrum import eigenvalue
+
+# A Sturm sweep over s shifts costs about (1 + s/SWEEP_WIDTH) sweeps over one
+# shift: below a few thousand shifts the per-row numpy call overhead dominates
+# (fits gave 2100-3600 at m = 2000 on a 2-core x86-64 box).
+SWEEP_WIDTH = 3000
+
+# Largest grid an FD validation discretizes; each eigenvalue sweep is an
+# m-step Python loop, so m = 100000 with 10 modes takes about 17 s on a
+# 2-core x86-64 box.
+FD_MAX_INTERIOR_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -98,14 +110,35 @@ def _sturm_counts(diag: np.ndarray, off2: np.ndarray, pivmin: float, xs: np.ndar
     division), which keeps the count monotone when a shift hits an eigenvalue
     of a leading submatrix exactly.
     """
-    d = diag[0] - xs
-    count = (d <= 0).astype(np.int64)
+    xs = np.asarray(xs, dtype=float)
+    base, quotient = np.empty_like(xs), np.empty_like(xs)
+    # with a leading off2 of 0 and d = 1, row 0 yields d = diag[0] - x exactly
+    rows, off = diag.tolist(), [0.0, *off2.tolist()]
+    d = np.ones_like(xs)
+    mask = np.empty(xs.shape, dtype=bool)
+    count = np.zeros(xs.shape, dtype=np.int64)
+    # uint8 adds of the mask run without a cast; flushed before they wrap
+    tally = np.zeros(xs.shape, dtype=np.uint8)
+    previous = None
     with np.errstate(divide="ignore", over="ignore"):
-        for i in range(1, len(diag)):
-            d = np.where(d == 0.0, -pivmin, d)
-            d = diag[i] - xs - off2[i - 1] / d
-            count += d <= 0
-    return count
+        for i, row in enumerate(rows):
+            # diag[i] - xs is reused while diag[i] repeats; +0.0 == -0.0, but
+            # a signed zero there can only flip the sign of a zero pivot,
+            # which is counted and replaced alike
+            if row != previous:
+                np.subtract(row, xs, out=base)
+                previous = row
+            np.equal(d, 0.0, out=mask)
+            if np.count_nonzero(mask):
+                d[mask] = -pivmin
+            np.divide(off[i], d, out=quotient)
+            np.subtract(base, quotient, out=d)
+            np.less_equal(d, 0.0, out=mask)
+            tally += mask.view(np.uint8)
+            if i % 255 == 254:
+                count += tally
+                tally[...] = 0
+    return count + tally
 
 
 def _newton_steps(diag, off2, x, lo, hi, steps=3):
@@ -115,39 +148,92 @@ def _newton_steps(diag, off2, x, lo, hi, steps=3):
     computed without overflowing p itself; any non-finite intermediate or a
     step leaving the bracket falls back to the bisection value.
     """
+    rows, off = diag.tolist(), off2.tolist()
+    base, q, q_prev, r, r_prev, r_prev2, t, u = (np.empty_like(x) for _ in range(8))
+    good, finite = np.empty(x.shape, dtype=bool), np.empty(x.shape, dtype=bool)
     for _ in range(steps):
         with np.errstate(all="ignore"):
-            q_prev = diag[0] - x
-            r_prev2 = np.zeros_like(x)
-            r_prev = -1.0 / q_prev
-            bad = ~np.isfinite(r_prev)
-            for i in range(1, len(diag)):
-                q_i = diag[i] - x - off2[i - 1] / q_prev
-                r_i = (-1.0 + (diag[i] - x) * r_prev - off2[i - 1] * r_prev2 / q_prev) / q_i
-                r_prev2, r_prev, q_prev = r_prev, r_i, q_i
-                bad |= ~np.isfinite(r_i) | ~np.isfinite(q_i)
+            np.subtract(rows[0], x, out=base)
+            q_prev[...] = base
+            r_prev2[...] = 0.0
+            np.divide(-1.0, q_prev, out=r_prev)
+            np.isfinite(r_prev, out=good)
+            for i in range(1, len(rows)):
+                # a signed zero in the reused diag[i] - x can only flip the
+                # sign of a zero q_i, which fails the finite test either way
+                if rows[i] != rows[i - 1]:
+                    np.subtract(rows[i], x, out=base)
+                # q_i = (diag[i] - x) - off2/q_prev
+                np.divide(off[i - 1], q_prev, out=t)
+                np.subtract(base, t, out=q)
+                # r_i = ((-1 + (diag[i] - x)*r_prev) - off2*r_prev2/q_prev) / q_i
+                np.multiply(base, r_prev, out=u)
+                np.add(-1.0, u, out=u)
+                np.multiply(off[i - 1], r_prev2, out=t)
+                np.divide(t, q_prev, out=t)
+                np.subtract(u, t, out=u)
+                np.divide(u, q, out=r)
+                np.isfinite(r, out=finite)
+                good &= finite
+                np.isfinite(q, out=finite)
+                good &= finite
+                r_prev2, r_prev, r = r_prev, r, r_prev2
+                q_prev, q = q, q_prev
             candidate = x - 1.0 / r_prev
-        ok = ~bad & np.isfinite(candidate) & (candidate > lo) & (candidate < hi)
+        ok = good & np.isfinite(candidate) & (candidate > lo) & (candidate < hi)
         x = np.where(ok, candidate, x)
     return x
 
 
+def _multisection_depth(k: int) -> int:
+    """Bisection levels per sweep for k brackets: the depth b that minimizes
+    the sweep cost per level, (1 + k (2^b - 1)/SWEEP_WIDTH)/b."""
+    return min(range(1, 20), key=lambda b: (1 + k * (2**b - 1) / SWEEP_WIDTH) / b)
+
+
 def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -> np.ndarray:
+    """Bisection on the Sturm count until every bracket is 1e-15 relative wide
+    (at most 110 levels), then Newton polish.
+
+    One sweep counts at all 2^b - 1 midpoints of the next b bisection levels
+    of every bracket; the midpoints come from the same 0.5*(lo + hi)
+    recursion and the levels are walked with the same stop test after each,
+    so the brackets equal those of one-midpoint-per-sweep bisection bit for
+    bit, whatever b is.
+    """
     off2 = A.offdiag**2
     pivmin = max(float(np.max(off2)) if len(off2) else 0.0, 1.0) * 1e-290
     radius = np.zeros(A.dim)
     radius[:-1] += np.abs(A.offdiag)
     radius[1:] += np.abs(A.offdiag)
-    lo = np.full(len(indices), float(np.min(A.diag - radius)))
-    hi = np.full(len(indices), float(np.max(A.diag + radius)))
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        below = _sturm_counts(A.diag, off2, pivmin, mid) <= indices
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        tol = 1e-15 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-30)
-        if np.all(hi - lo <= tol):
-            break
+    k = len(indices)
+    lo = np.full(k, float(np.min(A.diag - radius)))
+    hi = np.full(k, float(np.max(A.diag + radius)))
+    bracket = np.arange(k)
+    depth = _multisection_depth(k)
+    levels, converged = 0, False
+    while levels < 110 and not converged:
+        b = min(depth, 110 - levels)
+        width = 2**b
+        # row j holds bracket j's 2^b + 1 tree nodes in order
+        nodes = np.empty((k, width + 1))
+        nodes[:, 0], nodes[:, width] = lo, hi
+        step = width
+        while step > 1:
+            nodes[:, step // 2 :: step] = 0.5 * (nodes[:, :-1:step] + nodes[:, step::step])
+            step //= 2
+        counts = _sturm_counts(A.diag, off2, pivmin, nodes[:, 1:-1].ravel()).reshape(k, width - 1)
+        left = np.zeros(k, dtype=np.intp)
+        for _ in range(b):
+            width //= 2
+            below = counts[bracket, left + width - 1] <= indices
+            left += width * below
+            lo, hi = nodes[bracket, left], nodes[bracket, left + width]
+            levels += 1
+            tol = 1e-15 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-30)
+            converged = bool(np.all(hi - lo <= tol))
+            if converged:
+                break
     return _newton_steps(A.diag, off2, 0.5 * (lo + hi), lo, hi)
 
 
@@ -173,18 +259,19 @@ def _solve_shifted(A: TridiagonalSymmetricMatrix, lam: float, b: np.ndarray) -> 
     """Solve (A - lam I) x = b by LU with partial pivoting (one fill-in band).
 
     Pivots are floored at eps * scale so an exactly singular shift produces a
-    huge but finite solution whose direction is the wanted eigenvector.
+    huge but finite solution whose direction is the wanted eigenvector.  The
+    elimination runs on Python floats, the same IEEE operations as on numpy
+    scalars at a fraction of the per-element cost.
     """
     n = A.dim
-    main = A.diag - lam
-    upper = np.zeros(n)
-    upper[:-1] = A.offdiag
-    fill = np.zeros(n)
-    lower = np.zeros(n)
-    lower[:-1] = A.offdiag
-    scale = float(np.max(np.abs(main))) + 2.0 * (float(np.max(np.abs(A.offdiag))) if n > 1 else 0.0)
+    shifted = A.diag - lam
+    scale = float(np.max(np.abs(shifted))) + 2.0 * (float(np.max(np.abs(A.offdiag))) if n > 1 else 0.0)
     floor = np.finfo(float).eps * max(scale, 1e-290)
-    x = np.asarray(b, dtype=float).copy()
+    main = shifted.tolist()
+    upper = A.offdiag.tolist() + [0.0]
+    lower = A.offdiag.tolist() + [0.0]
+    fill = [0.0] * n
+    x = np.asarray(b, dtype=float).tolist()
     for i in range(n - 1):
         if abs(lower[i]) > abs(main[i]):
             main[i], lower[i] = lower[i], main[i]
@@ -206,7 +293,7 @@ def _solve_shifted(A: TridiagonalSymmetricMatrix, lam: float, b: np.ndarray) -> 
         x[-2] = (x[-2] - upper[-2] * x[-1]) / main[-2]
     for i in range(n - 3, -1, -1):
         x[i] = (x[i] - upper[i] * x[i + 1] - fill[i] * x[i + 2]) / main[i]
-    return x
+    return np.array(x)
 
 
 def eigenvector_inverse_iteration(
@@ -248,6 +335,11 @@ def eigenvector_inverse_iteration(
     return v
 
 
+def _require_fd_grid(m: int) -> None:
+    if m > FD_MAX_INTERIOR_POINTS:
+        raise ResolutionError(f"grid of {m} interior points exceeds the FD limit of {FD_MAX_INTERIOR_POINTS}")
+
+
 def validate_against_analytic(params: OperatorParams, m: int, n_modes: int) -> FDSpectrumReport:
     """Compare the top n_modes discrete eigenvalues with the closed form."""
     m = int(m)
@@ -256,6 +348,7 @@ def validate_against_analytic(params: OperatorParams, m: int, n_modes: int) -> F
         raise ValidationError("n_modes must be >= 1")
     if n_modes > m / 4:
         raise ValidationError("only well-resolved modes are compared: need n_modes <= m/4")
+    _require_fd_grid(m)
     A = discretize(params, m)
     lam_fd = top_eigenvalues(A, n_modes)
     lam_an = eigenvalue(params, np.arange(n_modes))
@@ -276,6 +369,7 @@ def refinement_study(params: OperatorParams, m_list, n_modes: int = 1) -> list[F
     m_list = [int(m) for m in m_list]
     if len(m_list) < 2 or any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValidationError("m_list must contain at least two increasing grid sizes")
+    _require_fd_grid(m_list[-1])
     reports = [validate_against_analytic(params, m, n_modes) for m in m_list]
     hs = np.array([r.h for r in reports])
     errs = np.array([r.abs_errors[0] for r in reports])

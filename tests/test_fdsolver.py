@@ -22,9 +22,102 @@ from deformspec import (
     top_eigenvalues,
     validate_against_analytic,
 )
-from deformspec.fdsolver import _sturm_counts
+from deformspec.fdsolver import _solve_shifted, _sturm_counts
 
 CANON = canonical_params()
+
+
+# Reference solver: one midpoint per Sturm sweep, whole-array numpy
+# recurrences and numpy-scalar elimination.  The library's multisection,
+# buffered recurrences and list-based elimination perform the same IEEE
+# operations, so every result must equal these bit for bit.
+
+
+def reference_sturm_counts(diag, off2, pivmin, xs):
+    d = diag[0] - xs
+    count = (d <= 0).astype(np.int64)
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(1, len(diag)):
+            d = np.where(d == 0.0, -pivmin, d)
+            d = diag[i] - xs - off2[i - 1] / d
+            count += d <= 0
+    return count
+
+
+def reference_newton_steps(diag, off2, x, lo, hi, steps=3):
+    for _ in range(steps):
+        with np.errstate(all="ignore"):
+            q_prev = diag[0] - x
+            r_prev2 = np.zeros_like(x)
+            r_prev = -1.0 / q_prev
+            bad = ~np.isfinite(r_prev)
+            for i in range(1, len(diag)):
+                q_i = diag[i] - x - off2[i - 1] / q_prev
+                r_i = (-1.0 + (diag[i] - x) * r_prev - off2[i - 1] * r_prev2 / q_prev) / q_i
+                r_prev2, r_prev, q_prev = r_prev, r_i, q_i
+                bad |= ~np.isfinite(r_i) | ~np.isfinite(q_i)
+            candidate = x - 1.0 / r_prev
+        ok = ~bad & np.isfinite(candidate) & (candidate > lo) & (candidate < hi)
+        x = np.where(ok, candidate, x)
+    return x
+
+
+def reference_eigenvalues_ascending(A, indices):
+    off2 = A.offdiag**2
+    pivmin = max(float(np.max(off2)) if len(off2) else 0.0, 1.0) * 1e-290
+    radius = np.zeros(A.dim)
+    radius[:-1] += np.abs(A.offdiag)
+    radius[1:] += np.abs(A.offdiag)
+    lo = np.full(len(indices), float(np.min(A.diag - radius)))
+    hi = np.full(len(indices), float(np.max(A.diag + radius)))
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        below = reference_sturm_counts(A.diag, off2, pivmin, mid) <= indices
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        tol = 1e-15 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-30)
+        if np.all(hi - lo <= tol):
+            break
+    return reference_newton_steps(A.diag, off2, 0.5 * (lo + hi), lo, hi)
+
+
+def reference_top_eigenvalues(A, count):
+    return reference_eigenvalues_ascending(A, np.arange(A.dim - count, A.dim))[::-1]
+
+
+def reference_solve_shifted(A, lam, b):
+    n = A.dim
+    main = A.diag - lam
+    upper = np.zeros(n)
+    upper[:-1] = A.offdiag
+    fill = np.zeros(n)
+    lower = np.zeros(n)
+    lower[:-1] = A.offdiag
+    scale = float(np.max(np.abs(main))) + 2.0 * (float(np.max(np.abs(A.offdiag))) if n > 1 else 0.0)
+    floor = np.finfo(float).eps * max(scale, 1e-290)
+    x = np.asarray(b, dtype=float).copy()
+    for i in range(n - 1):
+        if abs(lower[i]) > abs(main[i]):
+            main[i], lower[i] = lower[i], main[i]
+            upper[i], main[i + 1] = main[i + 1], upper[i]
+            if i + 1 < n - 1:
+                fill[i], upper[i + 1] = upper[i + 1], 0.0
+            x[i], x[i + 1] = x[i + 1], x[i]
+        if abs(main[i]) < floor:
+            main[i] = floor if main[i] >= 0 else -floor
+        mult = lower[i] / main[i]
+        main[i + 1] -= mult * upper[i]
+        if i + 1 < n - 1:
+            upper[i + 1] -= mult * fill[i]
+        x[i + 1] -= mult * x[i]
+    if abs(main[-1]) < floor:
+        main[-1] = floor if main[-1] >= 0 else -floor
+    x[-1] /= main[-1]
+    if n >= 2:
+        x[-2] = (x[-2] - upper[-2] * x[-1]) / main[-2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - upper[i] * x[i + 1] - fill[i] * x[i + 2]) / main[i]
+    return x
 
 
 def toeplitz_eigenvalues(params, m):
@@ -165,6 +258,49 @@ def test_sturm_count_monotone_in_shift(data, shift_a, shift_b):
     lo, hi = sorted((shift_a, shift_b))
     counts = _sturm_counts(diag, off2, pivmin, np.array([lo, hi]))
     assert 0 <= counts[0] <= counts[1] <= dim
+
+
+class TestBitIdenticalToReference:
+    @pytest.mark.parametrize("params", [CANON, custom_params(0.8, 3.0, 1.7)], ids=["canonical", "custom"])
+    @pytest.mark.parametrize("m", [3, 4, 7, 250, 2000])
+    def test_all_and_top_eigenvalues(self, params, m):
+        A = discretize(params, m)
+        count = min(10, m)
+        assert np.array_equal(top_eigenvalues(A, count), reference_top_eigenvalues(A, count))
+        assert np.array_equal(eigenvalues_tridiagonal(A), reference_top_eigenvalues(A, m))
+
+    def test_random_tridiagonals(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            dim = int(rng.integers(2, 40))
+            A = TridiagonalSymmetricMatrix(diag=rng.uniform(-1, 1, dim), offdiag=rng.uniform(-1, 1, dim - 1))
+            count = int(rng.integers(1, dim + 1))
+            assert np.array_equal(top_eigenvalues(A, count), reference_top_eigenvalues(A, count))
+            assert np.array_equal(eigenvalues_tridiagonal(A), reference_top_eigenvalues(A, dim))
+
+    def test_zero_pivot_shifts(self):
+        # x = 1 zeroes the first pivot; x = 0 and x = 2 zero the second, an
+        # eigenvalue of the leading 2x2 block (the pivmin path); the signed
+        # zeros on the diagonal meet shifts of both signs of zero
+        cases = [
+            (np.ones(6), np.ones(5), [1.0, 0.0, 2.0, -0.0, 0.5, 3.0]),
+            (np.array([0.0, -0.0, 0.0, -0.0, 1.0]), np.array([1.0, 0.0, 2.0, 1.0]), [0.0, -0.0, 1.0, -1.0]),
+            (np.array([2.0, 2.0, -0.0, 0.0]), np.zeros(3), [2.0, 0.0, -0.0, -2.0]),
+        ]
+        for diag, off, xs in cases:
+            off2 = off**2
+            pivmin = max(float(np.max(off2)), 1.0) * 1e-290
+            xs = np.array(xs)
+            expected = reference_sturm_counts(diag, off2, pivmin, xs)
+            assert np.array_equal(_sturm_counts(diag, off2, pivmin, xs), expected)
+            A = TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
+            assert np.array_equal(eigenvalues_tridiagonal(A), reference_top_eigenvalues(A, A.dim))
+
+    def test_solve_shifted_on_benchmark_shifts(self):
+        A = discretize(CANON, 2000)
+        rhs = np.random.default_rng(0).standard_normal(A.dim)
+        for lam in top_eigenvalues(A, 10):
+            assert np.array_equal(_solve_shifted(A, lam, rhs), reference_solve_shifted(A, lam, rhs))
 
 
 class TestInverseIteration:
