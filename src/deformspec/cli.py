@@ -35,7 +35,7 @@ from .experiments import (
     inverse_limit_report,
     rigidity_report,
 )
-from .fdsolver import refinement_study
+from .fdsolver import refinement_study, validate_against_analytic
 from .io import (
     coefficients_to_csv,
     critical_index_to_dict,
@@ -308,8 +308,6 @@ def _cmd_gram(args) -> int:
 def _cmd_fd_validate(args) -> int:
     sizes = _number_list(args.grid_sizes, "--grid-sizes")
     if len(sizes) == 1:
-        from .fdsolver import validate_against_analytic
-
         reports = [validate_against_analytic(args.params, sizes[0], args.n_modes)]
     else:
         reports = refinement_study(args.params, sizes, args.n_modes)

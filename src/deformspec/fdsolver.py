@@ -5,11 +5,10 @@ The operator is discretized with the 3-point second difference on interior
 points (Dirichlet rows eliminated), giving a symmetric tridiagonal Toeplitz
 matrix.  Eigenvalues come from Sturm-sequence multisection inside Gershgorin
 bounds (each sweep counts at every midpoint of several bisection levels, so
-the brackets are exactly those of one-midpoint bisection) with a few
-safeguarded Newton corrections on the characteristic recurrence;
-eigenvectors from shifted inverse iteration with a partially pivoted
-tridiagonal solve.  Nothing here touches the sine basis, so agreement with
-the analytic spectrum is a genuine two-route check.
+the brackets are exactly those of one-midpoint bisection), returned as bracket
+midpoints; eigenvectors from shifted inverse iteration with a partially
+pivoted tridiagonal solve.  Nothing here touches the sine basis, so agreement
+with the analytic spectrum is a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -33,6 +32,10 @@ SWEEP_WIDTH = 3000
 # m-step Python loop, so m = 100000 with 10 modes takes about 17 s on a
 # 2-core x86-64 box.
 FD_MAX_INTERIOR_POINTS = 100_000
+
+# Inverse iteration: target residual |A v - lam v| and the solves allowed to reach it.
+INVERSE_ITERATION_TOL = 1e-8
+INVERSE_ITERATION_MAX_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -141,59 +144,34 @@ def _sturm_counts(diag: np.ndarray, off2: np.ndarray, pivmin: float, xs: np.ndar
     return count + tally
 
 
-def _newton_steps(diag, off2, x, lo, hi, steps=3):
-    """Safeguarded Newton on the characteristic recurrence, in ratio form.
-
-    Tracks q_i = p_i/p_{i-1} and r_i = p_i'/p_i, so the step -p/p' = -1/r is
-    computed without overflowing p itself; any non-finite intermediate or a
-    step leaving the bracket falls back to the bisection value.
-    """
-    rows, off = diag.tolist(), off2.tolist()
-    base, q, q_prev, r, r_prev, r_prev2, t, u = (np.empty_like(x) for _ in range(8))
-    good, finite = np.empty(x.shape, dtype=bool), np.empty(x.shape, dtype=bool)
-    for _ in range(steps):
-        with np.errstate(all="ignore"):
-            np.subtract(rows[0], x, out=base)
-            q_prev[...] = base
-            r_prev2[...] = 0.0
-            np.divide(-1.0, q_prev, out=r_prev)
-            np.isfinite(r_prev, out=good)
-            for i in range(1, len(rows)):
-                # a signed zero in the reused diag[i] - x can only flip the
-                # sign of a zero q_i, which fails the finite test either way
-                if rows[i] != rows[i - 1]:
-                    np.subtract(rows[i], x, out=base)
-                # q_i = (diag[i] - x) - off2/q_prev
-                np.divide(off[i - 1], q_prev, out=t)
-                np.subtract(base, t, out=q)
-                # r_i = ((-1 + (diag[i] - x)*r_prev) - off2*r_prev2/q_prev) / q_i
-                np.multiply(base, r_prev, out=u)
-                np.add(-1.0, u, out=u)
-                np.multiply(off[i - 1], r_prev2, out=t)
-                np.divide(t, q_prev, out=t)
-                np.subtract(u, t, out=u)
-                np.divide(u, q, out=r)
-                np.isfinite(r, out=finite)
-                good &= finite
-                np.isfinite(q, out=finite)
-                good &= finite
-                r_prev2, r_prev, r = r_prev, r, r_prev2
-                q_prev, q = q, q_prev
-            candidate = x - 1.0 / r_prev
-        ok = good & np.isfinite(candidate) & (candidate > lo) & (candidate < hi)
-        x = np.where(ok, candidate, x)
-    return x
-
-
 def _multisection_depth(k: int) -> int:
     """Bisection levels per sweep for k brackets: the depth b that minimizes
     the sweep cost per level, (1 + k (2^b - 1)/SWEEP_WIDTH)/b."""
     return min(range(1, 20), key=lambda b: (1 + k * (2**b - 1) / SWEEP_WIDTH) / b)
 
 
+def _sturm_setup(A: TridiagonalSymmetricMatrix) -> tuple[np.ndarray, float, float, float]:
+    """Squared off-diagonal, zero-pivot replacement and Gershgorin bounds; raises
+    :class:`NumericalError` if a square, or a bound doubled (bisection adds two
+    bracket ends), overflows."""
+    with np.errstate(over="ignore"):
+        off2 = A.offdiag**2
+        radius = np.zeros(A.dim)
+        radius[:-1] += np.abs(A.offdiag)
+        radius[1:] += np.abs(A.offdiag)
+        lo = float(np.min(A.diag - radius))
+        hi = float(np.max(A.diag + radius))
+    pivmin = max(float(np.max(off2)) if len(off2) else 0.0, 1.0) * 1e-290
+    if not (math.isfinite(pivmin) and math.isfinite(2.0 * lo) and math.isfinite(2.0 * hi)):
+        raise NumericalError("Sturm bisection overflows: off-diagonal or Gershgorin bound too large")
+    return off2, pivmin, lo, hi
+
+
 def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -> np.ndarray:
-    """Bisection on the Sturm count until every bracket is 1e-15 relative wide
-    (at most 110 levels), then Newton polish.
+    """Bisection on the Sturm count inside the Gershgorin bounds.  Each
+    eigenvalue is the midpoint of its final bracket, at most 1e-15 relative
+    wide, or 2^-110 of the Gershgorin interval where the 110-level cap stops
+    the bisection first.
 
     One sweep counts at all 2^b - 1 midpoints of the next b bisection levels
     of every bracket; the midpoints come from the same 0.5*(lo + hi)
@@ -201,14 +179,9 @@ def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -
     so the brackets equal those of one-midpoint-per-sweep bisection bit for
     bit, whatever b is.
     """
-    off2 = A.offdiag**2
-    pivmin = max(float(np.max(off2)) if len(off2) else 0.0, 1.0) * 1e-290
-    radius = np.zeros(A.dim)
-    radius[:-1] += np.abs(A.offdiag)
-    radius[1:] += np.abs(A.offdiag)
+    off2, pivmin, lower, upper = _sturm_setup(A)
     k = len(indices)
-    lo = np.full(k, float(np.min(A.diag - radius)))
-    hi = np.full(k, float(np.max(A.diag + radius)))
+    lo, hi = np.full(k, lower), np.full(k, upper)
     bracket = np.arange(k)
     depth = _multisection_depth(k)
     levels, converged = 0, False
@@ -234,7 +207,7 @@ def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -
             converged = bool(np.all(hi - lo <= tol))
             if converged:
                 break
-    return _newton_steps(A.diag, off2, 0.5 * (lo + hi), lo, hi)
+    return 0.5 * (lo + hi)
 
 
 def eigenvalues_tridiagonal(A: TridiagonalSymmetricMatrix) -> np.ndarray:
@@ -296,9 +269,7 @@ def _solve_shifted(A: TridiagonalSymmetricMatrix, lam: float, b: np.ndarray) -> 
     return np.array(x)
 
 
-def eigenvector_inverse_iteration(
-    A: TridiagonalSymmetricMatrix, lam: float, tol: float = 1e-8, max_iterations: int = 50
-) -> np.ndarray:
+def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> np.ndarray:
     """Unit eigenvector for an eigenvalue estimate within 1e-6 of a simple eigenvalue.
 
     Sign is gauged so the first component of noticeable size is positive.
@@ -306,8 +277,7 @@ def eigenvector_inverse_iteration(
     1e-6 of the shift (the result spans an ill-determined subspace then).
     """
     lam = float(lam)
-    off2 = A.offdiag**2
-    pivmin = max(float(np.max(off2)) if len(off2) else 0.0, 1.0) * 1e-290
+    off2, pivmin, _, _ = _sturm_setup(A)
     scale = float(np.max(np.abs(A.diag)) + (np.max(np.abs(A.offdiag)) if A.dim > 1 else 0.0))
     gap = 1e-6 * max(1.0, scale)
     nearby = _sturm_counts(A.diag, off2, pivmin, np.array([lam + gap, lam - gap]))
@@ -316,18 +286,19 @@ def eigenvector_inverse_iteration(
     rng = np.random.default_rng(0)
     v = rng.standard_normal(A.dim)
     v /= np.linalg.norm(v)
-    for _ in range(max_iterations):
+    for _ in range(INVERSE_ITERATION_MAX_STEPS):
         w = _solve_shifted(A, lam, v)
         norm = np.linalg.norm(w)
         if not np.isfinite(norm) or norm == 0.0:
             raise NumericalError("inverse iteration produced a non-finite iterate")
         v = w / norm
         residual = np.linalg.norm(A.matvec(v) - lam * v)
-        if residual <= tol:
+        if residual <= INVERSE_ITERATION_TOL:
             break
     else:
         raise NumericalError(
-            f"inverse iteration did not reach residual {tol} in {max_iterations} iterations"
+            f"inverse iteration did not reach residual {INVERSE_ITERATION_TOL} "
+            f"in {INVERSE_ITERATION_MAX_STEPS} iterations"
         )
     significant = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
     if len(significant) and v[significant[0]] < 0:

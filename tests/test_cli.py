@@ -327,6 +327,25 @@ def test_overflowing_parameters_exit_three(capsys, command):
     assert err.startswith("deformspec: numerical error:") and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("v_c", ["2e-77", "5e-154"])
+def test_fd_validate_off_diagonal_overflow_exits_three(capsys, v_c):
+    # off-diagonal above 1.34e154: its square overflows and the Sturm counts would be garbage
+    argv = ["fd-validate", "--hbar", "1", "--c", "1", "--v-c", v_c, "--grid-sizes", "4", "--modes", "1"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("deformspec: numerical error:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fd_validate_just_below_overflow_exits_zero(capsys):
+    argv = ["fd-validate", "--hbar", "1", "--c", "1", "--v-c", "4e-77", "--grid-sizes", "4", "--modes", "1"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    # the 3-point truncation error of mode 0 on 4 interior points
+    assert json.loads(out)["reports"][0]["rel_errors"][0] == pytest.approx(0.0325, abs=1e-4)
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 11.9 GiB for an array", ""])
 def test_memory_error_exits_two(monkeypatch, capsys, message):
     import deformspec.transform as transform

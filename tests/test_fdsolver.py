@@ -44,24 +44,6 @@ def reference_sturm_counts(diag, off2, pivmin, xs):
     return count
 
 
-def reference_newton_steps(diag, off2, x, lo, hi, steps=3):
-    for _ in range(steps):
-        with np.errstate(all="ignore"):
-            q_prev = diag[0] - x
-            r_prev2 = np.zeros_like(x)
-            r_prev = -1.0 / q_prev
-            bad = ~np.isfinite(r_prev)
-            for i in range(1, len(diag)):
-                q_i = diag[i] - x - off2[i - 1] / q_prev
-                r_i = (-1.0 + (diag[i] - x) * r_prev - off2[i - 1] * r_prev2 / q_prev) / q_i
-                r_prev2, r_prev, q_prev = r_prev, r_i, q_i
-                bad |= ~np.isfinite(r_i) | ~np.isfinite(q_i)
-            candidate = x - 1.0 / r_prev
-        ok = ~bad & np.isfinite(candidate) & (candidate > lo) & (candidate < hi)
-        x = np.where(ok, candidate, x)
-    return x
-
-
 def reference_eigenvalues_ascending(A, indices):
     off2 = A.offdiag**2
     pivmin = max(float(np.max(off2)) if len(off2) else 0.0, 1.0) * 1e-290
@@ -78,7 +60,7 @@ def reference_eigenvalues_ascending(A, indices):
         tol = 1e-15 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-30)
         if np.all(hi - lo <= tol):
             break
-    return reference_newton_steps(A.diag, off2, 0.5 * (lo + hi), lo, hi)
+    return 0.5 * (lo + hi)
 
 
 def reference_top_eigenvalues(A, count):
@@ -234,6 +216,16 @@ class TestEigenvalues:
             full = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             np.testing.assert_allclose(lam, np.linalg.eigvalsh(full), atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "diag, off",
+        [(np.zeros(3), np.full(2, 1e155)), (np.full(2, -1e308), np.zeros(1))],
+        ids=["off-diagonal-square", "bracket-sum"],
+    )
+    def test_overflow_raises(self, diag, off):
+        A = TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
+        with pytest.raises(NumericalError, match="overflows"):
+            top_eigenvalues(A, 1)
+
     def test_interlacing_with_principal_submatrix(self):
         A = discretize(CANON, 30)
         B = TridiagonalSymmetricMatrix(diag=A.diag[:-1], offdiag=A.offdiag[:-1])
@@ -301,6 +293,54 @@ class TestBitIdenticalToReference:
         rhs = np.random.default_rng(0).standard_normal(A.dim)
         for lam in top_eigenvalues(A, 10):
             assert np.array_equal(_solve_shifted(A, lam, rhs), reference_solve_shifted(A, lam, rhs))
+
+
+def assert_within_sturm_brackets(A, eigenvalues):
+    """The accuracy contract: each returned eigenvalue x (sorted decreasing,
+    the top of the spectrum) with ascending index j satisfies
+    count(x - t) <= j < count(x + t), where t covers a 1e-15 relative
+    bracket or, where wider, a bracket after the 110-level cap."""
+    off2 = A.offdiag**2
+    pivmin = max(float(np.max(off2)) if len(off2) else 0.0, 1.0) * 1e-290
+    radius = np.zeros(A.dim)
+    radius[:-1] += np.abs(A.offdiag)
+    radius[1:] += np.abs(A.offdiag)
+    capped_width = (np.max(A.diag + radius) - np.min(A.diag - radius)) / 2.0**110
+    x = np.asarray(eigenvalues)[::-1]
+    j = np.arange(A.dim - len(x), A.dim)
+    t = np.maximum(2e-15 * np.maximum(np.abs(x), 1e-30), capped_width)
+    assert np.all(_sturm_counts(A.diag, off2, pivmin, x - t) <= j)
+    assert np.all(_sturm_counts(A.diag, off2, pivmin, x + t) >= j + 1)
+
+
+class TestAccuracyContract:
+    @pytest.mark.parametrize("params", [CANON, custom_params(0.8, 3.0, 1.7)], ids=["canonical", "custom"])
+    @pytest.mark.parametrize("m", [3, 4, 7, 250, 2000])
+    def test_discretized_operator(self, params, m):
+        A = discretize(params, m)
+        assert_within_sturm_brackets(A, top_eigenvalues(A, min(10, m)))
+        assert_within_sturm_brackets(A, eigenvalues_tridiagonal(A))
+
+    def test_random_tridiagonals(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            dim = int(rng.integers(2, 40))
+            A = TridiagonalSymmetricMatrix(diag=rng.uniform(-1, 1, dim), offdiag=rng.uniform(-1, 1, dim - 1))
+            assert_within_sturm_brackets(A, top_eigenvalues(A, int(rng.integers(1, dim + 1))))
+            assert_within_sturm_brackets(A, eigenvalues_tridiagonal(A))
+
+    @pytest.mark.parametrize(
+        "diag, off",
+        [
+            (np.ones(6), np.ones(5)),
+            (np.array([0.0, -0.0, 0.0, -0.0, 1.0]), np.array([1.0, 0.0, 2.0, 1.0])),
+            (np.array([2.0, 2.0, -0.0, 0.0]), np.zeros(3)),
+        ],
+        ids=["ones", "signed-zeros", "decoupled"],
+    )
+    def test_zero_pivot_matrices(self, diag, off):
+        A = TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
+        assert_within_sturm_brackets(A, eigenvalues_tridiagonal(A))
 
 
 class TestInverseIteration:
