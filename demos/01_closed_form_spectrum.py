@@ -16,9 +16,10 @@ print(f"dimensionless group gamma = hbar/(c v_c) = {params.gamma:.7f}\n")
 
 print("first modes:")
 print(f"{'n':>3} {'k_n':>12} {'C_n':>14} {'interior zeros':>15}")
-for mode in ds.modes(params, 8):
-    zeros = ds.count_interior_zeros(params, mode.n, 1000)
-    print(f"{mode.n:>3} {mode.wavenumber:>12.6f} {mode.eigenvalue:>14.6f} {zeros:>15}")
+ns = np.arange(9)
+for n, k, c in zip(ns, ds.wavenumber(params, ns), ds.eigenvalue(params, ns)):
+    zeros = ds.count_interior_zeros(params, n, 1000)
+    print(f"{n:>3} {k:>12.6f} {c:>14.6f} {zeros:>15}")
 
 print("\nevery eigenvalue sits strictly below pi; the first one is already negative")
 print(f"pi - C_0 = {np.pi - ds.eigenvalue(params, 0):.6f}")

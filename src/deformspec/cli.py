@@ -20,7 +20,6 @@ from . import __version__
 from .errors import (
     DeformSpecError,
     DomainError,
-    EvaluationError,
     FormatError,
     NumericalError,
     ResolutionError,
@@ -393,7 +392,7 @@ def run(argv) -> int:
     except MemoryError as exc:
         print(f"deformspec: error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalError, EvaluationError) as exc:
+    except NumericalError as exc:
         print(f"deformspec: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except DeformSpecError as exc:

@@ -21,10 +21,6 @@ class ResolutionError(DeformSpecError):
     """A grid or quadrature rule is too coarse for the requested mode."""
 
 
-class EvaluationError(DeformSpecError):
-    """A user-supplied function produced a non-finite value."""
-
-
 class FormatError(DeformSpecError):
     """A serialized input file does not match its schema."""
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ResolutionError, ValidationError
+from .errors import NumericalError, ResolutionError, ValidationError
 from .params import OperatorParams
 from .quadrature import (
     NODES_PER_MODE,
@@ -143,12 +143,6 @@ def asymptotics_report(
     )
 
 
-def rigidity_partial_sum(params: OperatorParams, n_max: int, grid: Grid) -> SampledFunction:
-    """Partial sum pi * (psi_0 + ... + psi_N) sampled on the grid."""
-    coeffs = CoefficientVector(params, np.full(int(n_max) + 1, math.pi))
-    return reconstruct(coeffs, grid)
-
-
 def rigidity_report(
     params: OperatorParams, n_list, tolerances: dict | None = None
 ) -> ExperimentReport:
@@ -168,8 +162,8 @@ def rigidity_report(
     grid = uniform_grid(params, 2048)
     norm_sq, ratio_err, boundary_gap, sup_dev, dist = [], [], [], [], []
     for n in n_list:
-        partial = rigidity_partial_sum(params, n, grid)
         coeffs = CoefficientVector(params, np.full(n + 1, math.pi))
+        partial = reconstruct(coeffs, grid)
         on_nodes = evaluate(coeffs, rule.nodes)
         nsq = float(np.dot(rule.weights, on_nodes**2))
         norm_sq.append(nsq)
@@ -236,17 +230,6 @@ def constant_coefficient_report(
     )
 
 
-def inverse_limit_trajectory(
-    model: DecayModel, params: OperatorParams, tau: float, grid: Grid
-) -> SampledFunction:
-    """Truncated reconstruction sum_n C_n(tau) psi_n on the grid."""
-    tau = float(tau)
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValidationError("tau must be a finite non-negative real")
-    coeffs = CoefficientVector(params, model.coefficients(tau))
-    return reconstruct(coeffs, grid)
-
-
 def _required_points(n_max: int, k_max: int) -> int:
     return (64 if k_max <= 2 else 256) * (n_max + 1)
 
@@ -287,9 +270,11 @@ def inverse_limit_report(
     for k in range(k_max + 1):
         seminorms = []
         for tau in taus:
-            deviation = SampledFunction(grid, math.exp(-model.decay_rate * tau) * profile)
+            deviation = SampledFunction(grid, math.exp(-model.decay_rate * float(tau)) * profile)
             values = deviation.values if k == 0 else fd_derivative(deviation, k).values
             seminorms.append(float(np.max(np.abs(values))))
+        if not all(0.0 < s < math.inf for s in seminorms):
+            raise NumericalError(f"seminorm_k{k} = {seminorms!r}: a log-slope needs finite positive values")
         series[f"seminorm_k{k}"] = seminorms
         slopes.append(float(np.polyfit(taus, np.log(seminorms), 1)[0]))
     series["k"] = list(range(k_max + 1))

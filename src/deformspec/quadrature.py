@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, ResolutionError, ValidationError
+from .errors import ResolutionError, ValidationError
 from .params import OperatorParams
 
 GAUSS_LEGENDRE_MAX_NODES = 4096
@@ -88,11 +88,6 @@ def uniform_grid(params: OperatorParams, m: int) -> Grid:
         raise ValidationError("uniform grid needs m >= 2 intervals")
     points = np.linspace(-params.v_c, params.v_c, m + 1)
     return Grid(points=points)
-
-
-def sample(params: OperatorParams, f: Callable, grid: Grid) -> SampledFunction:
-    """Evaluate f on a grid, accepting scalar-only callables."""
-    return SampledFunction(grid=grid, values=_evaluate(f, grid.points))
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -170,45 +165,15 @@ def _rule_from_nodes(params: OperatorParams, nodes: int | None, n_max: int) -> Q
     return composite_simpson_rule(params, simpson_points if simpson_points % 2 else simpson_points + 1)
 
 
-def integrate(rule: QuadratureRule, f: Callable) -> float:
-    """Weighted sum of f over the rule nodes."""
-    values = _evaluate(f, rule.nodes)
-    if not np.all(np.isfinite(values)):
-        i = int(np.argmin(np.isfinite(values)))
-        raise EvaluationError(f"integrand returned {values[i]!r} at node {rule.nodes[i]!r}")
-    return float(np.dot(rule.weights, values))
-
-
-def _fd_weights(order: int, offsets: np.ndarray, h: float) -> np.ndarray:
-    """Finite-difference weights for the order-th derivative at 0 from the
-    given integer offsets (Fornberg's recursion, specialized to one point).
-
-    Row i must be filled from row i-1 before row i-1 is updated in place,
-    hence the update inside the j loop.
-    """
-    offsets = np.asarray(offsets, dtype=float)
-    n = len(offsets)
-    w = np.zeros((n, order + 1))
-    w[0, 0] = 1.0
-    c1 = 1.0
-    c4 = offsets[0]
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = offsets[i]
-        for j in range(i):
-            c3 = offsets[i] - offsets[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[i, k] = c1 * (k * w[i - 1, k - 1] - c5 * w[i - 1, k]) / c2
-                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                w[j, k] = (c4 * w[j, k] - k * w[j, k - 1]) / c3
-            w[j, 0] = c4 * w[j, 0] / c3
-        c1 = c2
-    return w[:, order] / h**order
+# order -> (central, forward) weights at unit spacing, both 2nd-order accurate:
+# central on offsets -r..r (r = 1 for orders 1-2, 2 for 3-4), forward on
+# 0..order+1.  Every weight is dyadic, so dividing by h**order is exact.
+_STENCILS = {
+    1: ([-0.5, 0.0, 0.5], [-1.5, 2.0, -0.5]),
+    2: ([1.0, -2.0, 1.0], [2.0, -5.0, 4.0, -1.0]),
+    3: ([-0.5, 1.0, 0.0, -1.0, 0.5], [-2.5, 9.0, -12.0, 7.0, -1.5]),
+    4: ([1.0, -4.0, 6.0, -4.0, 1.0], [3.0, -14.0, 26.0, -24.0, 11.0, -2.0]),
+}
 
 
 def fd_derivative(sf: SampledFunction, order: int) -> SampledFunction:
@@ -228,14 +193,12 @@ def fd_derivative(sf: SampledFunction, order: int) -> SampledFunction:
         raise ResolutionError(f"need at least {order + 5} points for order {order}")
     h = sf.grid.spacing
     f = sf.values
-    radius = 1 if order <= 2 else 2
-    side = order + 2  # points in a 2nd-order one-sided stencil
+    central, fwd = (np.array(w) / h**order for w in _STENCILS[order])
+    bwd = (-1) ** order * fwd[::-1]
+    radius, side = len(central) // 2, len(fwd)
     out = np.empty_like(f)
-    central = _fd_weights(order, np.arange(-radius, radius + 1), h)
     stacked = np.stack([f[i : npts - 2 * radius + i] for i in range(2 * radius + 1)])
     out[radius:-radius] = central @ stacked
-    fwd = _fd_weights(order, np.arange(side), h)
-    bwd = _fd_weights(order, -np.arange(side)[::-1], h)
     for i in range(radius):
         out[i] = np.dot(fwd, f[i : i + side])
         out[npts - 1 - i] = np.dot(bwd, f[npts - i - side : npts - i])

@@ -35,15 +35,6 @@ def sinpi(x):
 
 
 @dataclass(frozen=True)
-class Mode:
-    """One spectral pair: index, wavenumber and eigenvalue."""
-
-    n: int
-    wavenumber: float
-    eigenvalue: float
-
-
-@dataclass(frozen=True)
 class CriticalIndexReport:
     """Floor-formula index versus the exact largest n with a non-negative eigenvalue."""
 
@@ -123,17 +114,6 @@ def eigenfunction(params: OperatorParams, n, v):
     t = (v + params.v_c) / two_vc
     out = math.sqrt(1.0 / params.v_c) * sinpi((np.asarray(n, dtype=float) + 1.0) * t)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def modes(params: OperatorParams, n_max: int) -> list[Mode]:
-    """Modes 0..n_max with strictly decreasing eigenvalues."""
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValidationError("n_max must be >= 0")
-    ns = np.arange(n_max + 1)
-    ks = wavenumber(params, ns)
-    cs = eigenvalue(params, ns)
-    return [Mode(int(n), float(k), float(c)) for n, k, c in zip(ns, ks, cs)]
 
 
 def critical_index(params: OperatorParams) -> CriticalIndexReport:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ResolutionError, ValidationError
+from .errors import NumericalError, ResolutionError, ValidationError
 from .params import OperatorParams
 from .quadrature import NODES_PER_MODE, Grid, QuadratureRule, SampledFunction, _evaluate
 from .spectrum import eigenfunction, eigenvalue
@@ -103,18 +103,28 @@ def project(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRul
 
 
 def evaluate(coeffs: CoefficientVector, v) -> np.ndarray:
-    """Pointwise value of the truncated expansion at v."""
+    """Pointwise value of the truncated expansion at v.
+
+    Raises :class:`NumericalError` when the sum overflows a 64-bit float.
+    """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if not _on_uniform_nodes(coeffs.params, v):
-        return coeffs.coefficients @ _basis_matrix(coeffs.params, coeffs.n_max, v)
-    # psi_n(v_j) = sin(pi k j/P)/sqrt(v_c) with k = n+1 is 2P-periodic and odd in k:
-    # fold the coefficients onto k = 0..P with a sign flip past P, then one DST-I,
-    # which ignores slots k = 0 and k = P as their sines vanish at every node.
-    p, a = len(v) - 1, coeffs.coefficients
-    k = np.arange(1, len(a) + 1) % (2 * p)
-    flip = k > p
-    folded = np.bincount(np.where(flip, 2 * p - k, k), np.where(flip, -a, a), p + 1)
-    return np.pad(math.sqrt(1.0 / coeffs.params.v_c) * _sine_sums(folded, p - 1), 1)
+    a = coeffs.coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _on_uniform_nodes(coeffs.params, v):
+            # psi_n(v_j) = sin(pi k j/P)/sqrt(v_c) with k = n+1 is 2P-periodic and odd
+            # in k: fold the coefficients onto k = 0..P with a sign flip past P, then
+            # one DST-I, which ignores slots k = 0 and k = P as their sines vanish at
+            # every node.
+            p = len(v) - 1
+            k = np.arange(1, len(a) + 1) % (2 * p)
+            flip = k > p
+            folded = np.bincount(np.where(flip, 2 * p - k, k), np.where(flip, -a, a), p + 1)
+            out = np.pad(math.sqrt(1.0 / coeffs.params.v_c) * _sine_sums(folded, p - 1), 1)
+        else:
+            out = a @ _basis_matrix(coeffs.params, coeffs.n_max, v)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(f"expansion of {len(a)} coefficients overflows a 64-bit float")
+    return out
 
 
 def reconstruct(coeffs: CoefficientVector, grid: Grid) -> SampledFunction:

@@ -346,6 +346,25 @@ def test_fd_validate_just_below_overflow_exits_zero(capsys):
     assert json.loads(out)["reports"][0]["rel_errors"][0] == pytest.approx(0.0325, abs=1e-4)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["reconstruct", "--coeffs", "{coeffs}"], ["inverse-limit", "--A", "1e308"]])
+def test_synthesis_overflow_exits_three(capsys, tmp_path, argv):
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("n,a_n\n0,1e308\n1,1e308\n2,1e308\n")
+    code, out, err = invoke(capsys, *[str(coeffs) if arg == "{coeffs}" else arg for arg in argv])
+    assert (code, out) == (3, "")
+    assert err.startswith("deformspec: numerical error:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta", ["300", "1e308"])
+def test_inverse_limit_seminorm_underflow_exits_three(capsys, beta):
+    # exp(-beta tau) underflows to 0 by tau = 3: no log-slope can be fitted
+    code, out, err = invoke(capsys, "inverse-limit", "--beta", beta, "--tau-list", "1,2,3")
+    assert (code, out) == (3, "")
+    assert err.startswith("deformspec: numerical error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 11.9 GiB for an array", ""])
 def test_memory_error_exits_two(monkeypatch, capsys, message):
     import deformspec.transform as transform

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deformspec import (
+    CoefficientVector,
     DecayModel,
     ResolutionError,
     ValidationError,
@@ -17,8 +18,7 @@ from deformspec import (
     eigenfunction,
     gauss_legendre_rule,
     inverse_limit_report,
-    inverse_limit_trajectory,
-    rigidity_partial_sum,
+    reconstruct,
     rigidity_report,
     uniform_grid,
 )
@@ -72,16 +72,16 @@ class TestRigidity:
     def test_partial_sum_endpoints_vanish(self):
         grid = uniform_grid(CANON, 256)
         for n in (0, 9, 64):
-            partial = rigidity_partial_sum(CANON, n, grid)
+            partial = reconstruct(CoefficientVector(CANON, np.full(n + 1, math.pi)), grid)
             assert partial.values[0] == 0.0
             assert partial.values[-1] == 0.0
 
     def test_partial_sum_norm_parseval(self):
         rule = gauss_legendre_rule(CANON, 512)
         grid = uniform_grid(CANON, 512)
-        partial = rigidity_partial_sum(CANON, 9, grid)
+        partial = reconstruct(CoefficientVector(CANON, np.full(10, math.pi)), grid)
         # Parseval with ten coefficients equal to pi
-        from deformspec import evaluate, CoefficientVector
+        from deformspec import evaluate
 
         values = evaluate(CoefficientVector(CANON, np.full(10, math.pi)), rule.nodes)
         norm_sq = float(np.dot(rule.weights, values**2))
@@ -133,23 +133,23 @@ class TestInverseLimit:
     def test_trajectory_far_in_time_is_uniform_sum(self):
         model = DecayModel(amplitude=1.0, decay_rate=1.0, n_max=8)
         grid = uniform_grid(CANON, 600)
-        far = inverse_limit_trajectory(model, CANON, 50.0, grid)
-        uniform = rigidity_partial_sum(CANON, 8, grid)
+        far = reconstruct(CoefficientVector(CANON, model.coefficients(50.0)), grid)
+        uniform = reconstruct(CoefficientVector(CANON, np.full(9, math.pi)), grid)
         assert np.max(np.abs(far.values - uniform.values)) < math.exp(-50) * 20 + 1e-12
 
     def test_trajectory_zero_amplitude_is_uniform_sum(self):
         model = DecayModel(amplitude=0.0, decay_rate=1.0, n_max=8)
         grid = uniform_grid(CANON, 600)
         np.testing.assert_array_equal(
-            inverse_limit_trajectory(model, CANON, 3.0, grid).values,
-            rigidity_partial_sum(CANON, 8, grid).values,
+            reconstruct(CoefficientVector(CANON, model.coefficients(3.0)), grid).values,
+            reconstruct(CoefficientVector(CANON, np.full(9, math.pi)), grid).values,
         )
 
     def test_initial_deviation_bounded_by_geometric_sum(self):
         model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=32)
         grid = uniform_grid(CANON, 64 * 33)
-        at_zero = inverse_limit_trajectory(model, CANON, 0.0, grid)
-        uniform = rigidity_partial_sum(CANON, 32, grid)
+        at_zero = reconstruct(CoefficientVector(CANON, model.coefficients(0.0)), grid)
+        uniform = reconstruct(CoefficientVector(CANON, np.full(33, math.pi)), grid)
         deviation = np.max(np.abs(at_zero.values - uniform.values))
         bound = (1 - math.exp(-33)) / (1 - math.exp(-1)) / math.sqrt(CANON.v_c)
         assert deviation <= bound * (1 + 1e-12)
@@ -175,7 +175,8 @@ class TestInverseLimit:
         model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=32, mode_weights=lambda n: np.ones(np.shape(n)))
         grid = uniform_grid(CANON, 64 * 33)
         report = inverse_limit_report(model, CANON, [0.0, 1.0, 2.0], 0, grid)
-        uniform_sup = np.max(np.abs(rigidity_partial_sum(CANON, 32, grid).values / math.pi))
+        uniform = reconstruct(CoefficientVector(CANON, np.full(33, math.pi)), grid)
+        uniform_sup = np.max(np.abs(uniform.values / math.pi))
         assert report.series["seminorm_k0"][0] == pytest.approx(uniform_sup, rel=1e-12)
         assert report.series["fitted_slope"][0] == pytest.approx(-2.0, abs=1e-9)
 

@@ -1,15 +1,23 @@
-"""Golden corpus: exit code and sha256 of the output for fixed command lines.
+"""Golden corpus: exit code and sha256 of the output for fixed command lines
+and for the demos, plus the package's public names.
 
 Refactors must keep every digest byte-identical.  A change that alters the
 output on purpose regenerates the digests and says why in its description.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import deformspec
 from deformspec import transform
 from deformspec.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 COEFFS = "n,a_n\n0,0.5\n1,-0.25\n2,0.125\n3,-0.0625\n"
 
@@ -103,6 +111,31 @@ RIGIDITY_SERIES = {
     "rigidity__sup_deviation_from_pi.csv": "ee267b242f81c1e678d8d29388efdd9420c94ea30d96fb45ca7c7822a84e849a",
 }
 
+# demo file name -> sha256 of stdout
+DEMOS = {
+    "01_closed_form_spectrum.py": "e5840a9f669f651550ddd68645fed8dfbac7059b5354300ee79489db1b2abc96",
+    "02_transform_and_parseval.py": "f5a055d1d9037529829b36cd87ae4a4461bbb7ed7d2bf3965303a857baff2839",
+    "03_fd_cross_validation.py": "e92b0dac6d04ba23bddab5e306258dcf27098458671d676f5f33190255df7783",
+    "04_rigidity_obstruction.py": "551c621ec57e41b5f00a1fce7de4669faf69c1b83441c1704ba7d3e99701dcd8",
+    "05_inverse_limit_decay.py": "28923f4af41eaccb37bf53b96580c1c0f2a9c6f67a5e34cb2572a4a69073c3e3",
+    "06_reconstruction_convergence.py": "0884950d6651d46803c526900ed6cccb61bb90c0563ddc3842aadf84db0e706d",
+}
+
+PUBLIC_NAMES = {
+    "CRITICAL_VELOCITY_RATIO", "CoefficientVector", "ConditioningWarning", "CriticalIndexReport",
+    "DEFAULT_TOLERANCES", "DecayModel", "DeformSpecError", "DomainError", "ExperimentReport",
+    "FDSpectrumReport", "FormatError", "Grid", "NumericalError", "OperatorParams", "QuadratureRule",
+    "ResolutionError", "SampledFunction", "TridiagonalSymmetricMatrix", "ValidationError",
+    "apply_operator_spectral", "asymptotic_coefficient", "asymptotic_eigenvalue", "asymptotics_report",
+    "canonical_params", "composite_simpson_rule", "constant_coefficient_report", "convergence_study",
+    "count_interior_zeros", "critical_index", "custom_params", "default_projection_rule",
+    "deformation_profile", "discretize", "eigenfunction", "eigenvalue", "eigenvalues_tridiagonal",
+    "eigenvector_inverse_iteration", "evaluate", "fd_derivative", "gauss_legendre_rule", "gram_matrix",
+    "interior_grid", "inverse_limit_report", "l2_norm", "parseval_defect", "project", "reconstruct",
+    "refinement_study", "rigidity_report", "si_params", "sinpi", "top_eigenvalues", "uniform_grid",
+    "validate_against_analytic", "wavenumber",
+}
+
 
 def _digest(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
@@ -145,3 +178,19 @@ def test_dense_basis_fills_stay_small(tmp_path, capsys, monkeypatch):
     for name in sorted(CASES):
         run_case(name, tmp_path, capsys)
     assert sizes and max(sizes) <= 512 * 4096
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
+def test_demo_stdout_matches_golden(demo):
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    argv = [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+    assert _digest(done.stdout) == DEMOS[demo]
+
+
+def test_public_names_are_pinned():
+    names = deformspec.__all__
+    assert names == sorted(names)
+    assert all(hasattr(deformspec, name) for name in names)
+    assert set(names) == PUBLIC_NAMES and len(names) == len(PUBLIC_NAMES)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from numpy.polynomial.legendre import leggauss
 
 from deformspec import (
     DomainError,
-    EvaluationError,
     Grid,
     ResolutionError,
     SampledFunction,
@@ -17,12 +17,11 @@ from deformspec import (
     eigenfunction,
     fd_derivative,
     gauss_legendre_rule,
-    integrate,
-    sample,
     si_params,
     uniform_grid,
     wavenumber,
 )
+from deformspec.quadrature import _STENCILS, _evaluate
 
 CANON = canonical_params()
 
@@ -84,13 +83,13 @@ class TestGaussLegendre:
         rule = gauss_legendre_rule(CANON, m)
         for degree in range(2 * m):
             exact = 0.0 if degree % 2 else 2 * CANON.v_c ** (degree + 1) / (degree + 1)
-            got = integrate(rule, lambda v: v**degree)
+            got = rule.weights @ _evaluate(lambda v: v**degree, rule.nodes)
             assert got == pytest.approx(exact, abs=1e-10)
 
     def test_monomial_degree_six(self):
         rule = gauss_legendre_rule(CANON, 8)
         exact = 2 * CANON.v_c**7 / 7
-        assert integrate(rule, lambda v: v**6) == pytest.approx(exact, rel=1e-12)
+        assert rule.weights @ _evaluate(lambda v: v**6, rule.nodes) == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("m", [0, 4097])
     def test_out_of_range(self, m):
@@ -106,7 +105,7 @@ class TestSimpson:
     def test_quartic(self):
         rule = composite_simpson_rule(CANON, 2001)
         exact = 2 * CANON.v_c**5 / 5
-        assert integrate(rule, lambda v: v**4) == pytest.approx(exact, rel=1e-10)
+        assert rule.weights @ _evaluate(lambda v: v**4, rule.nodes) == pytest.approx(exact, rel=1e-10)
 
     def test_weight_sum(self):
         rule = composite_simpson_rule(CANON, 4097)
@@ -116,24 +115,29 @@ class TestSimpson:
 class TestIntegrate:
     def test_constant(self):
         for rule in (gauss_legendre_rule(CANON, 16), composite_simpson_rule(CANON, 33)):
-            assert integrate(rule, lambda v: np.ones_like(v)) == pytest.approx(2 * CANON.v_c, rel=1e-12)
+            total = rule.weights @ _evaluate(lambda v: np.ones_like(v), rule.nodes)
+            assert total == pytest.approx(2 * CANON.v_c, rel=1e-12)
 
     def test_normalization_of_mode_zero(self):
         rule = gauss_legendre_rule(CANON, 64)
-        assert integrate(rule, lambda v: eigenfunction(CANON, 0, v) ** 2) == pytest.approx(1.0, abs=1e-10)
+        norm_sq = rule.weights @ _evaluate(lambda v: eigenfunction(CANON, 0, v) ** 2, rule.nodes)
+        assert norm_sq == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonality_of_first_two_modes(self):
         rule = gauss_legendre_rule(CANON, 64)
-        product = integrate(rule, lambda v: eigenfunction(CANON, 0, v) * eigenfunction(CANON, 1, v))
+        product = rule.weights @ _evaluate(
+            lambda v: eigenfunction(CANON, 0, v) * eigenfunction(CANON, 1, v), rule.nodes
+        )
         assert abs(product) < 1e-10
 
     def test_odd_part_cancels(self):
         rule = gauss_legendre_rule(CANON, 32)
-        assert abs(integrate(rule, lambda v: v * np.cos(v))) < 1e-12
+        assert abs(rule.weights @ _evaluate(lambda v: v * np.cos(v), rule.nodes)) < 1e-12
 
     def test_scalar_only_callable(self):
         rule = gauss_legendre_rule(CANON, 8)
-        assert integrate(rule, math.cos) == pytest.approx(2 * math.sin(CANON.v_c), rel=1e-10)
+        total = rule.weights @ _evaluate(math.cos, rule.nodes)
+        assert total == pytest.approx(2 * math.sin(CANON.v_c), rel=1e-10)
 
     def test_error_on_node_array_propagates_without_point_retries(self):
         calls = []
@@ -145,13 +149,8 @@ class TestIntegrate:
             return np.ones_like(v)
 
         with pytest.raises(DomainError):
-            integrate(composite_simpson_rule(CANON, 4097), target)
+            _evaluate(target, composite_simpson_rule(CANON, 4097).nodes)
         assert len(calls) == 1
-
-    def test_non_finite_value_reported(self):
-        rule = gauss_legendre_rule(CANON, 8)
-        with pytest.raises(EvaluationError, match="node"):
-            integrate(rule, lambda v: np.where(v > 0, np.inf, 1.0))
 
 
 def test_default_projection_rule_switches_family():
@@ -166,13 +165,13 @@ def test_default_projection_rule_switches_family():
 class TestFiniteDifferences:
     def test_second_derivative_of_square(self):
         grid = uniform_grid(CANON, 64)
-        sf = sample(CANON, lambda v: v**2, grid)
+        sf = SampledFunction(grid, grid.points**2)
         d2 = fd_derivative(sf, 2)
         np.testing.assert_allclose(d2.values[1:-1], 2.0, atol=1e-8)
 
     def test_first_derivative_of_sine(self):
         grid = uniform_grid(CANON, 512)
-        d1 = fd_derivative(sample(CANON, np.sin, grid), 1)
+        d1 = fd_derivative(SampledFunction(grid, np.sin(grid.points)), 1)
         assert np.max(np.abs(d1.values - np.cos(grid.points))) < 5e-6
 
     # coarser grids for the higher derivatives: the eps/h^order roundoff
@@ -187,7 +186,7 @@ class TestFiniteDifferences:
         errors = []
         for m in grids:
             grid = uniform_grid(CANON, m)
-            d = fd_derivative(sample(CANON, np.sin, grid), order)
+            d = fd_derivative(SampledFunction(grid, np.sin(grid.points)), order)
             errors.append(np.max(np.abs(d.values - exact(grid.points))))
         measured = math.log2(errors[0] / errors[1])
         assert 1.9 <= measured <= 2.1
@@ -197,14 +196,14 @@ class TestFiniteDifferences:
         errors = []
         for m in (256, 512):
             grid = uniform_grid(CANON, m)
-            sf = sample(CANON, lambda v: eigenfunction(CANON, 0, v), grid)
+            sf = SampledFunction(grid, eigenfunction(CANON, 0, grid.points))
             d2 = fd_derivative(sf, 2)
             errors.append(np.max(np.abs(d2.values + k0**2 * sf.values)))
         assert 1.9 <= math.log2(errors[0] / errors[1]) <= 2.1
 
     def test_composed_first_derivatives_match_second(self):
         grid = uniform_grid(CANON, 1024)
-        sf = sample(CANON, np.sin, grid)
+        sf = SampledFunction(grid, np.sin(grid.points))
         twice = fd_derivative(fd_derivative(sf, 1), 1)
         direct = fd_derivative(sf, 2)
         interior = slice(4, -4)
@@ -220,9 +219,26 @@ class TestFiniteDifferences:
     def test_order_range(self):
         grid = uniform_grid(CANON, 32)
         with pytest.raises(ValidationError):
-            fd_derivative(sample(CANON, np.sin, grid), 5)
+            fd_derivative(SampledFunction(grid, np.sin(grid.points)), 5)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_stencil_table_is_exact_on_low_monomials(self, order):
+        # in exact rational arithmetic at h = 1, every row takes the order-th
+        # derivative at 0 of x**j, j <= order + 1, without error
+        central, fwd = _STENCILS[order]
+        radius = 1 if order <= 2 else 2
+        assert (len(central), len(fwd)) == (2 * radius + 1, order + 2)
+        rows = [
+            (central, range(-radius, radius + 1)),
+            (fwd, range(order + 2)),
+            ([(-1) ** order * w for w in fwd[::-1]], range(-order - 1, 1)),
+        ]
+        for weights, offsets in rows:
+            for j in range(order + 2):
+                got = sum(Fraction(w) * x**j for w, x in zip(weights, offsets))
+                assert got == (math.factorial(order) if j == order else 0)
 
     def test_too_few_points(self):
         grid = uniform_grid(CANON, 6)
         with pytest.raises(ResolutionError):
-            fd_derivative(sample(CANON, np.sin, grid), 4)
+            fd_derivative(SampledFunction(grid, np.sin(grid.points)), 4)

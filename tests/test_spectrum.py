@@ -18,7 +18,6 @@ from deformspec import (
     custom_params,
     eigenfunction,
     eigenvalue,
-    modes,
     si_params,
     sinpi,
     wavenumber,
@@ -87,19 +86,18 @@ def test_eigenfunction_parity():
 
 
 def test_modes_decreasing():
-    seq = modes(CANON, 8)
-    assert [m.n for m in seq] == list(range(9))
-    values = [m.eigenvalue for m in seq]
+    values = eigenvalue(CANON, np.arange(9))
+    assert len(values) == 9
     assert all(b < a for a, b in zip(values, values[1:]))
-    assert seq[0].eigenvalue == eigenvalue(CANON, 0)
+    assert values[0] == eigenvalue(CANON, 0)
 
 
 def test_modes_sign_change_small_hbar():
-    seq = modes(custom_params(0.1, 1, 0.8256453), 5)
+    values = eigenvalue(custom_params(0.1, 1, 0.8256453), np.arange(6))
     # oracle: brute-force evaluation of the closed form
-    assert seq[4].eigenvalue == pytest.approx(0.2988167, rel=1e-6)
-    assert seq[5].eigenvalue == pytest.approx(-0.9520048, rel=1e-6)
-    assert seq[4].eigenvalue > 0 > seq[5].eigenvalue
+    assert values[4] == pytest.approx(0.2988167, rel=1e-6)
+    assert values[5] == pytest.approx(-0.9520048, rel=1e-6)
+    assert values[4] > 0 > values[5]
 
 
 class TestCriticalIndex:
