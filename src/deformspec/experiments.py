@@ -265,14 +265,23 @@ def inverse_limit_report(
     profile = evaluate(CoefficientVector(params, model.amplitude * model.weights), grid.points)
     if np.max(np.abs(profile)) == 0.0:
         raise ValidationError("deviation vanishes identically; nothing to fit")
+    deviations = []
+    for tau in taus:
+        try:
+            scale = math.exp(-model.decay_rate * float(tau))
+        except OverflowError:
+            scale = math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = scale * profile
+        if not np.all(np.isfinite(values)):
+            raise NumericalError(f"deviation at tau = {float(tau)!r} overflows a 64-bit float")
+        deviations.append(SampledFunction(grid, values))
     series: dict = {"tau": taus.tolist()}
     slopes = []
     for k in range(k_max + 1):
-        seminorms = []
-        for tau in taus:
-            deviation = SampledFunction(grid, math.exp(-model.decay_rate * float(tau)) * profile)
-            values = deviation.values if k == 0 else fd_derivative(deviation, k).values
-            seminorms.append(float(np.max(np.abs(values))))
+        seminorms = [
+            float(np.max(np.abs(d.values if k == 0 else fd_derivative(d, k).values))) for d in deviations
+        ]
         if not all(0.0 < s < math.inf for s in seminorms):
             raise NumericalError(f"seminorm_k{k} = {seminorms!r}: a log-slope needs finite positive values")
         series[f"seminorm_k{k}"] = seminorms

@@ -365,6 +365,21 @@ def test_inverse_limit_seminorm_underflow_exits_three(capsys, beta):
     assert err.startswith("deformspec: numerical error:") and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--beta", "1000", "--tau-list=-3,-2,-1"],  # exp(-beta tau) overflows
+        ["--A", "1e300", "--beta", "1", "--tau-list=-700,-699,-698"],  # A exp(-beta tau) overflows
+        ["--A", "1e300", "--beta", "1", "--tau-list", "1,2,3", "--k-max", "4"],  # a derivative overflows
+    ],
+)
+def test_inverse_limit_overflow_exits_three(capsys, argv):
+    code, out, err = invoke(capsys, "inverse-limit", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("deformspec: numerical error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 11.9 GiB for an array", ""])
 def test_memory_error_exits_two(monkeypatch, capsys, message):
     import deformspec.transform as transform

@@ -70,8 +70,8 @@ CASES = {
 GOLDEN = {
     "asymptotics-csv": "9ece8332697ed314e981b491ed32f5cdc3916d67a006ed3148838f8bdbeaefd8",
     "asymptotics-json": "658af4b3b318e9359a75f06f0eb1a4cec22cb3e1b41baba6a6fe911898bcc080",
-    "converge-csv": "9f5cc40829b147dedf7670429bf8735735a442fd1b0f14098f1e7773f9c401e9",
-    "converge-json": "0737d0a3ca394aa60fccf793f8fcdb614359092f7cdd0e67bfc570b855e2651d",
+    "converge-csv": "a2c72563d75402af9a9ac4bb78c9af91e6fc2503179d4095e26a711aa76014ab",
+    "converge-json": "b61299eed21a88a5bf47b3651d9f43d6bdd60990111e8879f02c98705707715e",
     "critical-index-csv": "4f38a3f75e763da9617d474149ffcb7c80977e03f2f0d845c416cb7ff928614c",
     "critical-index-custom-csv": "d9ade9e20ad9db73a58a856d6dc4b7080dc56776e0ffe3c10067e1ec80a721cb",
     "critical-index-json": "e84d219e996e96da08bfc7022a1a5ee9cb20e537c4bad0d54fa3b9c4bdf24109",
@@ -80,21 +80,21 @@ GOLDEN = {
     "fd-validate-csv": "537c0f33cece00e132ce3760a1bc422437faa838ab4c0a8c787047a16a2f3436",
     "fd-validate-json": "bc0f215514cd9d342b6da7a4e24cd9dd47e925fc2eccd54f0f5a6eacc082c1fe",
     "fd-validate-single-csv": "609515138346b65b4754205dd2643716b81a32b868239b4574352be8f47705ac",
-    "gram-default-json": "30892e085712a2596228bc664141a88a078d069de0c01e9035cf9e5e31607ce0",
-    "gram-gl-csv": "fd418bca03824fd7b1c5112ee093f08076df9819095af1397fb47b69484ef60e",
+    "gram-default-json": "0b467a8e2638b64e6c92ecff59063c120c12f3fc9e30046a54b5a0b59a427d33",
+    "gram-gl-csv": "1af49f17684360fbc81c90bf7e872c07def2810d87094293fef2dfbc19192b06",
     "gram-simpson-csv": "02842c7ad612b502a4b057b6b8428c574b327da9f63122e0f58013266288de3c",
     "inverse-limit-csv": "9f14459d58e55886d3ecbdb49a099240a65100c5f131b3b1e8af67e38f286f66",
     "inverse-limit-json": "28b20f3b87267115ea3a4236f72c5fecab908ac546ff27ce2578d7a70832ca3f",
-    "parseval-csv": "4bea55c7ee47b4314b06d1a2a8280050276668b0e6b07fe726084860de169007",
-    "parseval-json": "0946414bd3a9718eae7dd1c2b0ef0cd1be5013e2b8aaeea6de7fd6d462b1c3e4",
-    "project-csv": "8d0e3b81da5bc820f3b1addb41c71c7e835d15984436be1dbb742ab386573262",
-    "project-psi-csv": "5474146f9c7c9664ba8f335067e52806953d4cbc6cbffde1869ff0a916dc47a8",
+    "parseval-csv": "54edf52375bb53903f5338647e0ba2ca0d402d43061ff16874b030ff11c82f94",
+    "parseval-json": "f78bf14045af19df09b1126e9745f51317d0d3c208bc3dafcfc550c3e22813bb",
+    "project-csv": "7c4f3970057c18b4045968ca3798c3fe0ddfc0b4dc7fb08b12a718195d2e05a3",
+    "project-psi-csv": "9c5e5386575fb82b48bb3bb0b4a50a45630a42c925ffed6547099b52530fa3d1",
     "project-simpson-csv": "ce9769eb4c4189ee84597ed62cc680242caef1497be60a39cf3cc1ecc728578a",
     "reconstruct-csv": "9f6426bb6397edc43867f3ad674b902a1b539ab40f8bd89f0662142a79b0c261",
     "reconstruct-json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "rigidity-csv": "4cc0e49aad9e1b06f87194748c83e60d0f4ad030793911a814069db7d6417566",
-    "rigidity-fail-json": "9589e20752736e05005dfac6fe02b5ced4e0c31ad3f363789a7a74a38632d16b",
-    "rigidity-json": "7d74ef0fba016c132e2d8e6601ff79c1aa3979e53358f0f8d80a6b5438da35b4",
+    "rigidity-csv": "7f1b1aab76546645bb84a1697641326c96bebd0f112dd91342cddcd2b09bf72f",
+    "rigidity-fail-json": "3df7bb16871c7aef85f7061591aaa4908b3df1e9e3df692989ef54aa015d2591",
+    "rigidity-json": "143791b46f1dcb540925c77d52a4681fd0cbba7e2ab36d9196fcc0695755878c",
     "spectrum-csv": "4e4530d9456327c5e2a66676038255a56c965e18e06117a20dc4b9360e96a66e",
     "spectrum-json": "a72efeda0f7201711555a7a238b0e545c4db9c98ddf549a9f29dcf1b1747f65d",
     "spectrum-negative-n-max": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -104,10 +104,10 @@ GOLDEN = {
 # file name -> sha256 for `rigidity --n-list 8,16 --format csv --output DIR`
 RIGIDITY_SERIES = {
     "rigidity__boundary_gap.csv": "f0d53f6b7df6067f54823beb2bca8a420e7284747e0fb8286fbcd960346c8cc8",
-    "rigidity__l2_distance_to_pi.csv": "d0366869c97baf0a030a36f524538ce36bb425c971f428f552325188c5be178a",
+    "rigidity__l2_distance_to_pi.csv": "bf6b62ef3b3cb7a455a9eea0c9cd6d4591406b6c0cb3cf31d8d7da4df91d7f53",
     "rigidity__n.csv": "ccd35ee916c4f5482aa4eb62ebc673d0606cf1a777ecb17f26f90f08acb3ebec",
-    "rigidity__norm_sq.csv": "5c5f923fc84c1a613d943909dbd3d47a0956612339bbc33c1c91a31169239b31",
-    "rigidity__norm_sq_over_count_minus_pi_sq.csv": "8984ab02bbe991c778de6df36e7e892000a66b4ac593d339fb1ea47c7185ed2b",
+    "rigidity__norm_sq.csv": "b45b62468b5103bd98ccc006359b2ce14d002eee401f5235b0b378522e3e8bf4",
+    "rigidity__norm_sq_over_count_minus_pi_sq.csv": "5c2ae67adafacfd946514aeef3cabb13a25dbdd46f0168e01abf359c3e4f14e1",
     "rigidity__sup_deviation_from_pi.csv": "ee267b242f81c1e678d8d29388efdd9420c94ea30d96fb45ca7c7822a84e849a",
 }
 
@@ -118,7 +118,7 @@ DEMOS = {
     "03_fd_cross_validation.py": "e92b0dac6d04ba23bddab5e306258dcf27098458671d676f5f33190255df7783",
     "04_rigidity_obstruction.py": "551c621ec57e41b5f00a1fce7de4669faf69c1b83441c1704ba7d3e99701dcd8",
     "05_inverse_limit_decay.py": "28923f4af41eaccb37bf53b96580c1c0f2a9c6f67a5e34cb2572a4a69073c3e3",
-    "06_reconstruction_convergence.py": "0884950d6651d46803c526900ed6cccb61bb90c0563ddc3842aadf84db0e706d",
+    "06_reconstruction_convergence.py": "a5272e0117997b7ee7315e3e4928f12dc45a3e92cb54d02c78629ff75cccce59",
 }
 
 PUBLIC_NAMES = {

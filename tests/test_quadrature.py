@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -8,11 +9,13 @@ from numpy.polynomial.legendre import leggauss
 from deformspec import (
     DomainError,
     Grid,
+    QuadratureRule,
     ResolutionError,
     SampledFunction,
     ValidationError,
     canonical_params,
     composite_simpson_rule,
+    custom_params,
     default_projection_rule,
     eigenfunction,
     fd_derivative,
@@ -65,7 +68,7 @@ class TestGaussLegendre:
         np.testing.assert_allclose(rule.nodes, [-CANON.v_c / math.sqrt(3), CANON.v_c / math.sqrt(3)], rtol=1e-14)
         np.testing.assert_allclose(rule.weights, [CANON.v_c, CANON.v_c], rtol=1e-14)
 
-    @pytest.mark.parametrize("m", [3, 8, 64, 256])
+    @pytest.mark.parametrize("m", [3, 8, 64, 256, 512])
     def test_matches_reference_nodes(self, m):
         rule = gauss_legendre_rule(CANON, m)
         x, w = leggauss(m)
@@ -95,6 +98,85 @@ class TestGaussLegendre:
     def test_out_of_range(self, m):
         with pytest.raises(ValidationError):
             gauss_legendre_rule(CANON, m)
+
+
+def reference_gauss_legendre_rule(params, m):
+    """The earlier builder, kept as the oracle: Newton on all m roots from the
+    plain cosine guess, an allocating recurrence, then symmetrization."""
+    m = int(m)
+    if m == 1:
+        return QuadratureRule("gauss_legendre", np.zeros(1), np.array([2.0 * params.v_c]))
+    i = np.arange(1, m + 1)
+    x = np.cos(np.pi * (i - 0.25) / (m + 0.5))
+    dp = np.ones_like(x)
+    for _ in range(100):
+        p_prev, p = np.ones_like(x), x.copy()
+        for k in range(2, m + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = m * (x * p - p_prev) / (x**2 - 1.0)
+        dx = p / dp
+        x -= dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    x = 0.5 * (x - x[::-1])
+    w = 2.0 / ((1.0 - x**2) * dp**2)
+    w = 0.5 * (w + w[::-1])
+    order = np.argsort(x)
+    return QuadratureRule("gauss_legendre", params.v_c * x[order], params.v_c * w[order])
+
+
+ORACLE_SIZES = [*range(1, 131), 255, 256, 257, 511, 512, 1023, 1032, 2048, 2056, 3208, 4095, 4096]
+ORACLE_PARAMS = {"canonical": CANON, "si": si_params(), "custom": custom_params(0.8, 3.0, 1.7)}
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_reference(m):
+    return reference_gauss_legendre_rule(custom_params(1.0, 2.0, 1.0), m)
+
+
+@functools.lru_cache(maxsize=None)
+def _rule_and_reference(name, m):
+    # the reference uses params only in its last line, v_c * (unit rule), so
+    # scaling one unit-interval build is bit-identical to a build per params
+    params, unit = ORACLE_PARAMS[name], _unit_reference(m)
+    ref = QuadratureRule("gauss_legendre", params.v_c * unit.nodes, params.v_c * unit.weights)
+    return gauss_legendre_rule(params, m), ref
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PARAMS))
+class TestAgainstReferenceBuilder:
+    """The half-root builder against the earlier one at every m in ORACLE_SIZES.
+
+    Weights get a relative bound, not ulps: near the ends they are
+    ill-conditioned in the node, and both builders' end weights sit about
+    7e-11 from a 40-digit reference at m = 2048."""
+
+    def test_nodes_within_one_ulp_of_v_c(self, name):
+        ulp = np.spacing(ORACLE_PARAMS[name].v_c)
+        for m in ORACLE_SIZES:
+            rule, ref = _rule_and_reference(name, m)
+            assert np.max(np.abs(rule.nodes - ref.nodes)) <= ulp, m
+
+    def test_weights_within_relative_bound(self, name):
+        for m in ORACLE_SIZES:
+            rule, ref = _rule_and_reference(name, m)
+            assert np.max(np.abs(rule.weights / ref.weights - 1.0)) <= 2e-10, m
+
+    def test_exactly_symmetric(self, name):
+        for m in ORACLE_SIZES:
+            rule, _ = _rule_and_reference(name, m)
+            assert np.array_equal(rule.nodes, -rule.nodes[::-1]), m
+            assert np.array_equal(rule.weights, rule.weights[::-1]), m
+
+    def test_even_moments(self, name):
+        """sum(w x^(2j)) on the rule scaled to [-1, 1] is 2/(2j+1) to 64 eps;
+        scaling keeps v_c^(2j+1) finite in SI units."""
+        v_c = ORACLE_PARAMS[name].v_c
+        for m in ORACLE_SIZES:
+            rule, _ = _rule_and_reference(name, m)
+            x, w = rule.nodes / v_c, rule.weights / v_c
+            for j in range(min(m, 40)):
+                assert abs(w @ x ** (2 * j) - 2.0 / (2 * j + 1)) <= 64 * np.finfo(float).eps, (m, j)
 
 
 class TestSimpson:
