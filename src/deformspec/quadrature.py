@@ -102,17 +102,83 @@ def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
     return values
 
 
+#: Roots nearest +1 that take the exact cosine series of P_m.  Past them the
+#: terms of Stieltjes' series shrink by a factor 0.15 or less from term to term.
+_BOUNDARY_ROOTS = 20
+_STIELTJES_TERMS = 20
+
+
+def _cosine_series_ratio(m: int) -> Callable:
+    """theta -> P_m(cos theta) / (dP_m/dtheta) from the exact series
+    P_m(cos theta) = sum_k a_k a_(m-k) cos((m - 2k) theta), a_k = prod_(j<=k) (2j - 1)/(2j)."""
+    j = np.arange(1, m + 1)
+    a = np.cumprod(np.concatenate([[1.0], (2.0 * j - 1.0) / (2.0 * j)]))
+    # the terms k and m - k are equal, so sum k <= m/2 with the others doubled
+    c = (a * a[::-1])[: m // 2 + 1]
+    c[: (m + 1) // 2] *= 2.0
+    freq = m - 2.0 * np.arange(m // 2 + 1)
+    c_freq = c * freq
+
+    def ratio(theta):
+        phase = np.multiply.outer(theta, freq)
+        return -(np.cos(phase) @ c) / (np.sin(phase) @ c_freq)
+
+    return ratio
+
+
+def _stieltjes_ratio(m: int) -> Callable:
+    """theta -> P_m(cos theta) / (dP_m/dtheta) from Stieltjes' series
+    P_m(cos theta) = C_m sum_k h_k cos(alpha_k) / (2 sin theta)^(k + 1/2), with
+    alpha_k = (m + k + 1/2) theta - (k + 1/2) pi/2, h_0 = 1 and
+    h_k = h_(k-1) (k - 1/2)^2 / (k (m + k + 1/2)); the constant C_m cancels."""
+    k = np.arange(_STIELTJES_TERMS)
+    h = np.cumprod(np.concatenate([[1.0], (k[1:] - 0.5) ** 2 / (k[1:] * (m + k[1:] + 0.5))]))
+    rate, shift = m + k + 0.5, (k + 0.5) * (np.pi / 2)
+
+    def ratio(theta):
+        scaled = h * np.power.outer(0.5 / np.sin(theta), k)
+        alpha = np.multiply.outer(theta, rate) - shift
+        cos_terms, sin_terms = scaled * np.cos(alpha), scaled * np.sin(alpha)
+        return cos_terms.sum(axis=1) / (-(sin_terms @ rate) - (cos_terms @ (k + 0.5)) / np.tan(theta))
+
+    return ratio
+
+
+def _theta_start(m: int) -> np.ndarray:
+    """cos(theta) at the ceil(m/2) non-negative roots of P_m, largest first,
+    with theta converged by Newton in theta (until a step is below 1e-15, at
+    most 20 steps).
+
+    Newton starts from the angles of Tricomi's corrected guess.  The
+    _BOUNDARY_ROOTS roots nearest +1, and every root of a small m, use the
+    exact cosine series of P_m; the others use Stieltjes' asymptotic series
+    (Hale & Townsend, SISC 35(2), 2013, section 3).  Newton needs only the
+    ratio P/P'.  The tests check that the result is within 1e-15 of the
+    roots, so the recurrence loop in gauss_legendre_rule stops after one sweep.
+    """
+    i = np.arange(1, (m + 1) // 2 + 1)
+    guess = (1.0 - 1.0 / (8.0 * m**2) + 1.0 / (8.0 * m**3)) * np.cos(np.pi * (i - 0.25) / (m + 0.5))
+    theta = np.arccos(guess)
+    # views: Newton updates theta in place
+    boundary, interior = theta[:_BOUNDARY_ROOTS], theta[_BOUNDARY_ROOTS:]
+    for part, ratio in ((boundary, _cosine_series_ratio(m)), (interior, _stieltjes_ratio(m))):
+        for _ in range(20):
+            step = ratio(part)
+            part -= step
+            if np.max(np.abs(step), initial=0.0) < 1e-15:
+                break
+    return np.cos(theta)
+
+
 def gauss_legendre_rule(params: OperatorParams, m: int) -> QuadratureRule:
     """m-node Gauss-Legendre rule mapped to [-v_c, v_c]; nodes symmetric about 0.
 
     Nodes are Legendre roots found by Newton iteration on the three-term
-    recurrence (tolerance 1e-15, at most 100 sweeps); no tables.  Newton starts
-    from Tricomi's guess with its correction term,
-    (1 - 1/(8m^2) + 1/(8m^3)) cos(pi (i - 1/4) / (m + 1/2)), and runs on the
-    ceil(m/2) non-negative roots only: three sweeps from m = 194 on, four for
-    most smaller m.  The weight 2 / ((1 - x^2) P'_m(x)^2) is even in x, so the
-    negative half mirrors nodes and weights exactly, and the middle node of an
-    odd rule is exactly 0.
+    recurrence (tolerance 1e-15, at most 100 sweeps); no tables.  It runs on
+    the ceil(m/2) non-negative roots only, from the start that `_theta_start`
+    converges in theta, so one sweep meets the tolerance.  The weight
+    2 / ((1 - x^2) P'_m(x)^2) is even in x, so the negative half mirrors
+    nodes and weights exactly, and the middle node of an odd rule is exactly 0.
 
     Against the earlier builder kept in the tests (Newton on all m roots from
     the plain cosine guess), nodes agree to 1 ulp of v_c and weights to 2e-10
@@ -123,11 +189,8 @@ def gauss_legendre_rule(params: OperatorParams, m: int) -> QuadratureRule:
     m = int(m)
     if not 1 <= m <= GAUSS_LEGENDRE_MAX_NODES:
         raise ValidationError(f"node count must be in [1, {GAUSS_LEGENDRE_MAX_NODES}]")
-    if m == 1:
-        return QuadratureRule("gauss_legendre", np.zeros(1), np.array([2.0 * params.v_c]))
     half = (m + 1) // 2
-    i = np.arange(1, half + 1)
-    x = (1.0 - 1.0 / (8.0 * m**2) + 1.0 / (8.0 * m**3)) * np.cos(np.pi * (i - 0.25) / (m + 0.5))
+    x = _theta_start(m)
     p_prev, p, scratch = np.empty(half), np.empty(half), np.empty(half)
     for _ in range(100):
         p_prev.fill(1.0)

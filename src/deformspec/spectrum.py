@@ -26,11 +26,14 @@ def sinpi(x):
     eigenfunction values at the interval endpoints exact zeros instead of
     O(n*eps) residue from rounding pi*(n+1).
     """
+    # sin(pi x) = (-1)^n sin(pi (x - n)) with n = round(x), built in one buffer
     x = np.asarray(x, dtype=float)
-    n = np.round(x)
-    r = x - n
-    sign = 1.0 - 2.0 * (np.asarray(n, dtype=np.int64) % 2)
-    out = sign * np.sin(np.pi * r)
+    out = np.round(x, out=np.empty_like(x))
+    odd = (out.astype(np.int64) & 1).astype(bool)
+    np.subtract(x, out, out=out)
+    out *= np.pi
+    np.sin(out, out=out)
+    np.negative(out, out=out, where=odd)
     return float(out) if out.ndim == 0 else out
 
 
@@ -112,8 +115,12 @@ def eigenfunction(params: OperatorParams, n, v):
     # phase written as (n+1) * (v + v_c)/(2 v_c) so sinpi sees integers at the endpoints
     two_vc = params.v_c + params.v_c
     t = (v + params.v_c) / two_vc
-    out = math.sqrt(1.0 / params.v_c) * sinpi((np.asarray(n, dtype=float) + 1.0) * t)
-    return float(out) if np.ndim(out) == 0 else out
+    scale = math.sqrt(1.0 / params.v_c)
+    out = sinpi((np.asarray(n, dtype=float) + 1.0) * t)
+    if isinstance(out, float):
+        return scale * out
+    out *= scale
+    return out
 
 
 def critical_index(params: OperatorParams) -> CriticalIndexReport:

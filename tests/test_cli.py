@@ -186,10 +186,25 @@ class TestReports:
     def test_converge_fails_when_threshold_unreachable(self, capsys):
         code, out, _ = invoke(
             capsys, "converge", "--target", "C", "--n-list", "8,16,32",
-            "--tol", "converge.final_l2=0.05", "--no-meta",
+            "--tol", "converge.final_l2_rel=0.0155", "--no-meta",
         )
         assert code == 1
         assert json.loads(out)["verdict"] == "fail"
+
+    @pytest.mark.parametrize("tol,code", [("0.0248", 0), ("0.02", 1)])
+    def test_converge_verdict_does_not_depend_on_units(self, capsys, tol, code):
+        # the final relative L2 error is 0.0222431 in both unit systems
+        for units in ([], ["--si"]):
+            got, out, _ = invoke(capsys, "converge", *units, "--tol", f"converge.final_l2_rel={tol}", "--no-meta")
+            assert got == code, units
+            doc = json.loads(out)
+            ratio = doc["series"]["l2_error"][-1] / doc["inputs"]["target_l2_norm"]
+            assert ratio == pytest.approx(0.0222431, rel=1e-5), units
+
+    def test_converge_rejects_the_absolute_key(self, capsys):
+        code, out, err = invoke(capsys, "converge", "--tol", "converge.final_l2=0.08")
+        assert (code, out) == (2, "")
+        assert "keys: converge.final_l2_rel, converge.monotonic_slack" in err
 
     def test_fd_validate(self, capsys):
         code, out, _ = invoke(
@@ -275,7 +290,7 @@ class TestUsageErrors:
             ["project", "--format", "json"],
             ["eigenfunction", "--no-meta"],
             ["spectrum", "--tol", "rigidity.parseval=1"],
-            ["rigidity", "--tol", "converge.final_l2=1"],
+            ["rigidity", "--tol", "converge.final_l2_rel=1"],
             ["converge", "--tol", "constant_projection.rule_agreement=1"],
         ],
         ids=["project-format", "eigenfunction-no-meta", "spectrum-tol", "rigidity-foreign-tol", "library-only-tol"],

@@ -70,8 +70,8 @@ CASES = {
 GOLDEN = {
     "asymptotics-csv": "9ece8332697ed314e981b491ed32f5cdc3916d67a006ed3148838f8bdbeaefd8",
     "asymptotics-json": "658af4b3b318e9359a75f06f0eb1a4cec22cb3e1b41baba6a6fe911898bcc080",
-    "converge-csv": "a2c72563d75402af9a9ac4bb78c9af91e6fc2503179d4095e26a711aa76014ab",
-    "converge-json": "b61299eed21a88a5bf47b3651d9f43d6bdd60990111e8879f02c98705707715e",
+    "converge-csv": "7260df78503137b447821749c2edd21ab9941ee46d9f535df60371146b2e099c",
+    "converge-json": "c1fde9d2013534b4d64db652bf225e42c88415c100078104107935db966dd65f",
     "critical-index-csv": "4f38a3f75e763da9617d474149ffcb7c80977e03f2f0d845c416cb7ff928614c",
     "critical-index-custom-csv": "d9ade9e20ad9db73a58a856d6dc4b7080dc56776e0ffe3c10067e1ec80a721cb",
     "critical-index-json": "e84d219e996e96da08bfc7022a1a5ee9cb20e537c4bad0d54fa3b9c4bdf24109",
@@ -80,21 +80,21 @@ GOLDEN = {
     "fd-validate-csv": "537c0f33cece00e132ce3760a1bc422437faa838ab4c0a8c787047a16a2f3436",
     "fd-validate-json": "bc0f215514cd9d342b6da7a4e24cd9dd47e925fc2eccd54f0f5a6eacc082c1fe",
     "fd-validate-single-csv": "609515138346b65b4754205dd2643716b81a32b868239b4574352be8f47705ac",
-    "gram-default-json": "0b467a8e2638b64e6c92ecff59063c120c12f3fc9e30046a54b5a0b59a427d33",
-    "gram-gl-csv": "1af49f17684360fbc81c90bf7e872c07def2810d87094293fef2dfbc19192b06",
+    "gram-default-json": "e0435bd16027248be0f13ac827d7b70a127c6914a1ed927292d2c2b4bc47b68f",
+    "gram-gl-csv": "893834d3b72801033374703c83c4d4688d6ee6cbe6a59c10b7cd52e39a49d116",
     "gram-simpson-csv": "02842c7ad612b502a4b057b6b8428c574b327da9f63122e0f58013266288de3c",
     "inverse-limit-csv": "9f14459d58e55886d3ecbdb49a099240a65100c5f131b3b1e8af67e38f286f66",
     "inverse-limit-json": "28b20f3b87267115ea3a4236f72c5fecab908ac546ff27ce2578d7a70832ca3f",
-    "parseval-csv": "54edf52375bb53903f5338647e0ba2ca0d402d43061ff16874b030ff11c82f94",
-    "parseval-json": "f78bf14045af19df09b1126e9745f51317d0d3c208bc3dafcfc550c3e22813bb",
-    "project-csv": "7c4f3970057c18b4045968ca3798c3fe0ddfc0b4dc7fb08b12a718195d2e05a3",
-    "project-psi-csv": "9c5e5386575fb82b48bb3bb0b4a50a45630a42c925ffed6547099b52530fa3d1",
+    "parseval-csv": "1e51f85598e9080941fd0cab104ba9936d7e797caadccaa2b2adf7d48aeaa2aa",
+    "parseval-json": "4ceb26058bcb3a73533f7ec64c0155933ca6d92213a5063760f1bb65214fa9db",
+    "project-csv": "ae16c9ea21fa7649924b33ceb9d3d8bfb5aaf5420d707cc7b57f0caa135f58a5",
+    "project-psi-csv": "b27c9ff81cb1f5a93a9a78b976bc7c4bccc3f2db8b20bd89c10e8fe0c41dcb63",
     "project-simpson-csv": "ce9769eb4c4189ee84597ed62cc680242caef1497be60a39cf3cc1ecc728578a",
     "reconstruct-csv": "9f6426bb6397edc43867f3ad674b902a1b539ab40f8bd89f0662142a79b0c261",
     "reconstruct-json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "rigidity-csv": "7f1b1aab76546645bb84a1697641326c96bebd0f112dd91342cddcd2b09bf72f",
-    "rigidity-fail-json": "3df7bb16871c7aef85f7061591aaa4908b3df1e9e3df692989ef54aa015d2591",
-    "rigidity-json": "143791b46f1dcb540925c77d52a4681fd0cbba7e2ab36d9196fcc0695755878c",
+    "rigidity-csv": "a83c0fdb582e9148c245d64e9dfa2e69f98ccfabba181a2da9101754f83bc0da",
+    "rigidity-fail-json": "f5391e2b0e7b06877874bf28a413423c56d9748cfaa2108d815e4dae6dc50e0c",
+    "rigidity-json": "1df720709cf826ac47c430bbd27381823f7773e91b223a5b589adf9d274e4af9",
     "spectrum-csv": "4e4530d9456327c5e2a66676038255a56c965e18e06117a20dc4b9360e96a66e",
     "spectrum-json": "a72efeda0f7201711555a7a238b0e545c4db9c98ddf549a9f29dcf1b1747f65d",
     "spectrum-negative-n-max": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -104,21 +104,21 @@ GOLDEN = {
 # file name -> sha256 for `rigidity --n-list 8,16 --format csv --output DIR`
 RIGIDITY_SERIES = {
     "rigidity__boundary_gap.csv": "f0d53f6b7df6067f54823beb2bca8a420e7284747e0fb8286fbcd960346c8cc8",
-    "rigidity__l2_distance_to_pi.csv": "bf6b62ef3b3cb7a455a9eea0c9cd6d4591406b6c0cb3cf31d8d7da4df91d7f53",
+    "rigidity__l2_distance_to_pi.csv": "ba3ece36892aee513a787ea43cfd549065c5d22db8e2b3d848d01c612253ac0a",
     "rigidity__n.csv": "ccd35ee916c4f5482aa4eb62ebc673d0606cf1a777ecb17f26f90f08acb3ebec",
-    "rigidity__norm_sq.csv": "b45b62468b5103bd98ccc006359b2ce14d002eee401f5235b0b378522e3e8bf4",
-    "rigidity__norm_sq_over_count_minus_pi_sq.csv": "5c2ae67adafacfd946514aeef3cabb13a25dbdd46f0168e01abf359c3e4f14e1",
+    "rigidity__norm_sq.csv": "5c5f923fc84c1a613d943909dbd3d47a0956612339bbc33c1c91a31169239b31",
+    "rigidity__norm_sq_over_count_minus_pi_sq.csv": "8984ab02bbe991c778de6df36e7e892000a66b4ac593d339fb1ea47c7185ed2b",
     "rigidity__sup_deviation_from_pi.csv": "ee267b242f81c1e678d8d29388efdd9420c94ea30d96fb45ca7c7822a84e849a",
 }
 
 # demo file name -> sha256 of stdout
 DEMOS = {
     "01_closed_form_spectrum.py": "e5840a9f669f651550ddd68645fed8dfbac7059b5354300ee79489db1b2abc96",
-    "02_transform_and_parseval.py": "f5a055d1d9037529829b36cd87ae4a4461bbb7ed7d2bf3965303a857baff2839",
+    "02_transform_and_parseval.py": "80e35c98ff19a44bc47ab46c092a2575e901c6d9bc6322ce8a05db453074ee91",
     "03_fd_cross_validation.py": "e92b0dac6d04ba23bddab5e306258dcf27098458671d676f5f33190255df7783",
-    "04_rigidity_obstruction.py": "551c621ec57e41b5f00a1fce7de4669faf69c1b83441c1704ba7d3e99701dcd8",
+    "04_rigidity_obstruction.py": "d4a424c3f4957b81cddb4528cf2963a8be0e9de4d4cf4760d989ac3eb024701f",
     "05_inverse_limit_decay.py": "28923f4af41eaccb37bf53b96580c1c0f2a9c6f67a5e34cb2572a4a69073c3e3",
-    "06_reconstruction_convergence.py": "a5272e0117997b7ee7315e3e4928f12dc45a3e92cb54d02c78629ff75cccce59",
+    "06_reconstruction_convergence.py": "efea4ffffe5a8d71b4b539171603be27f781ba37368bac94be73a5ccf4b95691",
 }
 
 PUBLIC_NAMES = {

@@ -24,7 +24,7 @@ from deformspec import (
     uniform_grid,
     wavenumber,
 )
-from deformspec.quadrature import _STENCILS, _evaluate
+from deformspec.quadrature import _BOUNDARY_ROOTS, _STENCILS, _evaluate, _theta_start
 
 CANON = canonical_params()
 
@@ -125,7 +125,13 @@ def reference_gauss_legendre_rule(params, m):
     return QuadratureRule("gauss_legendre", params.v_c * x[order], params.v_c * w[order])
 
 
-ORACLE_SIZES = [*range(1, 131), 255, 256, 257, 511, 512, 1023, 1032, 2048, 2056, 3208, 4095, 4096]
+# 2K-1, 2K and 2K+1 straddle the split between the K boundary roots of the
+# theta start and its interior roots; 193-195 straddle the earlier builder's
+# change from four sweeps to three
+_SPLIT = [2 * _BOUNDARY_ROOTS - 1, 2 * _BOUNDARY_ROOTS, 2 * _BOUNDARY_ROOTS + 1]
+ORACLE_SIZES = sorted(
+    {*range(1, 131), *_SPLIT, 193, 194, 195, 255, 256, 257, 511, 512, 1023, 1032, 2048, 2056, 3208, 4095, 4096}
+)
 ORACLE_PARAMS = {"canonical": CANON, "si": si_params(), "custom": custom_params(0.8, 3.0, 1.7)}
 
 
@@ -141,6 +147,15 @@ def _rule_and_reference(name, m):
     params, unit = ORACLE_PARAMS[name], _unit_reference(m)
     ref = QuadratureRule("gauss_legendre", params.v_c * unit.nodes, params.v_c * unit.weights)
     return gauss_legendre_rule(params, m), ref
+
+
+def test_theta_start_lands_inside_the_newton_stop():
+    """The theta start alone is within 1e-15, the recurrence loop's stop, of
+    the oracle's non-negative roots, so the builder needs one sweep."""
+    for m in ORACLE_SIZES:
+        start = _theta_start(m)
+        roots = _unit_reference(m).nodes[::-1][: (m + 1) // 2]
+        assert start.shape == roots.shape and np.max(np.abs(start - roots)) < 1e-15, m
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PARAMS))

@@ -18,10 +18,12 @@ from deformspec import (
     custom_params,
     eigenfunction,
     eigenvalue,
+    gauss_legendre_rule,
     si_params,
     sinpi,
     wavenumber,
 )
+from deformspec.transform import _basis_matrix
 
 CANON = canonical_params()
 
@@ -179,6 +181,66 @@ def test_remainder_ratio_near_100():
     alpha = asymptotic_coefficient(CANON)
     remainder = eigenvalue(CANON, 100) - asymptotic_eigenvalue(CANON, 100)
     assert abs(remainder) == pytest.approx(201 * alpha, rel=1e-12)
+
+
+def reference_sinpi(x):
+    """The earlier sinpi, kept as the oracle: +-1 sign from n % 2, allocating
+    steps."""
+    x = np.asarray(x, dtype=float)
+    n = np.round(x)
+    r = x - n
+    sign = 1.0 - 2.0 * (np.asarray(n, dtype=np.int64) % 2)
+    out = sign * np.sin(np.pi * r)
+    return float(out) if out.ndim == 0 else out
+
+
+def reference_eigenfunction(params, n, v):
+    """The earlier eigenfunction formula on reference_sinpi."""
+    t = (np.asarray(v, dtype=float) + params.v_c) / (params.v_c + params.v_c)
+    out = math.sqrt(1.0 / params.v_c) * reference_sinpi((np.asarray(n, dtype=float) + 1.0) * t)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def assert_bits_equal(got, want):
+    assert type(got) is type(want)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestSinpiAgainstReference:
+    """sinpi and the basis built on it equal the earlier allocating sinpi bit
+    for bit, sign bits included."""
+
+    def test_random_arguments(self):
+        x = np.random.default_rng(11).uniform(-1e6, 1e6, 200_000)
+        assert_bits_equal(sinpi(x), reference_sinpi(x))
+
+    def test_integers_half_integers_and_signed_zeros(self):
+        k = np.arange(-41.0, 42.0)
+        x = np.concatenate([k, k + 0.5, k - 0.5, [0.0, -0.0]])
+        assert_bits_equal(sinpi(x), reference_sinpi(x))
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 0.5, -0.5, 1.5, -2.5, 3.0, -3.0, 0.1234, -7.75])
+    def test_scalars(self, x):
+        assert_bits_equal(sinpi(x), reference_sinpi(x))
+        assert_bits_equal(sinpi(np.float64(x)), reference_sinpi(x))
+        assert_bits_equal(sinpi(np.array(x)), reference_sinpi(x))
+        assert type(sinpi(np.array(x))) is float
+
+    def test_input_is_not_written(self):
+        x = np.linspace(-3.0, 3.0, 97)
+        before = x.copy()
+        sinpi(x)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("params", [CANON, si_params()], ids=["canonical", "si"])
+    def test_basis_matrix_on_gauss_legendre_nodes(self, params):
+        nodes = gauss_legendre_rule(params, 2048).nodes
+        want = reference_eigenfunction(params, np.arange(256)[:, None], nodes[None, :])
+        assert_bits_equal(_basis_matrix(params, 255, nodes), want)
+
+    def test_eigenfunction_scalars(self):
+        for n, v in [(0, 0.0), (3, -CANON.v_c), (3, CANON.v_c), (7, 0.25 * CANON.v_c), (2, -0.0)]:
+            assert_bits_equal(eigenfunction(CANON, n, v), reference_eigenfunction(CANON, n, v))
 
 
 class TestSinpi:
