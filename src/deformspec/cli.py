@@ -17,14 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DeformSpecError,
-    DomainError,
-    FormatError,
-    NumericalError,
-    ResolutionError,
-    ValidationError,
-)
+from .errors import DeformSpecError, NumericalError, ValidationError
 from .experiments import (
     DEFAULT_TOLERANCES,
     DecayModel,
@@ -39,7 +32,6 @@ from .io import (
     coefficients_to_csv,
     critical_index_to_dict,
     experiment_to_csv,
-    experiment_to_dict,
     fd_report_to_dict,
     read_coefficients,
     sampled_function_to_csv,
@@ -220,7 +212,8 @@ def _meta(args) -> dict | None:
 
 def _emit_report(args, report) -> int:
     if args.format == "json":
-        _emit(args, to_json(experiment_to_dict(report), _meta(args)))
+        # the fields in order; dataclasses.asdict would deep-copy every series value
+        _emit(args, to_json(vars(report), _meta(args)))
     elif args.output is not None and Path(args.output).is_dir():
         write_experiment_csv_per_series(report, args.output)
     else:
@@ -330,13 +323,7 @@ def _cmd_rigidity(args) -> int:
 
 
 def _cmd_inverse_limit(args) -> int:
-    decay = args.mode_decay
-    model = DecayModel(
-        amplitude=args.amplitude,
-        decay_rate=args.decay_rate,
-        n_max=args.n_max,
-        mode_weights=lambda n: np.exp(-decay * np.asarray(n, dtype=float)),
-    )
+    model = DecayModel(args.amplitude, args.decay_rate, args.n_max, args.mode_decay)
     grid = uniform_grid(args.params, max(_required_points(args.n_max, args.k_max), 2048))
     taus = _number_list(args.tau_list, "--tau-list", float)
     report = inverse_limit_report(model, args.params, taus, args.k_max, grid, args.tolerances)
@@ -386,16 +373,13 @@ def run(argv) -> int:
             args.tolerances = _tolerances_from(args)
         args.argv = argv
         return _COMMANDS[args.command](args)
-    except (ValidationError, DomainError, ResolutionError, FormatError, OSError) as exc:
-        print(f"deformspec: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:
-        print(f"deformspec: error: not enough memory: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericalError as exc:
         print(f"deformspec: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except DeformSpecError as exc:
+    except MemoryError as exc:
+        print(f"deformspec: error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (DeformSpecError, OSError) as exc:
         print(f"deformspec: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

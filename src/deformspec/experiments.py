@@ -9,7 +9,7 @@ JSON/CSV and backs the acceptance suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +28,7 @@ from .quadrature import (
     uniform_grid,
     _evaluate,
 )
-from .spectrum import asymptotic_coefficient, asymptotic_eigenvalue, eigenvalue
+from .spectrum import _deficit, asymptotic_coefficient, asymptotic_eigenvalue, eigenvalue
 from .transform import CoefficientVector, evaluate, project, reconstruct
 
 VERDICT_PASS = "pass"
@@ -62,41 +62,45 @@ class ExperimentReport:
 class DecayModel:
     """Coefficient trajectories C_n(tau) = pi + amplitude * exp(-decay_rate*tau) * g(n).
 
-    The mode weights g (|g| <= 1) control how the perturbation is distributed
-    over modes; the default exp(-n) makes the infinite sum summable.  The
-    amplitude may be zero, which degenerates to the uniform partial sum.
+    The mode weights g(n) = exp(-mode_decay * n) in (0, 1] spread the
+    perturbation over modes; the default mode_decay = 1 makes the infinite sum
+    summable.  The amplitude may be zero: the uniform partial sum.
     """
 
     amplitude: float
     decay_rate: float
     n_max: int
-    mode_weights: Callable = field(default=lambda n: np.exp(-np.asarray(n, dtype=float)))
+    mode_decay: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
             raise ValidationError("amplitude must be a finite non-negative real")
         if not (math.isfinite(self.decay_rate) and self.decay_rate > 0):
             raise ValidationError("decay_rate must be positive")
+        if not (math.isfinite(self.mode_decay) and self.mode_decay >= 0):
+            raise ValidationError("mode_decay must be a finite non-negative real")
         if int(self.n_max) < 0:
             raise ValidationError("n_max must be >= 0")
         object.__setattr__(self, "n_max", int(self.n_max))
-        w = np.asarray(self.mode_weights(np.arange(self.n_max + 1)), dtype=float)
-        if w.shape != (self.n_max + 1,) or not np.all(np.isfinite(w)):
-            raise ValidationError("mode_weights must map 0..n_max to finite reals")
-        if np.max(np.abs(w)) > 1.0 + 1e-12:
-            raise ValidationError("mode weights must satisfy |g(n)| <= 1")
-        object.__setattr__(self, "_weights", w)
 
     @property
     def weights(self) -> np.ndarray:
-        return self._weights
+        return np.exp(-self.mode_decay * np.arange(self.n_max + 1, dtype=float))
 
     def coefficients(self, tau: float) -> np.ndarray:
-        return math.pi + self.amplitude * math.exp(-self.decay_rate * tau) * self._weights
+        return math.pi + self.amplitude * math.exp(-self.decay_rate * tau) * self.weights
 
 
 def _params_inputs(params: OperatorParams) -> dict:
     return {"hbar": params.hbar, "c": params.c, "v_c": params.v_c, "unit_mode": params.unit_mode}
+
+
+def _increasing(n_list) -> list[int]:
+    """n_list as ints; raises :class:`ValidationError` unless non-empty and increasing."""
+    n_list = [int(n) for n in n_list]
+    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValidationError("n_list must be non-empty and increasing")
+    return n_list
 
 
 def _tol(overrides: dict | None, key: str) -> float:
@@ -108,12 +112,13 @@ def _tol(overrides: dict | None, key: str) -> float:
 def asymptotics_report(
     params: OperatorParams, n_min: int, n_max: int, tolerances: dict | None = None
 ) -> ExperimentReport:
-    """Remainder of the quadratic approximant pi - alpha n^2.
+    """Remainder C_n - (pi - alpha n^2) = alpha n^2 - d_n of the quadratic approximant.
 
-    The remainder is the exact polynomial -alpha(2n+1), so |remainder|/n
-    equals alpha(2 + 1/n) and approaches 2 alpha from above.  Each row is
-    allowed the identity slack plus the rounding bound of the subtraction
-    C_n - approx_n, which cancels to a remainder about n times smaller.
+    The deficit d_n = pi - C_n has no cancellation at any scale; alpha comes
+    from its own formula.  The remainder is exactly -alpha(2n+1), so
+    |remainder|/n approaches 2 alpha from above.  The verdict needs d_n > 0,
+    C_n = pi - d_n to rounding, and each remainder within the identity slack
+    of -alpha(2n+1) plus the rounding bound 16 eps d_n.
     """
     n_min, n_max = int(n_min), int(n_max)
     if not 1 <= n_min < n_max:
@@ -121,13 +126,15 @@ def asymptotics_report(
     ns = np.arange(n_min, n_max + 1)
     cn = eigenvalue(params, ns)
     approx = asymptotic_eigenvalue(params, ns)
-    remainder = cn - approx
+    deficit = _deficit(params, ns)
     alpha = asymptotic_coefficient(params)
+    remainder = alpha * ns.astype(float) ** 2 - deficit
     ratio = np.abs(remainder) / ns
     slack = _tol(tolerances, "asymptotics.identity_slack")
-    rounding = 4.0 * np.finfo(float).eps * np.maximum(np.abs(cn), np.abs(approx)) / ns
-    ok = np.all(np.abs(ratio - 2.0 * alpha) <= alpha / ns + slack * alpha + rounding)
-    ok = ok and np.all(cn < math.pi)
+    eps, linear = np.finfo(float).eps, alpha * (2.0 * ns + 1.0)
+    rounding = 2.0 * eps * (math.pi + np.abs(cn))
+    ok = np.all(deficit > 0.0) and np.all(np.abs(cn - (math.pi - deficit)) <= rounding)
+    ok = ok and np.all(np.abs(remainder + linear) <= slack * linear + 16.0 * eps * deficit)
     return ExperimentReport(
         name="asymptotics",
         inputs={**_params_inputs(params), "n_min": n_min, "n_max": n_max, "alpha": alpha},
@@ -153,9 +160,7 @@ def rigidity_report(
     while the target constant pi does not, so the sup distance never drops
     below pi.
     """
-    n_list = [int(n) for n in n_list]
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValidationError("n_list must be non-empty and increasing")
+    n_list = _increasing(n_list)
     tol_parseval = _tol(tolerances, "rigidity.parseval")
     gap_slack = _tol(tolerances, "rigidity.boundary_gap_slack")
     rule = default_projection_rule(params, max(n_list))
@@ -202,8 +207,6 @@ def constant_coefficient_report(
     orthogonality of constants to this basis; the discrepancy is the point.
     """
     n_max = int(n_max)
-    if n_max < 0:
-        raise ValidationError("n_max must be >= 0")
     tol = _tol(tolerances, "constant_projection.rule_agreement")
     one = lambda v: np.ones_like(np.asarray(v, dtype=float))
     nodes = NODES_PER_MODE * (n_max + 1)
@@ -320,9 +323,7 @@ def convergence_study(
     rule, reported as the input `target_l2_norm`, so the verdict does not
     depend on the units of v.
     """
-    n_list = [int(n) for n in n_list]
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValidationError("n_list must be non-empty and increasing")
+    n_list = _increasing(n_list)
     slack = _tol(tolerances, "converge.monotonic_slack")
     final_tol = _tol(tolerances, "converge.final_l2_rel")
     coeffs = project(params, target, max(n_list), rule)

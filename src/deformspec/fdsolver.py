@@ -212,9 +212,7 @@ def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -
 
 def eigenvalues_tridiagonal(A: TridiagonalSymmetricMatrix) -> np.ndarray:
     """All eigenvalues, sorted decreasing."""
-    if A.dim == 1:
-        return A.diag.copy()
-    return _eigenvalues_ascending(A, np.arange(A.dim))[::-1].copy()
+    return top_eigenvalues(A, A.dim)
 
 
 def top_eigenvalues(A: TridiagonalSymmetricMatrix, count: int) -> np.ndarray:
@@ -222,8 +220,6 @@ def top_eigenvalues(A: TridiagonalSymmetricMatrix, count: int) -> np.ndarray:
     count = int(count)
     if not 1 <= count <= A.dim:
         raise ValidationError("count must be in [1, dim]")
-    if A.dim == 1:
-        return A.diag.copy()
     indices = np.arange(A.dim - count, A.dim)
     return _eigenvalues_ascending(A, indices)[::-1].copy()
 
@@ -244,29 +240,26 @@ def _solve_shifted(A: TridiagonalSymmetricMatrix, lam: float, b: np.ndarray) -> 
     upper = A.offdiag.tolist() + [0.0]
     lower = A.offdiag.tolist() + [0.0]
     fill = [0.0] * n
-    x = np.asarray(b, dtype=float).tolist()
+    # x[n], upper[n-1] and fill[n-2] stay exact zeros, so the last rows round as if cut short
+    x = np.asarray(b, dtype=float).tolist() + [0.0]
     for i in range(n - 1):
         if abs(lower[i]) > abs(main[i]):
             main[i], lower[i] = lower[i], main[i]
             upper[i], main[i + 1] = main[i + 1], upper[i]
-            if i + 1 < n - 1:
-                fill[i], upper[i + 1] = upper[i + 1], 0.0
+            fill[i], upper[i + 1] = upper[i + 1], 0.0
             x[i], x[i + 1] = x[i + 1], x[i]
         if abs(main[i]) < floor:
             main[i] = floor if main[i] >= 0 else -floor
         mult = lower[i] / main[i]
         main[i + 1] -= mult * upper[i]
-        if i + 1 < n - 1:
-            upper[i + 1] -= mult * fill[i]
+        upper[i + 1] -= mult * fill[i]
         x[i + 1] -= mult * x[i]
     if abs(main[-1]) < floor:
         main[-1] = floor if main[-1] >= 0 else -floor
-    x[-1] /= main[-1]
-    if n >= 2:
-        x[-2] = (x[-2] - upper[-2] * x[-1]) / main[-2]
-    for i in range(n - 3, -1, -1):
+    x[n - 1] /= main[-1]
+    for i in range(n - 2, -1, -1):
         x[i] = (x[i] - upper[i] * x[i + 1] - fill[i] * x[i + 2]) / main[i]
-    return np.array(x)
+    return np.array(x[:n])
 
 
 def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> np.ndarray:

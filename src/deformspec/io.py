@@ -97,16 +97,6 @@ def fd_report_to_dict(report: FDSpectrumReport) -> dict:
     }
 
 
-def experiment_to_dict(report: ExperimentReport) -> dict:
-    return {
-        "name": report.name,
-        "inputs": report.inputs,
-        "tolerances": report.tolerances,
-        "series": report.series,
-        "verdict": report.verdict,
-    }
-
-
 def experiment_to_csv(report: ExperimentReport) -> str:
     """Long-format table: one row per (series column, index, value)."""
     names, index, values = [], [], []

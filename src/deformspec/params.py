@@ -75,15 +75,21 @@ def custom_params(hbar: float, c: float, v_c: float) -> OperatorParams:
     return OperatorParams(float(hbar), float(c), float(v_c), "custom")
 
 
+def _require_in_interval(params: OperatorParams, v) -> np.ndarray:
+    """v as a float ndarray; raises :class:`DomainError` unless every |v| <= v_c, so NaN fails."""
+    v = np.asarray(v, dtype=float)
+    if not np.all(np.abs(v) <= params.v_c):
+        bad = float(v.flat[int(np.argmax(np.abs(v)))])
+        raise DomainError(f"v = {bad!r} outside [-v_c, v_c] with v_c = {params.v_c!r}")
+    return v
+
+
 def deformation_profile(params: OperatorParams, v):
     """The parabolic profile pi*(1 - v^2/c^2), defined for |v| <= v_c.
 
     Accepts a scalar or ndarray; values lie in [1, pi] on the canonical
     interval.  Raises :class:`DomainError` for arguments outside it.
     """
-    v = np.asarray(v, dtype=float)
-    if np.any(np.abs(v) > params.v_c):
-        bad = float(np.asarray(v).flat[int(np.argmax(np.abs(v)))])
-        raise DomainError(f"v = {bad!r} outside [-v_c, v_c] with v_c = {params.v_c!r}")
+    v = _require_in_interval(params, v)
     out = math.pi * (1.0 - (v / params.c) ** 2)
     return float(out) if out.ndim == 0 else out

@@ -48,13 +48,10 @@ class Grid:
 class QuadratureRule:
     """Nodes and positive weights for integrals over [-v_c, v_c]."""
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("gauss_legendre", "composite_simpson"):
-            raise ValidationError("kind must be gauss_legendre or composite_simpson")
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
@@ -213,7 +210,7 @@ def gauss_legendre_rule(params: OperatorParams, m: int) -> QuadratureRule:
     w = 2.0 / ((1.0 - x**2) * dp**2)
     nodes = np.concatenate([-x[: m // 2], x[::-1]])
     weights = np.concatenate([w[: m // 2], w[::-1]])
-    return QuadratureRule("gauss_legendre", params.v_c * nodes, params.v_c * weights)
+    return QuadratureRule(params.v_c * nodes, params.v_c * weights)
 
 
 def composite_simpson_rule(params: OperatorParams, points: int) -> QuadratureRule:
@@ -226,7 +223,7 @@ def composite_simpson_rule(params: OperatorParams, points: int) -> QuadratureRul
     weights = np.ones(points)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return QuadratureRule("composite_simpson", nodes, weights * (h / 3.0))
+    return QuadratureRule(nodes, weights * (h / 3.0))
 
 
 def default_projection_rule(params: OperatorParams, n_max: int) -> QuadratureRule:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ResolutionError, ValidationError
-from .params import OperatorParams
+from .errors import NumericalError, ResolutionError, ValidationError
+from .params import OperatorParams, _require_in_interval
 
 
 def sinpi(x):
@@ -79,6 +79,11 @@ def eigenvalue(params: OperatorParams, n):
     return out
 
 
+def _deficit(params: OperatorParams, n):
+    """d_n = pi - C_n = pi (hbar k_n / c)^2, free of the cancellation in pi - C_n."""
+    return math.pi * (params.hbar / params.c * wavenumber(params, n)) ** 2
+
+
 def asymptotic_coefficient(params: OperatorParams) -> float:
     """Quadratic decay rate alpha = hbar^2 pi^3 / (4 c^2 v_c^2).
 
@@ -105,13 +110,10 @@ def eigenfunction(params: OperatorParams, n, v):
     """Normalized eigenfunction sqrt(1/v_c) * sin(k_n (v + v_c)) at v.
 
     Either argument may be an ndarray (they broadcast).  Values at exactly
-    +-v_c are exact zeros.  Raises :class:`DomainError` for |v| > v_c.
+    +-v_c are exact zeros.  Raises :class:`DomainError` for |v| > v_c or NaN v.
     """
     n = _check_index(n)
-    v = np.asarray(v, dtype=float)
-    if np.any(np.abs(v) > params.v_c):
-        bad = float(v.flat[int(np.argmax(np.abs(v)))])
-        raise DomainError(f"v = {bad!r} outside [-v_c, v_c] with v_c = {params.v_c!r}")
+    v = _require_in_interval(params, v)
     # phase written as (n+1) * (v + v_c)/(2 v_c) so sinpi sees integers at the endpoints
     two_vc = params.v_c + params.v_c
     t = (v + params.v_c) / two_vc

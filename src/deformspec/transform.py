@@ -49,12 +49,23 @@ class CoefficientVector:
         return len(self.coefficients) - 1
 
 
-def _require_resolved(rule: QuadratureRule, n_max: int):
+def _require_resolved(rule: QuadratureRule, n_max) -> int:
+    """n_max as an int, checked >= 0 and resolved by NODES_PER_MODE nodes per mode."""
+    n_max = int(n_max)
+    if n_max < 0:
+        raise ValidationError("n_max must be >= 0")
     needed = NODES_PER_MODE * (n_max + 1)
     if len(rule.nodes) < needed:
-        raise ResolutionError(
-            f"rule has {len(rule.nodes)} nodes; mode {n_max} needs at least {needed}"
-        )
+        raise ResolutionError(f"rule has {len(rule.nodes)} nodes; mode {n_max} needs at least {needed}")
+    return n_max
+
+
+def _sample(f: Callable, rule: QuadratureRule) -> np.ndarray:
+    """f on the rule's nodes; raises :class:`ValidationError` unless every value is finite."""
+    values = _evaluate(f, rule.nodes)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("target function must be finite on the quadrature nodes")
+    return values
 
 
 def _basis_matrix(params: OperatorParams, n_max: int, v: np.ndarray) -> np.ndarray:
@@ -87,14 +98,8 @@ def _sine_sums(g: np.ndarray, count: int) -> np.ndarray:
 
 def project(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule) -> CoefficientVector:
     """Coefficients a_n = integral of f * psi_n for n = 0..n_max."""
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValidationError("n_max must be >= 0")
-    _require_resolved(rule, n_max)
-    values = _evaluate(f, rule.nodes)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("target function must be finite on the quadrature nodes")
-    weighted = rule.weights * values
+    n_max = _require_resolved(rule, n_max)
+    weighted = rule.weights * _sample(f, rule)
     if _on_uniform_nodes(params, rule.nodes):
         coeffs = math.sqrt(1.0 / params.v_c) * _sine_sums(weighted, n_max + 1)
     else:
@@ -134,10 +139,7 @@ def reconstruct(coeffs: CoefficientVector, grid: Grid) -> SampledFunction:
 
 def l2_norm(params: OperatorParams, f: Callable, rule: QuadratureRule) -> float:
     """sqrt of the quadrature integral of f^2."""
-    values = _evaluate(f, rule.nodes)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("target function must be finite on the quadrature nodes")
-    return float(np.sqrt(np.dot(rule.weights, values**2)))
+    return float(np.sqrt(np.dot(rule.weights, _sample(f, rule) ** 2)))
 
 
 def parseval_defect(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule) -> float:
@@ -161,10 +163,7 @@ def apply_operator_spectral(coeffs: CoefficientVector) -> CoefficientVector:
 
 def gram_matrix(params: OperatorParams, n_max: int, rule: QuadratureRule) -> np.ndarray:
     """Quadrature inner products <psi_n, psi_m> for n, m <= n_max."""
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValidationError("n_max must be >= 0")
-    _require_resolved(rule, n_max)
+    n_max = _require_resolved(rule, n_max)
     if _on_uniform_nodes(params, rule.nodes):
         # sin(a) sin(b) = (cos(a - b) - cos(a + b))/2 at a, b = (n+1) pi j/P, (m+1) pi j/P.
         # The real FFT of the even extension of the weights (a DCT-I) gives

@@ -408,6 +408,19 @@ def test_memory_error_exits_two(monkeypatch, capsys, message):
     assert err.startswith("deformspec: error: not enough memory") and message in err
 
 
+@pytest.mark.parametrize("gamma", ["-1", "nan"])
+def test_inverse_limit_rejects_bad_mode_decay(capsys, gamma):
+    code, out, err = invoke(capsys, "inverse-limit", "--n-max", "8", "--gamma-mode-decay", gamma)
+    assert (code, out) == (2, "")
+    assert err.startswith("deformspec: error: mode_decay") and err.count("\n") == 1
+
+
+def test_si_asymptotics_exits_zero(capsys):
+    # every C_n rounds to pi in SI units; the verdict reads the deficits pi - C_n
+    code, out, _ = invoke(capsys, "asymptotics", "--si", "--n-min", "10", "--n-max", "20", "--no-meta")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
 def test_large_inverse_limit_runs_in_linear_memory(capsys):
     # 5001 modes on 320065 uniform points: a dense basis would take 12.8 GB
     tracemalloc.start()

@@ -20,6 +20,7 @@ from deformspec import (
     inverse_limit_report,
     reconstruct,
     rigidity_report,
+    si_params,
     uniform_grid,
 )
 
@@ -60,6 +61,16 @@ class TestAsymptotics:
         exact = experiments.eigenvalue
         monkeypatch.setattr(experiments, "eigenvalue", lambda params, n: exact(params, n) * (1 + 1e-12))
         assert asymptotics_report(CANON, n_min, n_min + 1).verdict == "fail"
+
+    @pytest.mark.parametrize("params", [CANON, si_params()], ids=["canonical", "si"])
+    @pytest.mark.parametrize("e, verdict", [(0.0, "pass"), (1e-6, "fail")])
+    def test_scaled_coefficient_verdict(self, monkeypatch, params, e, verdict):
+        # the parent's window [0, 2 alpha/n] on |remainder|/n still passed at e = 1e-6
+        import deformspec.experiments as experiments
+
+        exact = experiments.asymptotic_coefficient
+        monkeypatch.setattr(experiments, "asymptotic_coefficient", lambda p: exact(p) * (1 + e))
+        assert asymptotics_report(params, 100, 1000).verdict == verdict
 
     def test_range_validation(self):
         with pytest.raises(ValidationError):
@@ -172,7 +183,7 @@ class TestInverseLimit:
         assert s[2] / s[1] == pytest.approx(math.exp(-2.0), rel=1e-9)
 
     def test_constant_weights_factor_through_sup(self):
-        model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=32, mode_weights=lambda n: np.ones(np.shape(n)))
+        model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=32, mode_decay=0.0)
         grid = uniform_grid(CANON, 64 * 33)
         report = inverse_limit_report(model, CANON, [0.0, 1.0, 2.0], 0, grid)
         uniform = reconstruct(CoefficientVector(CANON, np.full(33, math.pi)), grid)
@@ -195,7 +206,12 @@ class TestInverseLimit:
         with pytest.raises(ValidationError):
             DecayModel(amplitude=1.0, decay_rate=0.0, n_max=4)
         with pytest.raises(ValidationError):
-            DecayModel(amplitude=1.0, decay_rate=1.0, n_max=4, mode_weights=lambda n: 2.0 * np.ones(np.shape(n)))
+            DecayModel(amplitude=1.0, decay_rate=1.0, n_max=4, mode_decay=-1.0)
+
+    @pytest.mark.parametrize("mode_decay", [-1.0, math.nan, math.inf])
+    def test_mode_decay_must_be_finite_non_negative(self, mode_decay):
+        with pytest.raises(ValidationError, match="mode_decay"):
+            DecayModel(amplitude=1.0, decay_rate=1.0, n_max=4, mode_decay=mode_decay)
 
 
 class TestConvergenceStudy:

@@ -226,6 +226,18 @@ class TestEigenvalues:
         with pytest.raises(NumericalError, match="overflows"):
             top_eigenvalues(A, 1)
 
+    @pytest.mark.parametrize("d", [2.5, -0.0, 5e-324, -1e300, np.finfo(float).max / 2])
+    def test_one_by_one_returns_the_diagonal(self, d):
+        A = TridiagonalSymmetricMatrix(diag=np.array([d]), offdiag=np.array([]))
+        # equal values: a diagonal of -0.0 comes back as 0.0, the midpoint of [-0.0, 0.0]
+        for lam in (eigenvalues_tridiagonal(A), top_eigenvalues(A, 1)):
+            assert np.array_equal(lam, A.diag)
+
+    def test_one_by_one_overflow_raises(self):
+        A = TridiagonalSymmetricMatrix(diag=np.array([-np.finfo(float).max]), offdiag=np.array([]))
+        with pytest.raises(NumericalError, match="overflows"):
+            eigenvalues_tridiagonal(A)
+
     def test_interlacing_with_principal_submatrix(self):
         A = discretize(CANON, 30)
         B = TridiagonalSymmetricMatrix(diag=A.diag[:-1], offdiag=A.offdiag[:-1])
@@ -293,6 +305,17 @@ class TestBitIdenticalToReference:
         rhs = np.random.default_rng(0).standard_normal(A.dim)
         for lam in top_eigenvalues(A, 10):
             assert np.array_equal(_solve_shifted(A, lam, rhs), reference_solve_shifted(A, lam, rhs))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_solve_shifted_on_small_dims(self, dim):
+        # random bands pivot both ways; shifts at an eigenvalue hit the pivot floor
+        rng = np.random.default_rng(dim)
+        for _ in range(200):
+            A = TridiagonalSymmetricMatrix(diag=rng.uniform(-1, 1, dim), offdiag=rng.uniform(-1, 1, dim - 1))
+            rhs = rng.standard_normal(dim)
+            for lam in (rng.uniform(-2, 2), *top_eigenvalues(A, dim)):
+                got, expected = _solve_shifted(A, lam, rhs), reference_solve_shifted(A, lam, rhs)
+                assert got.tobytes() == expected.tobytes()
 
 
 def assert_within_sturm_brackets(A, eigenvalues):

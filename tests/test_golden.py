@@ -68,8 +68,8 @@ CASES = {
 
 # name -> sha256 of stdout
 GOLDEN = {
-    "asymptotics-csv": "9ece8332697ed314e981b491ed32f5cdc3916d67a006ed3148838f8bdbeaefd8",
-    "asymptotics-json": "658af4b3b318e9359a75f06f0eb1a4cec22cb3e1b41baba6a6fe911898bcc080",
+    "asymptotics-csv": "0e939610be40cf6582dce53a02933145c6a994925eed23cff5f6dae3eb4629a9",
+    "asymptotics-json": "a3187fb27622c6d35fad5634de4549a11eb7effb01c1fc81a4c884d6b9d0fadc",
     "converge-csv": "7260df78503137b447821749c2edd21ab9941ee46d9f535df60371146b2e099c",
     "converge-json": "c1fde9d2013534b4d64db652bf225e42c88415c100078104107935db966dd65f",
     "critical-index-csv": "4f38a3f75e763da9617d474149ffcb7c80977e03f2f0d845c416cb7ff928614c",

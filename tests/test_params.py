@@ -55,6 +55,13 @@ def test_profile_domain_error():
         deformation_profile(p, np.array([0.0, -2.0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("v", [math.nan, np.array([0.0, math.nan, 0.5])], ids=["scalar", "array"])
+def test_profile_rejects_nan(v):
+    with pytest.raises(DomainError, match="v = nan"):
+        deformation_profile(canonical_params(), v)
+
+
 def test_custom_params_gamma():
     p = custom_params(0.1, 1.0, 0.8256453)
     assert p.gamma == pytest.approx(0.1 / 0.8256453, rel=1e-15)

@@ -25,6 +25,7 @@ from deformspec import (
     wavenumber,
 )
 from deformspec.quadrature import _BOUNDARY_ROOTS, _STENCILS, _evaluate, _theta_start
+from deformspec.transform import _on_uniform_nodes
 
 CANON = canonical_params()
 
@@ -105,7 +106,7 @@ def reference_gauss_legendre_rule(params, m):
     plain cosine guess, an allocating recurrence, then symmetrization."""
     m = int(m)
     if m == 1:
-        return QuadratureRule("gauss_legendre", np.zeros(1), np.array([2.0 * params.v_c]))
+        return QuadratureRule(np.zeros(1), np.array([2.0 * params.v_c]))
     i = np.arange(1, m + 1)
     x = np.cos(np.pi * (i - 0.25) / (m + 0.5))
     dp = np.ones_like(x)
@@ -122,7 +123,7 @@ def reference_gauss_legendre_rule(params, m):
     w = 2.0 / ((1.0 - x**2) * dp**2)
     w = 0.5 * (w + w[::-1])
     order = np.argsort(x)
-    return QuadratureRule("gauss_legendre", params.v_c * x[order], params.v_c * w[order])
+    return QuadratureRule(params.v_c * x[order], params.v_c * w[order])
 
 
 # 2K-1, 2K and 2K+1 straddle the split between the K boundary roots of the
@@ -145,7 +146,7 @@ def _rule_and_reference(name, m):
     # the reference uses params only in its last line, v_c * (unit rule), so
     # scaling one unit-interval build is bit-identical to a build per params
     params, unit = ORACLE_PARAMS[name], _unit_reference(m)
-    ref = QuadratureRule("gauss_legendre", params.v_c * unit.nodes, params.v_c * unit.weights)
+    ref = QuadratureRule(params.v_c * unit.nodes, params.v_c * unit.weights)
     return gauss_legendre_rule(params, m), ref
 
 
@@ -251,11 +252,11 @@ class TestIntegrate:
 
 
 def test_default_projection_rule_switches_family():
-    assert default_projection_rule(CANON, 16).kind == "gauss_legendre"
+    assert not _on_uniform_nodes(CANON, default_projection_rule(CANON, 16).nodes)
     assert len(default_projection_rule(CANON, 16).nodes) == 256
     assert len(default_projection_rule(CANON, 100).nodes) == 808
     big = default_projection_rule(CANON, 1000)
-    assert big.kind == "composite_simpson"
+    assert _on_uniform_nodes(CANON, big.nodes)
     assert len(big.nodes) >= 8 * 1001
 
 

@@ -79,6 +79,13 @@ def test_eigenfunction_domain_error():
         eigenfunction(CANON, 0, 1.01 * CANON.v_c)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("v", [math.nan, np.array([0.0, math.nan, 0.5])], ids=["scalar", "array"])
+def test_eigenfunction_rejects_nan(v):
+    with pytest.raises(DomainError, match="v = nan"):
+        eigenfunction(CANON, 0, v)
+
+
 def test_eigenfunction_parity():
     v = np.linspace(0, CANON.v_c, 37)
     for n in (0, 1, 4, 7):

@@ -291,7 +291,7 @@ class TestUniformRoute:
         simpson = composite_simpson_rule(CANON, 4097)
         nodes = simpson.nodes.copy()
         nodes[1000] = np.nextafter(nodes[1000], 0.0)
-        rule = QuadratureRule("composite_simpson", nodes, simpson.weights)
+        rule = QuadratureRule(nodes, simpson.weights)
         coeffs = project(CANON, profile, 8, rule).coefficients
         assert np.array_equal(coeffs, _basis_matrix(CANON, 8, nodes) @ (rule.weights * profile(nodes)))
         assert np.array_equal(gram_matrix(CANON, 8, rule), dense_gram(rule, 8))
