@@ -11,9 +11,8 @@ import deformspec as ds
 
 params = ds.canonical_params()
 model = ds.DecayModel(amplitude=1.0, decay_rate=2.0, n_max=32)
-grid = ds.uniform_grid(params, 64 * 33)
 
-report = ds.inverse_limit_report(model, params, [1, 2, 3, 4, 5, 6, 7, 8], 2, grid)
+report = ds.inverse_limit_report(model, params, [1, 2, 3, 4, 5, 6, 7, 8], 2)
 print("C^k seminorms of the deviation from the uniform partial sum:")
 header = f"{'tau':>5}" + "".join(f"{'k=' + str(k):>14}" for k in report.series["k"])
 print(header)

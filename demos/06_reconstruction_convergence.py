@@ -17,9 +17,8 @@ def boundary_compatible(v):
     return np.sin(np.pi * (np.asarray(v) + params.v_c) / (2 * params.v_c)) ** 3
 
 
-rule = ds.default_projection_rule(params, 128)
-rough = ds.convergence_study(params, profile, [8, 16, 32, 64, 128], rule)
-smooth = ds.convergence_study(params, boundary_compatible, [8, 16, 32, 64, 128], rule)
+rough = ds.convergence_study(params, profile, [8, 16, 32, 64, 128])
+smooth = ds.convergence_study(params, boundary_compatible, [8, 16, 32, 64, 128])
 
 print("L^2 truncation error vs cutoff N:")
 print(f"{'N':>5} {'profile C(v)':>14} {'sqrt(N) * err':>14} {'sin^3 target':>14}")

@@ -21,13 +21,12 @@ from .errors import DeformSpecError, NumericalError, ValidationError
 from .experiments import (
     DEFAULT_TOLERANCES,
     DecayModel,
-    _required_points,
     asymptotics_report,
     convergence_study,
     inverse_limit_report,
     rigidity_report,
 )
-from .fdsolver import refinement_study, validate_against_analytic
+from .fdsolver import refinement_study
 from .io import (
     coefficients_to_csv,
     critical_index_to_dict,
@@ -298,11 +297,7 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_fd_validate(args) -> int:
-    sizes = _number_list(args.grid_sizes, "--grid-sizes")
-    if len(sizes) == 1:
-        reports = [validate_against_analytic(args.params, sizes[0], args.n_modes)]
-    else:
-        reports = refinement_study(args.params, sizes, args.n_modes)
+    reports = refinement_study(args.params, _number_list(args.grid_sizes, "--grid-sizes"), args.n_modes)
     if args.format == "json":
         _emit(args, to_json({"reports": [fd_report_to_dict(r) for r in reports]}, _meta(args)))
     else:
@@ -324,9 +319,8 @@ def _cmd_rigidity(args) -> int:
 
 def _cmd_inverse_limit(args) -> int:
     model = DecayModel(args.amplitude, args.decay_rate, args.n_max, args.mode_decay)
-    grid = uniform_grid(args.params, max(_required_points(args.n_max, args.k_max), 2048))
     taus = _number_list(args.tau_list, "--tau-list", float)
-    report = inverse_limit_report(model, args.params, taus, args.k_max, grid, args.tolerances)
+    report = inverse_limit_report(model, args.params, taus, args.k_max, args.tolerances)
     return _emit_report(args, report)
 
 
@@ -337,9 +331,8 @@ def _cmd_asymptotics(args) -> int:
 
 def _cmd_converge(args) -> int:
     n_list = _number_list(args.n_list, "--n-list")
-    rule = default_projection_rule(args.params, max(n_list))
     f = _target_function(args.target, args.params)
-    report = convergence_study(args.params, f, n_list, rule, args.tolerances)
+    report = convergence_study(args.params, f, n_list, args.tolerances)
     return _emit_report(args, report)
 
 

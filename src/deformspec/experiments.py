@@ -14,22 +14,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, ResolutionError, ValidationError
+from .errors import NumericalError, ValidationError
 from .params import OperatorParams
 from .quadrature import (
     NODES_PER_MODE,
-    Grid,
-    QuadratureRule,
     SampledFunction,
     composite_simpson_rule,
     default_projection_rule,
     fd_derivative,
     gauss_legendre_rule,
     uniform_grid,
-    _evaluate,
 )
 from .spectrum import _deficit, asymptotic_coefficient, asymptotic_eigenvalue, eigenvalue
-from .transform import CoefficientVector, evaluate, project, reconstruct
+from .transform import CoefficientVector, _project_samples, _sample, evaluate, project, reconstruct
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -96,10 +93,10 @@ def _params_inputs(params: OperatorParams) -> dict:
 
 
 def _increasing(n_list) -> list[int]:
-    """n_list as ints; raises :class:`ValidationError` unless non-empty and increasing."""
+    """n_list as ints; raises :class:`ValidationError` unless non-empty, non-negative and increasing."""
     n_list = [int(n) for n in n_list]
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValidationError("n_list must be non-empty and increasing")
+    if not n_list or n_list[0] < 0 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValidationError("n_list must be non-empty, non-negative and increasing")
     return n_list
 
 
@@ -233,16 +230,11 @@ def constant_coefficient_report(
     )
 
 
-def _required_points(n_max: int, k_max: int) -> int:
-    return (64 if k_max <= 2 else 256) * (n_max + 1)
-
-
 def inverse_limit_report(
     model: DecayModel,
     params: OperatorParams,
     tau_list,
     k_max: int,
-    grid: Grid,
     tolerances: dict | None = None,
 ) -> ExperimentReport:
     """Decay of C^k seminorms of the deviation from the uniform partial sum.
@@ -250,6 +242,8 @@ def inverse_limit_report(
     The deviation D(v, tau) = sum_n (C_n(tau) - pi) psi_n(v) factorizes as
     amplitude * exp(-decay_rate * tau) times a fixed profile, so each fitted
     log-seminorm slope should equal -decay_rate up to finite-difference noise.
+    The seminorms are taken on a uniform grid of max(64 (n_max+1), 2048)
+    intervals for k_max <= 2, max(256 (n_max+1), 2048) for k_max 3 and 4.
     """
     taus = np.asarray(list(tau_list), dtype=float)
     if len(taus) < 3 or np.any(np.diff(taus) <= 0):
@@ -257,13 +251,7 @@ def inverse_limit_report(
     k_max = int(k_max)
     if not 0 <= k_max <= 4:
         raise ValidationError("k_max must be in 0..4")
-    if grid.spacing is None:
-        raise ValidationError("seminorms need a uniform grid")
-    if len(grid) < _required_points(model.n_max, k_max):
-        raise ResolutionError(
-            f"grid has {len(grid)} points; k_max = {k_max} at n_max = {model.n_max} "
-            f"needs >= {_required_points(model.n_max, k_max)}"
-        )
+    grid = uniform_grid(params, max((64 if k_max <= 2 else 256) * (model.n_max + 1), 2048))
     slope_rel = _tol(tolerances, "inverse_limit.slope_rel")
     profile = evaluate(CoefficientVector(params, model.amplitude * model.weights), grid.points)
     if np.max(np.abs(profile)) == 0.0:
@@ -312,13 +300,13 @@ def convergence_study(
     params: OperatorParams,
     target: Callable,
     n_list,
-    rule: QuadratureRule,
     tolerances: dict | None = None,
 ) -> ExperimentReport:
     """Truncation error of reconstructions of the target over a range of cutoffs.
 
-    Columns: L^2 error via the quadrature rule, and the sup error on the
-    interior window |v| <= 0.9 v_c (away from the endpoint mismatch).  The
+    Columns: L^2 error via `default_projection_rule` for the largest cutoff,
+    and the sup error on the interior window |v| <= 0.9 v_c (away from the
+    endpoint mismatch).  The target is sampled once on each point set.  The
     final L^2 error is judged relative to the target's L^2 norm on the same
     rule, reported as the input `target_l2_norm`, so the verdict does not
     depend on the units of v.
@@ -326,12 +314,13 @@ def convergence_study(
     n_list = _increasing(n_list)
     slack = _tol(tolerances, "converge.monotonic_slack")
     final_tol = _tol(tolerances, "converge.final_l2_rel")
-    coeffs = project(params, target, max(n_list), rule)
-    target_on_nodes = _evaluate(target, rule.nodes)
+    rule = default_projection_rule(params, n_list[-1])
+    target_on_nodes = _sample(target, rule.nodes)
+    coeffs = _project_samples(params, target_on_nodes, n_list[-1], rule)
     target_norm = float(np.sqrt(np.dot(rule.weights, target_on_nodes**2)))
     window = uniform_grid(params, 4096)
     interior = np.abs(window.points) <= 0.9 * params.v_c
-    target_interior = _evaluate(target, window.points[interior])
+    target_interior = _sample(target, window.points[interior])
     l2_errors, sup_errors = [], []
     for n in n_list:
         partial = CoefficientVector(params, coeffs.coefficients[: n + 1])

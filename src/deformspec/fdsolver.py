@@ -328,13 +328,16 @@ def validate_against_analytic(params: OperatorParams, m: int, n_modes: int) -> F
 
 
 def refinement_study(params: OperatorParams, m_list, n_modes: int = 1) -> list[FDSpectrumReport]:
-    """Validation at each grid size, with the mode-0 convergence order fitted
-    across the refinements and stored on every report."""
+    """Validation at each of one or more increasing grid sizes.  From two sizes
+    on, the mode-0 convergence order fitted across them is stored on every
+    report; with one size it stays NaN, as `validate_against_analytic` leaves it."""
     m_list = [int(m) for m in m_list]
-    if len(m_list) < 2 or any(b <= a for a, b in zip(m_list, m_list[1:])):
-        raise ValidationError("m_list must contain at least two increasing grid sizes")
+    if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
+        raise ValidationError("m_list must be non-empty and increasing")
     _require_fd_grid(m_list[-1])
     reports = [validate_against_analytic(params, m, n_modes) for m in m_list]
+    if len(reports) == 1:
+        return reports
     hs = np.array([r.h for r in reports])
     errs = np.array([r.abs_errors[0] for r in reports])
     if np.any(errs == 0.0):

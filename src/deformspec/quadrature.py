@@ -87,18 +87,6 @@ def uniform_grid(params: OperatorParams, m: int) -> Grid:
     return Grid(points=points)
 
 
-def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
-    """f on the array x, or point by point when f rejects arrays (TypeError,
-    ValueError) or returns the wrong shape; any other error propagates."""
-    try:
-        values = np.asarray(f(x), dtype=float)
-    except (TypeError, ValueError):
-        values = None
-    if values is None or values.shape != x.shape:
-        values = np.array([float(f(xi)) for xi in x])
-    return values
-
-
 #: Roots nearest +1 that take the exact cosine series of P_m.  Past them the
 #: terms of Stieltjes' series shrink by a factor 0.15 or less from term to term.
 _BOUNDARY_ROOTS = 20

@@ -156,10 +156,8 @@ def count_interior_zeros(params: OperatorParams, n: int, grid_points: int = 1000
     excluded so the Dirichlet zeros at the boundary are never counted.
     Returns exactly n for the analytic eigenfunctions once resolved.
     """
-    n = int(n)
+    n = int(_check_index(n))
     grid_points = int(grid_points)
-    if n < 0:
-        raise ValidationError("mode index n must be a non-negative integer")
     if grid_points < 1000:
         raise ValidationError("grid_points must be >= 1000")
     if grid_points < 10 * (n + 1):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, ResolutionError, ValidationError
 from .params import OperatorParams
-from .quadrature import NODES_PER_MODE, Grid, QuadratureRule, SampledFunction, _evaluate
+from .quadrature import NODES_PER_MODE, Grid, QuadratureRule, SampledFunction
 from .spectrum import eigenfunction, eigenvalue
 
 _CHUNK = 128  # modes per block when filling eigenfunction matrices
@@ -60,11 +60,18 @@ def _require_resolved(rule: QuadratureRule, n_max) -> int:
     return n_max
 
 
-def _sample(f: Callable, rule: QuadratureRule) -> np.ndarray:
-    """f on the rule's nodes; raises :class:`ValidationError` unless every value is finite."""
-    values = _evaluate(f, rule.nodes)
+def _sample(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f on the points x, or point by point when f rejects arrays (TypeError,
+    ValueError) or returns the wrong shape; any other error propagates.  Raises
+    :class:`ValidationError` unless every value is finite."""
+    try:
+        values = np.asarray(f(x), dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != x.shape:
+        values = np.array([float(f(xi)) for xi in x])
     if not np.all(np.isfinite(values)):
-        raise ValidationError("target function must be finite on the quadrature nodes")
+        raise ValidationError("target function must be finite at every sample point")
     return values
 
 
@@ -99,7 +106,14 @@ def _sine_sums(g: np.ndarray, count: int) -> np.ndarray:
 def project(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule) -> CoefficientVector:
     """Coefficients a_n = integral of f * psi_n for n = 0..n_max."""
     n_max = _require_resolved(rule, n_max)
-    weighted = rule.weights * _sample(f, rule)
+    return _project_samples(params, _sample(f, rule.nodes), n_max, rule)
+
+
+def _project_samples(
+    params: OperatorParams, values: np.ndarray, n_max: int, rule: QuadratureRule
+) -> CoefficientVector:
+    """`project` from the values of f on the rule's nodes, for a resolved n_max."""
+    weighted = rule.weights * values
     if _on_uniform_nodes(params, rule.nodes):
         coeffs = math.sqrt(1.0 / params.v_c) * _sine_sums(weighted, n_max + 1)
     else:
@@ -139,7 +153,7 @@ def reconstruct(coeffs: CoefficientVector, grid: Grid) -> SampledFunction:
 
 def l2_norm(params: OperatorParams, f: Callable, rule: QuadratureRule) -> float:
     """sqrt of the quadrature integral of f^2."""
-    return float(np.sqrt(np.dot(rule.weights, _sample(f, rule) ** 2)))
+    return float(np.sqrt(np.dot(rule.weights, _sample(f, rule.nodes) ** 2)))
 
 
 def parseval_defect(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule) -> float:

@@ -421,6 +421,32 @@ def test_si_asymptotics_exits_zero(capsys):
     assert code == 0 and json.loads(out)["verdict"] == "pass"
 
 
+_LOG_SCALED = st.floats(min_value=-6.0, max_value=-3.0).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_min=st.integers(min_value=1, max_value=5000),
+    span=st.integers(min_value=1, max_value=3000),
+    slack=st.floats(min_value=-18.0, max_value=-1.0).map(lambda x: 10.0**x),
+    e=st.just(0.0) | _LOG_SCALED | _LOG_SCALED.map(lambda x: -x),
+)
+def test_si_asymptotics_exits_as_canonical(n_min, span, slack, e):
+    """The asymptotics verdict reads deficits, so it does not depend on the units;
+    alpha scaled by 1 + e makes the identity fail for a small enough slack."""
+    import deformspec.experiments as experiments
+
+    argv = ["asymptotics", "--n-min", str(n_min), "--n-max", str(n_min + span)]
+    argv += ["--tol", f"asymptotics.identity_slack={slack!r}", "--format", "csv"]
+    exact = experiments.asymptotic_coefficient
+    codes = []
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(experiments, "asymptotic_coefficient", lambda p: exact(p) * (1 + e))
+        for extra in ([], ["--si"]):
+            codes.append(run(argv + extra))
+    assert codes[0] in (0, 1) and codes[1] == codes[0]
+
+
 def test_large_inverse_limit_runs_in_linear_memory(capsys):
     # 5001 modes on 320065 uniform points: a dense basis would take 12.8 GB
     tracemalloc.start()

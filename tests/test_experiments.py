@@ -6,14 +6,12 @@ import pytest
 from deformspec import (
     CoefficientVector,
     DecayModel,
-    ResolutionError,
     ValidationError,
     asymptotic_coefficient,
     asymptotics_report,
     canonical_params,
     constant_coefficient_report,
     convergence_study,
-    default_projection_rule,
     deformation_profile,
     eigenfunction,
     gauss_legendre_rule,
@@ -123,6 +121,10 @@ class TestRigidity:
         with pytest.raises(ValidationError):
             rigidity_report(CANON, [16, 8])
 
+    def test_negative_cutoff_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            rigidity_report(CANON, [-5, -3])
+
 
 class TestConstantCoefficients:
     def test_two_rules_agree_with_closed_form(self):
@@ -168,16 +170,14 @@ class TestInverseLimit:
 
     def test_report_slopes_match_decay_rate(self):
         model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=32)
-        grid = uniform_grid(CANON, 64 * 33)
-        report = inverse_limit_report(model, CANON, list(range(1, 9)), 2, grid)
+        report = inverse_limit_report(model, CANON, list(range(1, 9)), 2)
         assert report.verdict == "pass"
         for slope in report.series["fitted_slope"]:
             assert abs(slope + 2.0) <= 0.05 * 2.0
 
     def test_k0_factorization_exact(self):
         model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=32)
-        grid = uniform_grid(CANON, 64 * 33)
-        report = inverse_limit_report(model, CANON, [1.0, 2.0, 3.0], 0, grid)
+        report = inverse_limit_report(model, CANON, [1.0, 2.0, 3.0], 0)
         s = report.series["seminorm_k0"]
         assert s[1] / s[0] == pytest.approx(math.exp(-2.0), rel=1e-9)
         assert s[2] / s[1] == pytest.approx(math.exp(-2.0), rel=1e-9)
@@ -185,7 +185,7 @@ class TestInverseLimit:
     def test_constant_weights_factor_through_sup(self):
         model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=32, mode_decay=0.0)
         grid = uniform_grid(CANON, 64 * 33)
-        report = inverse_limit_report(model, CANON, [0.0, 1.0, 2.0], 0, grid)
+        report = inverse_limit_report(model, CANON, [0.0, 1.0, 2.0], 0)
         uniform = reconstruct(CoefficientVector(CANON, np.full(33, math.pi)), grid)
         uniform_sup = np.max(np.abs(uniform.values / math.pi))
         assert report.series["seminorm_k0"][0] == pytest.approx(uniform_sup, rel=1e-12)
@@ -193,14 +193,15 @@ class TestInverseLimit:
 
     def test_degenerate_fit_rejected(self):
         model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=4)
-        grid = uniform_grid(CANON, 512)
         with pytest.raises(ValidationError, match="degenerate fit"):
-            inverse_limit_report(model, CANON, [2.0, 2.0, 2.0], 0, grid)
+            inverse_limit_report(model, CANON, [2.0, 2.0, 2.0], 0)
 
-    def test_under_resolved_grid_rejected(self):
+    def test_grid_follows_k_max(self):
+        # k_max 3 and 4 take 256 intervals per mode: 256 * 33 + 1 points at n_max = 32
         model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=32)
-        with pytest.raises(ResolutionError):
-            inverse_limit_report(model, CANON, [1.0, 2.0, 3.0], 3, uniform_grid(CANON, 64 * 33))
+        report = inverse_limit_report(model, CANON, [1.0, 2.0, 3.0], 3)
+        assert report.inputs["grid_points"] == 8449
+        assert report.verdict == "pass"
 
     def test_model_validation(self):
         with pytest.raises(ValidationError):
@@ -216,10 +217,7 @@ class TestInverseLimit:
 
 class TestConvergenceStudy:
     def test_profile_errors_decrease(self):
-        rule = default_projection_rule(CANON, 128)
-        report = convergence_study(
-            CANON, lambda v: deformation_profile(CANON, v), [8, 16, 32, 64, 128], rule
-        )
+        report = convergence_study(CANON, lambda v: deformation_profile(CANON, v), [8, 16, 32, 64, 128])
         assert report.verdict == "pass"
         l2 = report.series["l2_error"]
         assert all(b < a for a, b in zip(l2, l2[1:]))
@@ -231,8 +229,7 @@ class TestConvergenceStudy:
         assert all(b <= a + 1e-9 for a, b in zip(sup, sup[1:]))
 
     def test_in_span_target_error_vanishes(self):
-        rule = gauss_legendre_rule(CANON, 256)
-        report = convergence_study(CANON, lambda v: eigenfunction(CANON, 4, v), [4, 8], rule)
+        report = convergence_study(CANON, lambda v: eigenfunction(CANON, 4, v), [4, 8])
         assert report.verdict == "pass"
         assert all(e < 1e-9 for e in report.series["l2_error"])
 
@@ -240,15 +237,36 @@ class TestConvergenceStudy:
         def cubed_sine(v):
             return np.sin(math.pi * (np.asarray(v) + CANON.v_c) / (2 * CANON.v_c)) ** 3
 
-        rule = default_projection_rule(CANON, 32)
-        smooth = convergence_study(CANON, cubed_sine, [8, 16, 32], rule)
-        rough = convergence_study(CANON, lambda v: deformation_profile(CANON, v), [8, 16, 32], rule)
+        smooth = convergence_study(CANON, cubed_sine, [8, 16, 32])
+        rough = convergence_study(CANON, lambda v: deformation_profile(CANON, v), [8, 16, 32])
         for a, b in zip(smooth.series["l2_error"], rough.series["l2_error"]):
             assert a < b
 
     def test_needs_increasing_list(self):
         with pytest.raises(ValidationError):
-            convergence_study(CANON, lambda v: np.ones_like(v), [8, 8], gauss_legendre_rule(CANON, 256))
+            convergence_study(CANON, lambda v: np.ones_like(v), [8, 8])
+
+    def test_negative_cutoff_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            convergence_study(CANON, lambda v: np.ones_like(v), [-3, 5])
+
+    def test_target_sampled_once_per_point_set(self):
+        sizes = []
+
+        def target(v):
+            sizes.append(np.size(v))
+            return deformation_profile(CANON, v)
+
+        convergence_study(CANON, target, [8, 16, 32, 64, 128])
+        # 1032 Gauss-Legendre nodes, then the 3687 window points with |v| <= 0.9 v_c
+        assert sizes == [1032, 3687]
+
+    def test_non_finite_target_in_window_rejected(self):
+        bad = uniform_grid(CANON, 4096).points[1000]
+        target = lambda v: np.where(np.asarray(v) == bad, np.nan, 1.0)
+        assert np.all(np.isfinite(target(gauss_legendre_rule(CANON, 256).nodes)))
+        with pytest.raises(ValidationError, match="finite"):
+            convergence_study(CANON, target, [8, 16])
 
 
 def test_report_shape():

@@ -442,3 +442,13 @@ class TestValidation:
     def test_refinement_needs_increasing_sizes(self):
         with pytest.raises(ValidationError):
             refinement_study(CANON, [500, 250], 1)
+
+    def test_refinement_with_one_size_is_one_validation(self):
+        (report,) = refinement_study(CANON, [150], 2)
+        expected = validate_against_analytic(CANON, 150, 2)
+        assert (report.m, report.h) == (expected.m, expected.h)
+        for name in ("eigenvalues_fd", "eigenvalues_analytic", "abs_errors", "rel_errors"):
+            np.testing.assert_array_equal(getattr(report, name), getattr(expected, name))
+        assert math.isnan(report.convergence_order) and math.isnan(expected.convergence_order)
+        with pytest.raises(ValidationError):
+            refinement_study(CANON, [], 2)

@@ -24,8 +24,8 @@ from deformspec import (
     uniform_grid,
     wavenumber,
 )
-from deformspec.quadrature import _BOUNDARY_ROOTS, _STENCILS, _evaluate, _theta_start
-from deformspec.transform import _on_uniform_nodes
+from deformspec.quadrature import _BOUNDARY_ROOTS, _STENCILS, _theta_start
+from deformspec.transform import _on_uniform_nodes, _sample as _evaluate
 
 CANON = canonical_params()
 

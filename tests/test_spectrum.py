@@ -160,6 +160,10 @@ class TestZeroCounting:
         with pytest.raises(ValidationError):
             count_interior_zeros(CANON, 0, 999)
 
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(ValidationError, match="mode index"):
+            count_interior_zeros(CANON, 2.5)
+
 
 def test_asymptotic_coefficient_value():
     assert asymptotic_coefficient(CANON) == pytest.approx(11.37110398547581, rel=1e-14)
