@@ -13,7 +13,7 @@ import deformspec as ds
 params = ds.canonical_params()
 
 print("discrete eigenvalues vs closed form (m = 2000 interior points):")
-report = ds.validate_against_analytic(params, 2000, 10)
+(report,) = ds.refinement_study(params, [2000], 10)
 print(f"{'n':>3} {'lambda_fd':>14} {'C_n':>14} {'rel err':>10}")
 for n in range(10):
     print(f"{n:>3} {report.eigenvalues_fd[n]:>14.6f} "

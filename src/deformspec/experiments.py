@@ -32,15 +32,16 @@ VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_DOCUMENTED = "documented_discrepancy"
 
-#: Default tolerances, overridable per report (and from the CLI via --tol).
+#: Default tolerances, overridable per report (and from the CLI via --tol); each
+#: report stores its own keys in this order as its `tolerances`.
 DEFAULT_TOLERANCES = {
     "asymptotics.identity_slack": 1e-12,
     "rigidity.parseval": 1e-8,
     "rigidity.boundary_gap_slack": 1e-9,
     "constant_projection.rule_agreement": 1e-10,
     "inverse_limit.slope_rel": 0.05,
-    "converge.final_l2_rel": 0.0248,
     "converge.monotonic_slack": 1e-9,
+    "converge.final_l2_rel": 0.0248,
 }
 
 
@@ -100,10 +101,22 @@ def _increasing(n_list) -> list[int]:
     return n_list
 
 
-def _tol(overrides: dict | None, key: str) -> float:
-    if overrides and key in overrides:
-        return float(overrides[key])
-    return DEFAULT_TOLERANCES[key]
+def _tolerances(prefix: str, overrides: dict | None) -> dict:
+    """The defaults of the keys `prefix`.* with the overrides applied.  Raises
+    :class:`ValidationError` for any other key and for a value that is not a
+    finite positive real, so no override can make a verdict pass vacuously."""
+    tolerances = {key: tol for key, tol in DEFAULT_TOLERANCES.items() if key.startswith(prefix + ".")}
+    for key, value in (overrides or {}).items():
+        if key not in tolerances:
+            raise ValidationError(f"{prefix} reads no tolerance {key!r}; keys: {', '.join(sorted(tolerances))}")
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"tolerance value for {key!r} must be a finite positive real")
+        tolerances[key] = value
+    return tolerances
 
 
 def asymptotics_report(
@@ -117,6 +130,7 @@ def asymptotics_report(
     C_n = pi - d_n to rounding, and each remainder within the identity slack
     of -alpha(2n+1) plus the rounding bound 16 eps d_n.
     """
+    tolerances = _tolerances("asymptotics", tolerances)
     n_min, n_max = int(n_min), int(n_max)
     if not 1 <= n_min < n_max:
         raise ValidationError("need 1 <= n_min < n_max")
@@ -127,7 +141,7 @@ def asymptotics_report(
     alpha = asymptotic_coefficient(params)
     remainder = alpha * ns.astype(float) ** 2 - deficit
     ratio = np.abs(remainder) / ns
-    slack = _tol(tolerances, "asymptotics.identity_slack")
+    slack = tolerances["asymptotics.identity_slack"]
     eps, linear = np.finfo(float).eps, alpha * (2.0 * ns + 1.0)
     rounding = 2.0 * eps * (math.pi + np.abs(cn))
     ok = np.all(deficit > 0.0) and np.all(np.abs(cn - (math.pi - deficit)) <= rounding)
@@ -135,7 +149,7 @@ def asymptotics_report(
     return ExperimentReport(
         name="asymptotics",
         inputs={**_params_inputs(params), "n_min": n_min, "n_max": n_max, "alpha": alpha},
-        tolerances={"asymptotics.identity_slack": slack},
+        tolerances=tolerances,
         series={
             "n": ns.tolist(),
             "eigenvalue": cn.tolist(),
@@ -157,9 +171,8 @@ def rigidity_report(
     while the target constant pi does not, so the sup distance never drops
     below pi.
     """
+    tolerances = _tolerances("rigidity", tolerances)
     n_list = _increasing(n_list)
-    tol_parseval = _tol(tolerances, "rigidity.parseval")
-    gap_slack = _tol(tolerances, "rigidity.boundary_gap_slack")
     rule = default_projection_rule(params, max(n_list))
     grid = uniform_grid(params, 2048)
     norm_sq, ratio_err, boundary_gap, sup_dev, dist = [], [], [], [], []
@@ -174,12 +187,12 @@ def rigidity_report(
         boundary_gap.append(float(min(deviation[0], deviation[-1])))
         sup_dev.append(float(np.max(deviation)))
         dist.append(float(np.sqrt(np.dot(rule.weights, (on_nodes - math.pi) ** 2))))
-    ok_norm = all(err <= tol_parseval for err in ratio_err)
-    ok_gap = all(g >= math.pi - gap_slack for g in boundary_gap)
+    ok_norm = all(err <= tolerances["rigidity.parseval"] for err in ratio_err)
+    ok_gap = all(g >= math.pi - tolerances["rigidity.boundary_gap_slack"] for g in boundary_gap)
     return ExperimentReport(
         name="rigidity",
         inputs={**_params_inputs(params), "n_list": n_list},
-        tolerances={"rigidity.parseval": tol_parseval, "rigidity.boundary_gap_slack": gap_slack},
+        tolerances=tolerances,
         series={
             "n": n_list,
             "norm_sq": norm_sq,
@@ -203,8 +216,9 @@ def constant_coefficient_report(
     ``documented_discrepancy`` with respect to the frequently assumed
     orthogonality of constants to this basis; the discrepancy is the point.
     """
+    tolerances = _tolerances("constant_projection", tolerances)
+    tol = tolerances["constant_projection.rule_agreement"]
     n_max = int(n_max)
-    tol = _tol(tolerances, "constant_projection.rule_agreement")
     one = lambda v: np.ones_like(np.asarray(v, dtype=float))
     nodes = NODES_PER_MODE * (n_max + 1)
     gauss = project(params, one, n_max, gauss_legendre_rule(params, max(512, nodes))).coefficients
@@ -219,7 +233,7 @@ def constant_coefficient_report(
     return ExperimentReport(
         name="constant_projection",
         inputs={**_params_inputs(params), "n_max": n_max},
-        tolerances={"constant_projection.rule_agreement": tol},
+        tolerances=tolerances,
         series={
             "n": ns.tolist(),
             "closed_form": closed.tolist(),
@@ -245,14 +259,15 @@ def inverse_limit_report(
     The seminorms are taken on a uniform grid of max(64 (n_max+1), 2048)
     intervals for k_max <= 2, max(256 (n_max+1), 2048) for k_max 3 and 4.
     """
+    tolerances = _tolerances("inverse_limit", tolerances)
     taus = np.asarray(list(tau_list), dtype=float)
-    if len(taus) < 3 or np.any(np.diff(taus) <= 0):
-        raise ValidationError("degenerate fit: need at least 3 strictly increasing tau values")
+    if len(taus) < 3 or not np.all(np.isfinite(taus)) or np.any(np.diff(taus) <= 0):
+        raise ValidationError("degenerate fit: need at least 3 finite, strictly increasing tau values")
     k_max = int(k_max)
     if not 0 <= k_max <= 4:
         raise ValidationError("k_max must be in 0..4")
     grid = uniform_grid(params, max((64 if k_max <= 2 else 256) * (model.n_max + 1), 2048))
-    slope_rel = _tol(tolerances, "inverse_limit.slope_rel")
+    slope_rel = tolerances["inverse_limit.slope_rel"]
     profile = evaluate(CoefficientVector(params, model.amplitude * model.weights), grid.points)
     if np.max(np.abs(profile)) == 0.0:
         raise ValidationError("deviation vanishes identically; nothing to fit")
@@ -290,7 +305,7 @@ def inverse_limit_report(
             "k_max": k_max,
             "grid_points": len(grid),
         },
-        tolerances={"inverse_limit.slope_rel": slope_rel},
+        tolerances=tolerances,
         series=series,
         verdict=VERDICT_PASS if ok else VERDICT_FAIL,
     )
@@ -311,9 +326,9 @@ def convergence_study(
     rule, reported as the input `target_l2_norm`, so the verdict does not
     depend on the units of v.
     """
+    tolerances = _tolerances("converge", tolerances)
+    slack = tolerances["converge.monotonic_slack"]
     n_list = _increasing(n_list)
-    slack = _tol(tolerances, "converge.monotonic_slack")
-    final_tol = _tol(tolerances, "converge.final_l2_rel")
     rule = default_projection_rule(params, n_list[-1])
     target_on_nodes = _sample(target, rule.nodes)
     coeffs = _project_samples(params, target_on_nodes, n_list[-1], rule)
@@ -331,7 +346,7 @@ def convergence_study(
     ok = (
         all(b <= a + slack for a, b in zip(l2_errors, l2_errors[1:]))
         and all(b <= a + slack for a, b in zip(sup_errors, sup_errors[1:]))
-        and l2_errors[-1] <= final_tol * target_norm
+        and l2_errors[-1] <= tolerances["converge.final_l2_rel"] * target_norm
     )
     return ExperimentReport(
         name="convergence_study",
@@ -341,7 +356,7 @@ def convergence_study(
             "rule_nodes": len(rule.nodes),
             "target_l2_norm": target_norm,
         },
-        tolerances={"converge.monotonic_slack": slack, "converge.final_l2_rel": final_tol},
+        tolerances=tolerances,
         series={"n": n_list, "l2_error": l2_errors, "interior_sup_error": sup_errors},
         verdict=VERDICT_PASS if ok else VERDICT_FAIL,
     )

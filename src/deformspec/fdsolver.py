@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -299,48 +299,30 @@ def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> 
     return v
 
 
-def _require_fd_grid(m: int) -> None:
-    if m > FD_MAX_INTERIOR_POINTS:
-        raise ResolutionError(f"grid of {m} interior points exceeds the FD limit of {FD_MAX_INTERIOR_POINTS}")
-
-
-def validate_against_analytic(params: OperatorParams, m: int, n_modes: int) -> FDSpectrumReport:
-    """Compare the top n_modes discrete eigenvalues with the closed form."""
-    m = int(m)
-    n_modes = int(n_modes)
-    if n_modes < 1:
-        raise ValidationError("n_modes must be >= 1")
-    if n_modes > m / 4:
-        raise ValidationError("only well-resolved modes are compared: need n_modes <= m/4")
-    _require_fd_grid(m)
-    A = discretize(params, m)
-    lam_fd = top_eigenvalues(A, n_modes)
-    lam_an = eigenvalue(params, np.arange(n_modes))
-    abs_err = np.abs(lam_fd - lam_an)
-    return FDSpectrumReport(
-        m=m,
-        h=2.0 * params.v_c / (m + 1),
-        eigenvalues_fd=lam_fd,
-        eigenvalues_analytic=lam_an,
-        abs_errors=abs_err,
-        rel_errors=abs_err / np.abs(lam_an),
-    )
-
-
 def refinement_study(params: OperatorParams, m_list, n_modes: int = 1) -> list[FDSpectrumReport]:
-    """Validation at each of one or more increasing grid sizes.  From two sizes
-    on, the mode-0 convergence order fitted across them is stored on every
-    report; with one size it stays NaN, as `validate_against_analytic` leaves it."""
+    """The top n_modes discrete eigenvalues against the closed form at each of
+    one or more increasing grid sizes, only well-resolved modes (n_modes <= m/4
+    at every size).  From two sizes on, the mode-0 convergence order fitted
+    across them is stored on every report; with one size it stays NaN."""
     m_list = [int(m) for m in m_list]
+    n_modes = int(n_modes)
     if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValidationError("m_list must be non-empty and increasing")
-    _require_fd_grid(m_list[-1])
-    reports = [validate_against_analytic(params, m, n_modes) for m in m_list]
-    if len(reports) == 1:
-        return reports
-    hs = np.array([r.h for r in reports])
-    errs = np.array([r.abs_errors[0] for r in reports])
-    if np.any(errs == 0.0):
-        raise NumericalError("zero error in refinement study; cannot fit an order")
-    order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-    return [replace(r, convergence_order=order) for r in reports]
+    if not 1 <= n_modes <= m_list[0] / 4:
+        raise ValidationError("only well-resolved modes are compared: need 1 <= n_modes <= m/4")
+    if m_list[-1] > FD_MAX_INTERIOR_POINTS:
+        raise ResolutionError(f"grid of {m_list[-1]} interior points exceeds the FD limit of {FD_MAX_INTERIOR_POINTS}")
+    lam_an = eigenvalue(params, np.arange(n_modes))
+    hs = [2.0 * params.v_c / (m + 1) for m in m_list]
+    lam_fd = [top_eigenvalues(discretize(params, m), n_modes) for m in m_list]
+    abs_errs = [np.abs(lam - lam_an) for lam in lam_fd]
+    order = math.nan
+    if len(m_list) > 1:
+        errs = np.array([err[0] for err in abs_errs])
+        if np.any(errs == 0.0):
+            raise NumericalError("zero error in refinement study; cannot fit an order")
+        order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+    return [
+        FDSpectrumReport(m, h, lam, lam_an, err, err / np.abs(lam_an), order)
+        for m, h, lam, err in zip(m_list, hs, lam_fd, abs_errs)
+    ]

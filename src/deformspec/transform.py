@@ -163,9 +163,18 @@ def parseval_defect(params: OperatorParams, f: Callable, n_max: int, rule: Quadr
     about -1e-9 for a resolved rule); the raw value is reported so that an
     under-resolved rule shows up instead of being masked.
     """
-    coeffs = project(params, f, n_max, rule)
-    norm = l2_norm(params, f, rule)
-    return float(norm**2 - np.sum(coeffs.coefficients**2))
+    return _norm_and_defect(params, f, n_max, rule)[1]
+
+
+def _norm_and_defect(
+    params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule
+) -> tuple[float, float]:
+    """`l2_norm` and `parseval_defect` from one sampling of f on the rule's nodes."""
+    n_max = _require_resolved(rule, n_max)
+    values = _sample(f, rule.nodes)
+    coeffs = _project_samples(params, values, n_max, rule)
+    norm = float(np.sqrt(np.dot(rule.weights, values**2)))
+    return norm, float(norm**2 - np.sum(coeffs.coefficients**2))
 
 
 def apply_operator_spectral(coeffs: CoefficientVector) -> CoefficientVector:

@@ -61,6 +61,15 @@ class TestCriticalIndexCommand:
         doc = json.loads(out)
         assert doc["n_star_exact"] == "none"
 
+    @pytest.mark.parametrize(
+        "custom", [["1e-200", "1e200", "1e199"], ["5e-324", "1", "0.5"]], ids=["huge-ratio", "denormal-hbar"]
+    )
+    def test_overflowing_x_exits_three(self, capsys, custom):
+        hbar, c, v_c = custom
+        code, out, err = invoke(capsys, "critical-index", "--hbar", hbar, "--c", c, "--v-c", v_c)
+        assert (code, out) == (3, "")
+        assert err.startswith("deformspec: numerical error:") and err.count("\n") == 1
+
 
 class TestProjectReconstructRoundTrip:
     def test_write_then_read(self, capsys, tmp_path):
@@ -236,6 +245,19 @@ class TestReports:
         assert doc["defect"] > 0
         assert doc["relative_defect"] == pytest.approx(9.7466e-4, rel=1e-3)
 
+    def test_parseval_samples_its_target_once(self, capsys, monkeypatch):
+        from deformspec import cli
+
+        sizes = []
+
+        def profile(params, v):
+            sizes.append(np.size(v))
+            return deformation_profile(params, v)
+
+        monkeypatch.setattr(cli, "deformation_profile", profile)
+        assert invoke(capsys, "parseval", "--n-max", "32")[0] == 0
+        assert sizes == [264]  # the 8 (32 + 1)-node Gauss-Legendre rule
+
     def test_gram_csv(self, capsys):
         code, out, _ = invoke(capsys, "gram", "--n-max", "3", "--nodes", "128")
         assert code == 0
@@ -305,6 +327,46 @@ class TestUsageErrors:
         code, out, err = invoke(capsys, "rigidity", "--n-list", "8,16", "--tol", f"rigidity.parseval={value}")
         assert (code, out) == (2, "")
         assert "finite positive" in err
+
+    def test_unknown_tolerance_key_names_the_prefix(self, capsys):
+        code, out, err = invoke(capsys, "inverse-limit", "--tol", "inverse_limit.slope=1")
+        assert (code, out) == (2, "")
+        assert "inverse_limit reads no tolerance 'inverse_limit.slope'; keys: inverse_limit.slope_rel" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rigidity", "--tol", "rigidity.parseval"],
+            ["project", "--target", "foo"],
+            ["rigidity", "--n-list", "8,x"],
+            ["inverse-limit", "--A", "-1"],
+            ["inverse-limit", "--k-max", "5"],
+            ["inverse-limit", "--A", "0"],
+            ["inverse-limit", "--tau-list", "1,nan,3"],
+            ["inverse-limit", "--tau-list", "1,2,inf"],
+            ["fd-validate", "--grid-sizes", "100", "--modes", "0"],
+            ["reconstruct", "--coeffs", "n,a_n\n0,1,2\n"],
+            ["reconstruct", "--coeffs", "n,a_n\n0,abc\n"],
+            ["reconstruct", "--coeffs", "n,a_n\n"],
+            ["rigidity", "--n-list", ","],
+            ["converge", "--n-list", ","],
+            ["inverse-limit", "--tau-list", ","],
+            ["fd-validate", "--grid-sizes", ","],
+        ],
+        ids=[
+            "tol-without-equals", "unknown-target", "n-list-not-int", "negative-amplitude", "k-max-5",
+            "zero-amplitude", "nan-tau", "inf-tau", "zero-modes", "coeffs-three-fields", "coeffs-not-a-number",
+            "coeffs-header-only", "empty-n-list", "empty-converge-n-list", "empty-tau-list", "empty-grid-sizes",
+        ],
+    )
+    def test_bad_input_is_one_line_and_exit_2(self, capsys, tmp_path, argv):
+        if argv[0] == "reconstruct":
+            path = tmp_path / "coeffs.csv"
+            path.write_text(argv[-1])
+            argv = [*argv[:-1], str(path)]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("deformspec: error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestIOErrors:

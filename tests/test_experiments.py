@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deformspec import (
+    DEFAULT_TOLERANCES,
     CoefficientVector,
     DecayModel,
     ValidationError,
@@ -196,6 +197,12 @@ class TestInverseLimit:
         with pytest.raises(ValidationError, match="degenerate fit"):
             inverse_limit_report(model, CANON, [2.0, 2.0, 2.0], 0)
 
+    @pytest.mark.parametrize("taus", [[1.0, math.nan, 3.0], [1.0, 2.0, math.inf], [-math.inf, 1.0, 2.0]])
+    def test_non_finite_tau_rejected(self, taus):
+        model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=4)
+        with pytest.raises(ValidationError, match="finite, strictly increasing"):
+            inverse_limit_report(model, CANON, taus, 0)
+
     def test_grid_follows_k_max(self):
         # k_max 3 and 4 take 256 intervals per mode: 256 * 33 + 1 points at n_max = 32
         model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=32)
@@ -274,3 +281,41 @@ def test_report_shape():
     assert set(("name", "inputs", "tolerances", "series", "verdict")) <= set(vars(report))
     assert report.tolerances  # every verdict is justified by a tolerance entry
     assert all(len(report.series["n"]) == len(col) for col in report.series.values())
+
+
+# Each report on small inputs, called with the given tolerance overrides.
+REPORTS = {
+    "asymptotics": lambda tol: asymptotics_report(CANON, 10, 20, tol),
+    "rigidity": lambda tol: rigidity_report(CANON, [2, 4], tol),
+    "constant_projection": lambda tol: constant_coefficient_report(CANON, 4, tol),
+    "inverse_limit": lambda tol: inverse_limit_report(DecayModel(1.0, 2.0, 4), CANON, [1.0, 2.0, 3.0], 1, tol),
+    "converge": lambda tol: convergence_study(CANON, lambda v: deformation_profile(CANON, v), [2, 4], tol),
+}
+
+
+@pytest.mark.parametrize("prefix", sorted(REPORTS))
+class TestTolerances:
+    """Every report checks its overrides itself, so no library caller can make
+    a verdict pass vacuously or have a misspelt key ignored."""
+
+    @staticmethod
+    def own_keys(prefix):
+        return [key for key in DEFAULT_TOLERANCES if key.startswith(prefix + ".")]
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_value_must_be_finite_and_positive(self, prefix, value):
+        for key in self.own_keys(prefix):
+            with pytest.raises(ValidationError, match="finite positive"):
+                REPORTS[prefix]({key: value})
+
+    def test_foreign_and_misspelt_keys_rejected(self, prefix):
+        foreign = [key for key in DEFAULT_TOLERANCES if key not in self.own_keys(prefix)]
+        for key in [*foreign, f"{prefix}.bogus"]:
+            with pytest.raises(ValidationError, match=f"{prefix} reads no tolerance"):
+                REPORTS[prefix]({key: 1e-3})
+
+    def test_report_stores_its_defaults_with_the_overrides(self, prefix):
+        keys = self.own_keys(prefix)
+        report = REPORTS[prefix]({keys[0]: 0.5})
+        assert report.tolerances == {key: 0.5 if key == keys[0] else DEFAULT_TOLERANCES[key] for key in keys}
+        assert list(report.tolerances) == keys

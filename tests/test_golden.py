@@ -133,7 +133,7 @@ PUBLIC_NAMES = {
     "eigenvector_inverse_iteration", "evaluate", "fd_derivative", "gauss_legendre_rule", "gram_matrix",
     "interior_grid", "inverse_limit_report", "l2_norm", "parseval_defect", "project", "reconstruct",
     "refinement_study", "rigidity_report", "si_params", "sinpi", "top_eigenvalues", "uniform_grid",
-    "validate_against_analytic", "wavenumber",
+    "wavenumber",
 }
 
 

@@ -151,8 +151,8 @@ def _rule_and_reference(name, m):
 
 
 def test_theta_start_lands_inside_the_newton_stop():
-    """The theta start alone is within 1e-15, the recurrence loop's stop, of
-    the oracle's non-negative roots, so the builder needs one sweep."""
+    """The theta start alone is within 1e-15 of the oracle's non-negative
+    roots, so the builder's one recurrence sweep and Newton step suffice."""
     for m in ORACLE_SIZES:
         start = _theta_start(m)
         roots = _unit_reference(m).nodes[::-1][: (m + 1) // 2]
