@@ -4,8 +4,9 @@ closed-form spectrum.
 The operator is discretized with the 3-point second difference on interior
 points (Dirichlet rows eliminated), giving a symmetric tridiagonal Toeplitz
 matrix.  Eigenvalues come from Sturm-sequence multisection inside Gershgorin
-bounds (each sweep counts at every midpoint of several bisection levels, so
-the brackets are exactly those of one-midpoint bisection), returned as bracket
+bounds (each sweep counts at every midpoint of several bisection levels, once
+per distinct bracket and never again at a shift whose count is known, so the
+brackets are exactly those of one-midpoint bisection), returned as bracket
 midpoints; eigenvectors from shifted inverse iteration with a partially
 pivoted tridiagonal solve.  Nothing here touches the sine basis, so agreement
 with the analytic spectrum is a genuine two-route check.
@@ -24,12 +25,13 @@ from .params import OperatorParams
 from .spectrum import eigenvalue
 
 # A Sturm sweep over s shifts costs about (1 + s/SWEEP_WIDTH) sweeps over one
-# shift: below a few thousand shifts the per-row numpy call overhead dominates
-# (fits gave 2100-3600 at m = 2000 on a 2-core x86-64 box).
+# shift: below a few thousand shifts the per-row numpy call overhead dominates.
+# Counts alone fit 2100-2300 at m = 2000 (2-core x86-64 box); with the node
+# build and walk, whole solves tie from 2500 to 4000 and slow 15-20% at 2000.
 SWEEP_WIDTH = 3000
 
 # Largest grid an FD validation discretizes; each eigenvalue sweep is an
-# m-step Python loop, so m = 100000 with 10 modes takes about 17 s on a
+# m-step Python loop, so m = 100000 with 10 modes takes about 8 s on a
 # 2-core x86-64 box.
 FD_MAX_INTERIOR_POINTS = 100_000
 
@@ -111,7 +113,10 @@ def _sturm_counts(diag: np.ndarray, off2: np.ndarray, pivmin: float, xs: np.ndar
 
     Zero pivots are treated as negative (replaced by -pivmin before the next
     division), which keeps the count monotone when a shift hits an eigenvalue
-    of a leading submatrix exactly.
+    of a leading submatrix exactly.  The divide finds them: with only
+    divide-by-zero and invalid raising, off2/d raises exactly when some pivot
+    is +-0.0 (x/0, or 0/0 under a zero off-diagonal), and only then is the
+    row's pivot vector scanned, fixed up and divided again.
     """
     xs = np.asarray(xs, dtype=float)
     base, quotient = np.empty_like(xs), np.empty_like(xs)
@@ -123,7 +128,7 @@ def _sturm_counts(diag: np.ndarray, off2: np.ndarray, pivmin: float, xs: np.ndar
     # uint8 adds of the mask run without a cast; flushed before they wrap
     tally = np.zeros(xs.shape, dtype=np.uint8)
     previous = None
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(all="ignore", divide="raise", invalid="raise"):
         for i, row in enumerate(rows):
             # diag[i] - xs is reused while diag[i] repeats; +0.0 == -0.0, but
             # a signed zero there can only flip the sign of a zero pivot,
@@ -131,10 +136,12 @@ def _sturm_counts(diag: np.ndarray, off2: np.ndarray, pivmin: float, xs: np.ndar
             if row != previous:
                 np.subtract(row, xs, out=base)
                 previous = row
-            np.equal(d, 0.0, out=mask)
-            if np.count_nonzero(mask):
-                d[mask] = -pivmin
-            np.divide(off[i], d, out=quotient)
+            try:
+                np.divide(off[i], d, out=quotient)
+            except FloatingPointError:
+                d[d == 0.0] = -pivmin
+                with np.errstate(all="ignore"):
+                    np.divide(off[i], d, out=quotient)
             np.subtract(base, quotient, out=d)
             np.less_equal(d, 0.0, out=mask)
             tally += mask.view(np.uint8)
@@ -177,29 +184,46 @@ def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -
     of every bracket; the midpoints come from the same 0.5*(lo + hi)
     recursion and the levels are walked with the same stop test after each,
     so the brackets equal those of one-midpoint-per-sweep bisection bit for
-    bit, whatever b is.
+    bit, whatever b is.  Reusing a count changes no bracket either, since a
+    count depends only on the value of its shift: indices that share a
+    bracket (all at the start, many where eigenvalues cluster) share one row
+    of nodes, each bracket carries the counts at its ends, and a sweep counts
+    only the distinct nodes that differ from those ends, so none for a
+    bracket collapsed to adjacent floats.
     """
     off2, pivmin, lower, upper = _sturm_setup(A)
     k = len(indices)
     lo, hi = np.full(k, lower), np.full(k, upper)
-    bracket = np.arange(k)
-    depth = _multisection_depth(k)
+    # placeholders: the first sweep counts every node, the Gershgorin bounds
+    # too, since an eigenvalue can lie on one
+    count_lo = count_hi = np.zeros(k, dtype=np.int64)
     levels, converged = 0, False
     while levels < 110 and not converged:
-        b = min(depth, 110 - levels)
+        # brackets ascend with the index, so equal ones are adjacent; compared as
+        # bits, since [-0.0, -0.0] and [0.0, 0.0] have different midpoints
+        ends = np.stack((lo, hi), axis=1).view(np.int64)
+        new = np.r_[True, np.any(ends[1:] != ends[:-1], axis=1)]
+        first, bracket = np.flatnonzero(new), np.cumsum(new) - 1
+        b = min(_multisection_depth(len(first)), 110 - levels)
         width = 2**b
-        # row j holds bracket j's 2^b + 1 tree nodes in order
-        nodes = np.empty((k, width + 1))
-        nodes[:, 0], nodes[:, width] = lo, hi
+        # row g holds distinct bracket g's 2^b + 1 tree nodes in order
+        nodes = np.empty((len(first), width + 1))
+        nodes[:, 0], nodes[:, width] = lo[first], hi[first]
         step = width
         while step > 1:
             nodes[:, step // 2 :: step] = 0.5 * (nodes[:, :-1:step] + nodes[:, step::step])
             step //= 2
-        counts = _sturm_counts(A.diag, off2, pivmin, nodes[:, 1:-1].ravel()).reshape(k, width - 1)
+        at_lo = nodes == nodes[:, :1]
+        counts = np.where(at_lo, count_lo[first, None], count_hi[first, None])
+        fresh = ~(at_lo | (nodes == nodes[:, -1:])) | (levels == 0)
+        # the fresh nodes ascend row after row, so repeats are adjacent
+        xs = nodes[fresh]
+        distinct = np.r_[True, xs[1:] != xs[:-1]]
+        counts[fresh] = _sturm_counts(A.diag, off2, pivmin, xs[distinct])[np.cumsum(distinct) - 1]
         left = np.zeros(k, dtype=np.intp)
         for _ in range(b):
             width //= 2
-            below = counts[bracket, left + width - 1] <= indices
+            below = counts[bracket, left + width] <= indices
             left += width * below
             lo, hi = nodes[bracket, left], nodes[bracket, left + width]
             levels += 1
@@ -207,6 +231,7 @@ def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -
             converged = bool(np.all(hi - lo <= tol))
             if converged:
                 break
+        count_lo, count_hi = counts[bracket, left], counts[bracket, left + width]
     return 0.5 * (lo + hi)
 
 
