@@ -35,10 +35,6 @@ SWEEP_WIDTH = 3000
 # 2-core x86-64 box.
 FD_MAX_INTERIOR_POINTS = 100_000
 
-# Inverse iteration: target residual |A v - lam v| and the solves allowed to reach it.
-INVERSE_ITERATION_TOL = 1e-8
-INVERSE_ITERATION_MAX_STEPS = 50
-
 
 @dataclass(frozen=True)
 class TridiagonalSymmetricMatrix:
@@ -288,36 +284,38 @@ def _solve_shifted(A: TridiagonalSymmetricMatrix, lam: float, b: np.ndarray) -> 
 
 
 def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> np.ndarray:
-    """Unit eigenvector for an eigenvalue estimate within 1e-6 of a simple eigenvalue.
+    """Unit eigenvector for a shift accurate to working precision, such as a
+    :func:`top_eigenvalues` entry, by two shifted solves from a seeded start.
 
-    Sign is gauged so the first component of noticeable size is positive.
-    Emits :class:`ConditioningWarning` when another eigenvalue lies within
-    1e-6 of the shift (the result spans an ill-determined subspace then).
+    With scale = max|diag| + max|off|, the residual |A v - lam v| is then a
+    few eps * scale (the 1e-15 relative bisection bracket alone allows about
+    3 eps * scale), growing slowly with dim, and a third solve does not lower it.
+    :class:`NumericalError` is raised when it exceeds 4 * dim * eps * scale:
+    the shift is not that close to an eigenvalue.  Sign is gauged so the first
+    component of noticeable size is positive.  The vector's error is about
+    eps * scale / gap, gap being the distance to the next eigenvalue;
+    :class:`ConditioningWarning` is emitted when another eigenvalue lies within
+    1e-8 * max(1, scale) of the shift, where that error could exceed 2e-8.
     """
     lam = float(lam)
     off2, pivmin, _, _ = _sturm_setup(A)
     scale = float(np.max(np.abs(A.diag)) + (np.max(np.abs(A.offdiag)) if A.dim > 1 else 0.0))
-    gap = 1e-6 * max(1.0, scale)
+    gap = 1e-8 * max(1.0, scale)
     nearby = _sturm_counts(A.diag, off2, pivmin, np.array([lam + gap, lam - gap]))
     if int(nearby[0] - nearby[1]) > 1:
         warnings.warn("clustered eigenvalues near the shift", ConditioningWarning)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(A.dim)
     v /= np.linalg.norm(v)
-    for _ in range(INVERSE_ITERATION_MAX_STEPS):
+    for _ in range(2):
         w = _solve_shifted(A, lam, v)
         norm = np.linalg.norm(w)
         if not np.isfinite(norm) or norm == 0.0:
             raise NumericalError("inverse iteration produced a non-finite iterate")
         v = w / norm
-        residual = np.linalg.norm(A.matvec(v) - lam * v)
-        if residual <= INVERSE_ITERATION_TOL:
-            break
-    else:
-        raise NumericalError(
-            f"inverse iteration did not reach residual {INVERSE_ITERATION_TOL} "
-            f"in {INVERSE_ITERATION_MAX_STEPS} iterations"
-        )
+    residual = np.linalg.norm(A.matvec(v) - lam * v)
+    if not residual <= 4 * A.dim * np.finfo(float).eps * scale:
+        raise NumericalError(f"shift {lam!r} leaves residual {residual:.3e}, above 4 * dim * eps * scale")
     significant = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
     if len(significant) and v[significant[0]] < 0:
         v = -v

@@ -503,6 +503,24 @@ class TestInverseIteration:
         off_identity = vecs @ vecs.T - np.eye(8)
         assert np.max(np.abs(off_identity)) < 1e-8
 
+    @pytest.mark.parametrize("params", [CANON, custom_params(0.8, 3.0, 1.7)], ids=["canonical", "custom"])
+    def test_top_modes_past_m3000(self, params):
+        # scale is about 5.5e7 (canonical): residuals of a few eps * scale exceed 1e-8
+        A = discretize(params, 4000)
+        scale = np.max(np.abs(A.diag)) + np.max(np.abs(A.offdiag))
+        lams = top_eigenvalues(A, 10)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vecs = np.array([eigenvector_inverse_iteration(A, lam) for lam in lams])
+        # the top ten are at least 0.5 apart, far outside the clustering window
+        assert not [w for w in caught if issubclass(w.category, ConditioningWarning)]
+        residuals = [np.linalg.norm(A.matvec(vec) - lam * vec) for vec, lam in zip(vecs, lams)]
+        assert max(residuals) <= 4 * A.dim * np.finfo(float).eps * scale
+        assert np.max(np.abs(vecs @ vecs.T - np.eye(10))) < 1e-8
+        for vec in vecs:
+            significant = np.nonzero(np.abs(vec) > 1e-12 * np.max(np.abs(vec)))[0]
+            assert vec[significant[0]] > 0
+
     def test_clustered_eigenvalue_warns(self):
         A = TridiagonalSymmetricMatrix(diag=np.array([1.0, 1.0]), offdiag=np.array([1e-9]))
         with pytest.warns(ConditioningWarning):

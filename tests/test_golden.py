@@ -115,7 +115,7 @@ RIGIDITY_SERIES = {
 DEMOS = {
     "01_closed_form_spectrum.py": "e5840a9f669f651550ddd68645fed8dfbac7059b5354300ee79489db1b2abc96",
     "02_transform_and_parseval.py": "80e35c98ff19a44bc47ab46c092a2575e901c6d9bc6322ce8a05db453074ee91",
-    "03_fd_cross_validation.py": "e92b0dac6d04ba23bddab5e306258dcf27098458671d676f5f33190255df7783",
+    "03_fd_cross_validation.py": "adca7b0c59c53733ca9602d4aee2227741f0267984835cbc846693f5db730fd4",
     "04_rigidity_obstruction.py": "d4a424c3f4957b81cddb4528cf2963a8be0e9de4d4cf4760d989ac3eb024701f",
     "05_inverse_limit_decay.py": "28923f4af41eaccb37bf53b96580c1c0f2a9c6f67a5e34cb2572a4a69073c3e3",
     "06_reconstruction_convergence.py": "efea4ffffe5a8d71b4b539171603be27f781ba37368bac94be73a5ccf4b95691",

@@ -8,12 +8,21 @@ from hypothesis import strategies as st
 
 from deformspec import (
     CRITICAL_VELOCITY_RATIO,
+    DecayModel,
     DomainError,
+    Grid,
+    OperatorParams,
+    QuadratureRule,
+    SampledFunction,
+    TridiagonalSymmetricMatrix,
     ValidationError,
     canonical_params,
     custom_params,
     deformation_profile,
+    gauss_legendre_rule,
+    project,
     si_params,
+    top_eigenvalues,
 )
 
 
@@ -120,3 +129,47 @@ def test_profile_attains_both_bounds():
     values = deformation_profile(p, np.linspace(-p.v_c, p.v_c, 101))
     assert np.max(values) == math.pi
     assert np.min(values) == pytest.approx(1.0, abs=1e-12)
+
+
+def _two_by_two():
+    return TridiagonalSymmetricMatrix(diag=np.ones(2), offdiag=np.ones(1))
+
+
+# One input check per case, each pinned by its message.
+INPUT_CHECKS = {
+    "matrix-non-finite": (
+        lambda: TridiagonalSymmetricMatrix(diag=np.array([1.0, np.nan]), offdiag=np.zeros(1)),
+        "entries must be finite",
+    ),
+    "top-count-zero": (lambda: top_eigenvalues(_two_by_two(), 0), "count must be in"),
+    "top-count-above-dim": (lambda: top_eigenvalues(_two_by_two(), 3), "count must be in"),
+    "unit-mode-unknown": (lambda: OperatorParams(1.0, 1.0, 0.5, "natural"), "unit_mode must be one of"),
+    "dimensionless-hbar": (
+        lambda: OperatorParams(2.0, 3.0, CRITICAL_VELOCITY_RATIO, "dimensionless"),
+        "requires hbar = c = 1",
+    ),
+    "dimensionless-v_c": (lambda: OperatorParams(1.0, 1.0, 0.5, "dimensionless"), "requires v_c = sqrt"),
+    "grid-one-point": (lambda: Grid(np.array([0.0])), "at least two points"),
+    "rule-shapes": (lambda: QuadratureRule(np.zeros(3), np.ones(2)), "1-d arrays of equal length"),
+    "rule-zero-weight": (lambda: QuadratureRule(np.arange(3.0), np.array([1.0, 0.0, 1.0])), "weights positive"),
+    "samples-length": (
+        lambda: SampledFunction(Grid(np.linspace(-1.0, 1.0, 5)), np.zeros(4)),
+        "must match the grid",
+    ),
+    "samples-non-finite": (
+        lambda: SampledFunction(Grid(np.linspace(-1.0, 1.0, 3)), np.array([0.0, np.inf, 0.0])),
+        "sampled values must be finite",
+    ),
+    "project-negative-n_max": (
+        lambda: project(canonical_params(), np.cos, -1, gauss_legendre_rule(canonical_params(), 64)),
+        "n_max must be >= 0",
+    ),
+    "decay-negative-n_max": (lambda: DecayModel(1.0, 1.0, -1), "n_max must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_check_raises(case):
+    build, message = INPUT_CHECKS[case]
+    with pytest.raises(ValidationError, match=message):
+        build()

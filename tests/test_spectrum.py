@@ -136,6 +136,23 @@ class TestCriticalIndex:
         assert report.x > 1e50
         assert report.n_star_exact == report.n_star_paper - 1
 
+    @pytest.mark.parametrize(
+        "hbar,v_c,x,floor_candidate",
+        [
+            # x rounds just below 2: the floor candidate 0 is raised to 1
+            (0.0033, 0.010367255756846315, 1.9999999999999996, 0),
+            # x is exactly 19, where C_18 = 0 rounds negative: 18 is lowered to 17
+            (0.001, 0.029845130209103034, 19.0, 18),
+        ],
+    )
+    def test_sign_scan_corrects_the_floor_candidate(self, hbar, v_c, x, floor_candidate):
+        params = custom_params(hbar, 1.0, v_c)
+        report = critical_index(params)
+        assert report.x == x and math.floor(x) - 1 == floor_candidate
+        scanned = [n for n in range(int(x) + 2) if eigenvalue(params, n) >= 0.0]
+        assert scanned == list(range(len(scanned)))
+        assert report.n_star_exact == scanned[-1] != floor_candidate
+
     def test_floor_relation_for_non_integer_x(self):
         for hbar in (0.29, 0.11, 0.034):
             report = critical_index(custom_params(hbar, 1.0, 0.77))
