@@ -309,10 +309,13 @@ def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> 
     v /= np.linalg.norm(v)
     for _ in range(2):
         w = _solve_shifted(A, lam, v)
-        norm = np.linalg.norm(w)
-        if not np.isfinite(norm) or norm == 0.0:
+        peak = np.max(np.abs(w))
+        if not np.isfinite(peak) or peak == 0.0:
             raise NumericalError("inverse iteration produced a non-finite iterate")
-        v = w / norm
+        # a floored zero pivot leaves entries near 1e306, whose squares overflow;
+        # a power-of-two scale is exact, so v is still w / |w| to the bit
+        w = np.ldexp(w, -math.frexp(peak)[1])
+        v = w / np.linalg.norm(w)
     residual = np.linalg.norm(A.matvec(v) - lam * v)
     if not residual <= 4 * A.dim * np.finfo(float).eps * scale:
         raise NumericalError(f"shift {lam!r} leaves residual {residual:.3e}, above 4 * dim * eps * scale")

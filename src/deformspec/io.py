@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +32,37 @@ def table_to_csv(header, columns) -> str:
     """CSV table: the header row, then row i holds element i of every column.
 
     A float cell is written by :func:`format_float`, any other cell through
-    ``str``; ndarray columns are converted with ``tolist`` first.
+    ``str``; ndarray columns are converted with ``tolist`` first.  Raises
+    ``ValueError`` when the columns differ in length.
     """
-    cells = [_cells(column) for column in columns]
-    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    columns = [column.tolist() if isinstance(column, np.ndarray) else list(column) for column in columns]
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
+    rows = lengths[0] if lengths else 0
+    width = len(columns)
+    directives, cells = [], [None] * (rows * width)
+    for j, column in enumerate(columns):
+        directive, column_cells = _column(column)
+        directives.append(directive)
+        cells[j::width] = column_cells
+    template = ",".join(directives) + "\n"
+    return ",".join(header) + "\n" + (template * rows) % tuple(cells)
 
 
-def _cells(column) -> list:
-    if isinstance(column, np.ndarray):
-        column = column.tolist()
-    return [format_float(x) if isinstance(x, float) else str(x) for x in column]
+def _column(column: list) -> tuple[str, list]:
+    """One ``%`` directive for a whole column, and the cells it takes.
+
+    Columns of exact floats or exact ints are formatted by the directive
+    (``bool`` and numpy scalars are not exact ints); any other column is
+    formatted cell by cell and written through ``%s``.
+    """
+    types = set(map(type, column))
+    if types == {float}:
+        return "%.17g", column
+    if types == {int}:
+        return "%d", column
+    return "%s", [format_float(x) if isinstance(x, float) else str(x) for x in column]
 
 
 def sampled_function_to_csv(sf: SampledFunction) -> str:
@@ -120,7 +142,52 @@ def write_experiment_csv_per_series(report: ExperimentReport, directory) -> list
 
 
 def to_json(payload: dict, meta: dict | None = None) -> str:
+    """``json.dumps(doc, indent=2)`` plus a newline, doc being the payload
+    with ``meta`` appended; numeric lists and records are written by templates."""
     doc = dict(payload)
     if meta is not None:
         doc["meta"] = meta
-    return json.dumps(doc, indent=2) + "\n"
+    return _json(doc, "\n") + "\n"
+
+
+def _json(obj, newline: str) -> str:
+    """``json.dumps(obj, indent=2)`` for a value whose line starts ``newline``."""
+    inner = newline + "  "
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        items = (json.dumps(key) + ": " + _json(value, inner) for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(obj) is list and obj:
+        if _plain_numbers(obj):
+            body = ("," + inner).join(map(repr, obj))
+        elif (records := _records(obj, inner)) is not None:
+            body = records
+        else:
+            body = ("," + inner).join(_json(item, inner) for item in obj)
+        return "[" + inner + body + newline + "]"
+    return json.dumps(obj, indent=2).replace("\n", newline)
+
+
+def _records(obj: list, newline: str) -> str | None:
+    """A list of dicts with one shared order of ``str`` keys and plain-number
+    values, written by one record template; ``None`` for any other list."""
+    if set(map(type, obj)) != {dict} or len(set(map(tuple, obj))) != 1:
+        return None
+    if not obj[0] or not all(type(key) is str for key in obj[0]):
+        return None
+    values = list(chain.from_iterable(map(dict.values, obj)))
+    if not _plain_numbers(values):
+        return None
+    inner = newline + "  "
+    fields = ("," + inner).join(json.dumps(key).replace("%", "%%") + ": %r" for key in obj[0])
+    record = "{" + inner + fields + newline + "}"
+    return ("," + newline).join([record] * len(obj)) % tuple(values)
+
+
+def _plain_numbers(values: list) -> bool:
+    """Every value an exact int or a finite exact float, which json writes as its repr."""
+    if not set(map(type, values)) <= {int, float}:
+        return False
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond float range: left to json.dumps
+        return False

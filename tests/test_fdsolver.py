@@ -496,6 +496,19 @@ class TestInverseIteration:
         vec = eigenvector_inverse_iteration(A, 5.0)
         np.testing.assert_allclose(vec, [0.0, 1.0, 0.0], atol=1e-8)
 
+    @pytest.mark.parametrize("d", [2.0, -3.5, 0.0, 1e-300, 1e300])
+    def test_one_by_one_returns_unit_vector(self, d):
+        # the shifted pivot is exactly zero, so the solve returns its floor's
+        # reciprocal, about 1e306: its square must not reach the norm
+        A = TridiagonalSymmetricMatrix(diag=np.array([d]), offdiag=np.array([]))
+        np.testing.assert_array_equal(eigenvector_inverse_iteration(A, d), [1.0])
+
+    def test_triple_eigenvalue_of_a_diagonal_matrix(self):
+        A = TridiagonalSymmetricMatrix(diag=np.full(3, -2.0), offdiag=np.zeros(2))
+        with pytest.warns(ConditioningWarning):
+            vec = eigenvector_inverse_iteration(A, -2.0)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-15)
+
     def test_orthogonality_of_leading_eigenvectors(self):
         A = discretize(CANON, 500)
         lams = top_eigenvalues(A, 8)

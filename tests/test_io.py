@@ -1,0 +1,228 @@
+"""The CSV and JSON writers against the writers they replaced.
+
+``oracle_table_to_csv`` (one ``format_float`` or ``str`` call per cell, rows
+joined by ``zip``) and ``oracle_to_json`` (plain ``json.dumps(indent=2)``) are
+the writers ``deformspec.io`` used before its row and record templates; every
+output must equal theirs as a string.
+
+Run as a script, the module compares the sha256 of CLI outputs at benchmark
+size with those of the same commands written by the oracles, and exits 1 on
+any difference::
+
+    PYTHONPATH=src python tests/test_io.py
+"""
+
+import contextlib
+import hashlib
+import json
+import math
+import sys
+from io import StringIO
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import deformspec.io as writers
+from deformspec import cli
+from deformspec.io import table_to_csv, to_json
+
+
+def oracle_format_float(x) -> str:
+    return f"{float(x):.17g}"
+
+
+def oracle_cells(column) -> list:
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    return [oracle_format_float(x) if isinstance(x, float) else str(x) for x in column]
+
+
+def oracle_table_to_csv(header, columns) -> str:
+    cells = [oracle_cells(column) for column in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
+def oracle_to_json(payload: dict, meta: dict | None = None) -> str:
+    doc = dict(payload)
+    if meta is not None:
+        doc["meta"] = meta
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def cli_output(argv, oracle: bool = False) -> bytes:
+    """stdout of ``deformspec argv``, written by the oracles when ``oracle``."""
+    out = StringIO()
+    with contextlib.ExitStack() as stack:
+        if oracle:
+            # the io writers call table_to_csv through their module's globals
+            stack.enter_context(mock.patch.object(writers, "table_to_csv", oracle_table_to_csv))
+            stack.enter_context(mock.patch.object(cli, "table_to_csv", oracle_table_to_csv))
+            stack.enter_context(mock.patch.object(cli, "to_json", oracle_to_json))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        code = cli.run(list(argv))
+    if code != 0:
+        raise RuntimeError(f"deformspec {' '.join(argv)} exited {code}")
+    return out.getvalue().encode()
+
+
+FLOAT_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+floats = st.floats() | st.sampled_from(FLOAT_EDGES)
+# past 2**53, %.17g of the int's float would differ from str
+ints = st.integers() | st.integers(min_value=2**53, max_value=2**80) | st.integers(max_value=-(2**53))
+texts = st.text(alphabet=st.sampled_from("%sdr.,-aé0 \"\\\n"), max_size=6)
+
+CELLS = {
+    "float": floats,
+    "int": ints,
+    "bool": st.booleans(),
+    "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "float64": floats.map(np.float64),
+    "str": texts,
+}
+CELLS["mixed"] = st.one_of(*CELLS.values())
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from([*CELLS, "range"]))
+        if kind == "range":
+            columns.append(range(rows))
+            continue
+        column = draw(st.lists(CELLS[kind], min_size=rows, max_size=rows))
+        if kind in ("float", "bool", "int64", "float64") and draw(st.booleans()):
+            column = np.array(column)
+        columns.append(column)
+    return [f"c%{j}" for j in range(len(columns))], columns
+
+
+class TestTableToCsv:
+    @settings(max_examples=250, deadline=None)
+    @given(tables())
+    def test_equals_oracle(self, table):
+        assert table_to_csv(*table) == oracle_table_to_csv(*table)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            FLOAT_EDGES,
+            [2**53 + 1, -(2**60) - 1, 10**30, 0],
+            [True, False],
+            [np.int64(7), np.float64(0.1), np.float64(math.nan)],
+            ["100%", "%d", "%s%%"],
+            [1, 2.5, "x", None, True],
+            [],
+        ],
+    )
+    def test_edge_columns_equal_oracle(self, column):
+        table = (["a", "b"], [range(len(column)), column])
+        assert table_to_csv(*table) == oracle_table_to_csv(*table)
+
+    def test_ragged_columns_raise(self):
+        with pytest.raises(ValueError, match=r"columns differ in length: \[3, 1\]"):
+            table_to_csv(["a", "b"], [[1.0, 2.0, 3.0], [4]])
+
+
+json_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+json_leaves = st.none() | st.booleans() | ints | json_floats | st.text(max_size=5)
+json_keys = st.text(max_size=4) | st.integers() | json_floats | st.booleans() | st.none()
+json_values = st.recursive(
+    json_leaves,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(ints | json_floats, max_size=6)
+        | st.tuples(children, children)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+        | st.dictionaries(json_keys, children, max_size=3)
+    ),
+    max_leaves=25,
+)
+plain_numbers = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def record_lists(draw):
+    """Records that share one key order, or that break the record template
+    in one place: key order, keys, or a value json writes differently."""
+    key = st.text(alphabet=st.sampled_from("n%a_é\"\\"), max_size=3) | st.integers(0, 2) | st.none()
+    keys = draw(st.lists(key, max_size=4, unique=True))
+    records = [
+        dict(zip(keys, draw(st.lists(plain_numbers, min_size=len(keys), max_size=len(keys)))))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    last = records[-1]
+    change = draw(st.sampled_from(["none", "reorder", "extra-key", "drop-key", "value"]))
+    if change == "reorder":
+        records[-1] = dict(reversed(last.items()))
+    elif change == "extra-key":
+        last["extra"] = 1
+    elif change == "drop-key" and last:
+        del last[next(iter(last))]
+    elif change == "value" and last:
+        last[next(iter(last))] = draw(st.sampled_from([math.nan, math.inf, -math.inf, True, None, "x", 10**400]))
+    return records
+
+
+class TestToJson:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(max_size=4), json_values, max_size=4), st.none() | json_values)
+    def test_equals_oracle(self, payload, meta):
+        assert to_json(payload, meta) == oracle_to_json(payload, meta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(record_lists())
+    def test_records_equal_oracle(self, records):
+        payload = {"modes": records, "nested": [records, {"r": records}]}
+        assert to_json(payload) == oracle_to_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"a": [], "b": {}, "c": [[]], "d": [{}], "e": ()},
+            {"leaf": [1, 2.5, math.nan, -math.inf], "t": (1, [2.0, math.inf]), "s": "ünïcode ✓"},
+            {"r": [{"n": 0, "x": math.inf}, {"n": 1, "x": 0.5}], "b": [{"ok": True}, {"ok": False}]},
+            {"k": {True: 1, 1.5: [2], None: 3, 7: 4, math.nan: 5}},
+            {"r": [{1: 2.0, None: 3}, {1: 4.0, None: 5}]},
+            {"%": [{"%d": 1, "%s": 2.0}]},
+        ],
+    )
+    def test_edge_documents_equal_oracle(self, payload):
+        assert to_json(payload, {"argv": ["x"]}) == oracle_to_json(payload, {"argv": ["x"]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n-max", "20000", "--format", "json"],
+        ["spectrum", "--n-max", "20000"],
+        ["eigenfunction", "--n", "137", "--grid-points", "40001"],
+    ],
+)
+def test_cli_output_equals_oracle(argv):
+    assert cli_output(argv) == cli_output(argv, oracle=True)
+
+
+BENCHMARK_SIZE = [
+    ["spectrum", "--n-max", "100000", "--format", "json"],
+    ["spectrum", "--n-max", "200000"],
+    ["eigenfunction", "--n", "137", "--grid-points", "400001"],
+    ["gram", "--n-max", "600", "--nodes", "19233"],
+]
+
+
+def main() -> int:
+    failed = 0
+    for argv in BENCHMARK_SIZE:
+        new, old = (hashlib.sha256(cli_output(argv, oracle)).hexdigest() for oracle in (False, True))
+        print(f"{'ok' if new == old else 'DIFFERS'}: deformspec {' '.join(argv)}: {new} (oracle {old})")
+        failed += new != old
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
