@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -19,19 +20,9 @@ from . import __version__
 from .errors import DeformSpecError, NumericalError, ValidationError
 from .experiments import DecayModel, asymptotics_report, convergence_study, inverse_limit_report, rigidity_report
 from .fdsolver import refinement_study
-from .io import (
-    coefficients_to_csv,
-    critical_index_to_dict,
-    experiment_to_csv,
-    fd_report_to_dict,
-    read_coefficients,
-    sampled_function_to_csv,
-    table_to_csv,
-    to_json,
-    write_experiment_csv_per_series,
-)
+from .io import Records, coefficients_to_csv, read_coefficients, table_to_csv, to_json
 from .params import OperatorParams, canonical_params, custom_params, deformation_profile, si_params
-from .quadrature import SampledFunction, _rule_from_nodes, default_projection_rule, uniform_grid
+from .quadrature import _rule_from_nodes, default_projection_rule, uniform_grid
 from .spectrum import critical_index, eigenfunction, eigenvalue, wavenumber
 from .transform import _norm_and_defect, gram_matrix, project, reconstruct
 
@@ -194,9 +185,17 @@ def _emit_report(args, report) -> int:
         # the fields in order; dataclasses.asdict would deep-copy every series value
         _emit(args, to_json(vars(report), _meta(args)))
     elif args.output is not None and Path(args.output).is_dir():
-        write_experiment_csv_per_series(report, args.output)
+        for column, series in report.series.items():
+            path = Path(args.output) / f"{report.name}__{column}.csv"
+            path.write_text(table_to_csv(["index", "value"], [range(len(series)), series]))
     else:
-        _emit(args, experiment_to_csv(report))
+        # long format: one row per (series column, index, value)
+        names, index, values = [], [], []
+        for column, series in report.series.items():
+            names += [column] * len(series)
+            index += range(len(series))
+            values += series
+        _emit(args, table_to_csv(["series", "index", "value"], [names, index, values]))
     return EXIT_OK if report.verdict in ("pass", "documented_discrepancy") else EXIT_VERDICT_FAIL
 
 
@@ -209,20 +208,25 @@ def _cmd_spectrum(args) -> int:
     if args.format == "csv":
         _emit(args, table_to_csv(header, columns))
     else:
-        payload = {"modes": [dict(zip(header, row)) for row in zip(*columns)]}
-        _emit(args, to_json(payload, _meta(args)))
+        _emit(args, to_json({"modes": Records(header, columns)}, _meta(args)))
     return EXIT_OK
 
 
 def _cmd_eigenfunction(args) -> int:
     grid = uniform_grid(args.params, args.grid_points - 1)
     values = eigenfunction(args.params, args.n, grid.points)
-    _emit(args, sampled_function_to_csv(SampledFunction(grid, values)))
+    _emit(args, table_to_csv(["v", "f"], [grid.points, values]))
     return EXIT_OK
 
 
 def _cmd_critical_index(args) -> int:
-    payload = critical_index_to_dict(critical_index(args.params))
+    report = critical_index(args.params)
+    payload = {
+        "x": report.x,
+        "n_star_paper": report.n_star_paper,
+        "n_star_exact": report.n_star_exact if report.n_star_exact is not None else "none",
+        "agree": report.agree,
+    }
     if args.format == "json":
         _emit(args, to_json(payload, _meta(args)))
     else:
@@ -241,7 +245,7 @@ def _cmd_project(args) -> int:
 def _cmd_reconstruct(args) -> int:
     coeffs = read_coefficients(args.coeffs, args.params)
     grid = uniform_grid(args.params, args.grid_points - 1)
-    _emit(args, sampled_function_to_csv(reconstruct(coeffs, grid)))
+    _emit(args, table_to_csv(["v", "f"], [grid.points, reconstruct(coeffs, grid).values]))
     return EXIT_OK
 
 
@@ -278,7 +282,18 @@ def _cmd_gram(args) -> int:
 def _cmd_fd_validate(args) -> int:
     reports = refinement_study(args.params, _number_list(args.grid_sizes, "--grid-sizes"), args.n_modes)
     if args.format == "json":
-        _emit(args, to_json({"reports": [fd_report_to_dict(r) for r in reports]}, _meta(args)))
+        payload = [
+            {
+                "grid": {"m": r.m, "h": r.h},
+                "convergence_order": None if math.isnan(r.convergence_order) else r.convergence_order,
+                "eigenvalues_fd": r.eigenvalues_fd.tolist(),
+                "eigenvalues_analytic": r.eigenvalues_analytic.tolist(),
+                "abs_errors": r.abs_errors.tolist(),
+                "rel_errors": r.rel_errors.tolist(),
+            }
+            for r in reports
+        ]
+        _emit(args, to_json({"reports": payload}, _meta(args)))
     else:
         tables = [
             table_to_csv(
@@ -340,6 +355,8 @@ def run(argv) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
+        if "no_meta" in args and args.no_meta and args.format == "csv":
+            raise ValidationError("--no-meta applies only to --format json")
         args.params = _params_from(args)
         if "tol" in args:
             args.tolerances = _tolerances_from(args.tol)

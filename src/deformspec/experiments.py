@@ -17,6 +17,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .params import OperatorParams
 from .quadrature import (
+    GAUSS_LEGENDRE_MAX_NODES,
     NODES_PER_MODE,
     SampledFunction,
     composite_simpson_rule,
@@ -219,6 +220,9 @@ def constant_coefficient_report(
     tolerances = _tolerances("constant_projection", tolerances)
     tol = tolerances["constant_projection.rule_agreement"]
     n_max = int(n_max)
+    largest = GAUSS_LEGENDRE_MAX_NODES // NODES_PER_MODE - 1  # the Gauss-Legendre rule's mode limit
+    if not 0 <= n_max <= largest:
+        raise ValidationError(f"n_max must be in [0, {largest}], got {n_max}")
     one = lambda v: np.ones_like(np.asarray(v, dtype=float))
     nodes = NODES_PER_MODE * (n_max + 1)
     gauss = project(params, one, n_max, gauss_legendre_rule(params, max(512, nodes))).coefficients

@@ -1,25 +1,23 @@
-"""CSV and JSON serialization for the library's data types.
+"""CSV and JSON formats: tables, JSON documents and the coefficient file.
 
-Numbers are printed with 17 significant digits so 64-bit floats survive a
-write/read round trip bit-for-bit.  Nothing here emits timestamps: identical
-inputs produce byte-identical output.
+A table is a header and equal-length columns: :func:`table_to_csv` writes it
+as CSV, :func:`to_json` writes it as a list of records when wrapped in
+:class:`Records`.  Numbers are printed with 17 significant digits so 64-bit
+floats survive a write/read round trip bit-for-bit.  Nothing here emits
+timestamps: identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FormatError
-from .experiments import ExperimentReport
-from .fdsolver import FDSpectrumReport
 from .params import OperatorParams
-from .quadrature import SampledFunction
-from .spectrum import CriticalIndexReport
 from .transform import CoefficientVector
 
 
@@ -35,6 +33,15 @@ def table_to_csv(header, columns) -> str:
     ``str``; ndarray columns are converted with ``tolist`` first.  Raises
     ``ValueError`` when the columns differ in length.
     """
+    directives, cells, rows = _interleave(columns, _column)
+    template = ",".join(directives) + "\n"
+    return ",".join(header) + "\n" + (template * rows) % tuple(cells)
+
+
+def _interleave(columns, column_format) -> tuple[list[str], list, int]:
+    """Each column's ``%`` directive and cells by ``column_format``, the cells
+    interleaved row by row, and the row count; ndarray columns go through
+    ``tolist``.  Raises ``ValueError`` when the columns differ in length."""
     columns = [column.tolist() if isinstance(column, np.ndarray) else list(column) for column in columns]
     lengths = [len(column) for column in columns]
     if len(set(lengths)) > 1:
@@ -43,11 +50,10 @@ def table_to_csv(header, columns) -> str:
     width = len(columns)
     directives, cells = [], [None] * (rows * width)
     for j, column in enumerate(columns):
-        directive, column_cells = _column(column)
+        directive, column_cells = column_format(column)
         directives.append(directive)
         cells[j::width] = column_cells
-    template = ",".join(directives) + "\n"
-    return ",".join(header) + "\n" + (template * rows) % tuple(cells)
+    return directives, cells, rows
 
 
 def _column(column: list) -> tuple[str, list]:
@@ -63,10 +69,6 @@ def _column(column: list) -> tuple[str, list]:
     if types == {int}:
         return "%d", column
     return "%s", [format_float(x) if isinstance(x, float) else str(x) for x in column]
-
-
-def sampled_function_to_csv(sf: SampledFunction) -> str:
-    return table_to_csv(["v", "f"], [sf.grid.points, sf.values])
 
 
 def coefficients_to_csv(coeffs: CoefficientVector) -> str:
@@ -99,51 +101,19 @@ def read_coefficients(path, params: OperatorParams) -> CoefficientVector:
     return CoefficientVector(params=params, coefficients=np.array(values))
 
 
-def critical_index_to_dict(report: CriticalIndexReport) -> dict:
-    return {
-        "x": report.x,
-        "n_star_paper": report.n_star_paper,
-        "n_star_exact": report.n_star_exact if report.n_star_exact is not None else "none",
-        "agree": report.agree,
-    }
+class Records(NamedTuple):
+    """A table that :func:`to_json` writes as a list of records, one per row:
+    ``[dict(zip(header, row)) for row in zip(*columns)]`` without the dicts.
+    The ``str`` field names must be distinct."""
 
-
-def fd_report_to_dict(report: FDSpectrumReport) -> dict:
-    return {
-        "grid": {"m": report.m, "h": report.h},
-        "convergence_order": None if math.isnan(report.convergence_order) else report.convergence_order,
-        "eigenvalues_fd": report.eigenvalues_fd.tolist(),
-        "eigenvalues_analytic": report.eigenvalues_analytic.tolist(),
-        "abs_errors": report.abs_errors.tolist(),
-        "rel_errors": report.rel_errors.tolist(),
-    }
-
-
-def experiment_to_csv(report: ExperimentReport) -> str:
-    """Long-format table: one row per (series column, index, value)."""
-    names, index, values = [], [], []
-    for column, series in report.series.items():
-        names += [column] * len(series)
-        index += range(len(series))
-        values += series
-    return table_to_csv(["series", "index", "value"], [names, index, values])
-
-
-def write_experiment_csv_per_series(report: ExperimentReport, directory) -> list[Path]:
-    """One CSV file per series column, named <report>__<column>.csv."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for column, series in report.series.items():
-        path = directory / f"{report.name}__{column}.csv"
-        path.write_text(table_to_csv(["index", "value"], [range(len(series)), series]))
-        written.append(path)
-    return written
+    header: list[str]
+    columns: list
 
 
 def to_json(payload: dict, meta: dict | None = None) -> str:
     """``json.dumps(doc, indent=2)`` plus a newline, doc being the payload
-    with ``meta`` appended; numeric lists and records are written by templates."""
+    with ``meta`` appended and each :class:`Records` read as its list of
+    dicts; numeric lists and records are written by templates."""
     doc = dict(payload)
     if meta is not None:
         doc["meta"] = meta
@@ -156,31 +126,37 @@ def _json(obj, newline: str) -> str:
     if type(obj) is dict and obj and all(type(key) is str for key in obj):
         items = (json.dumps(key) + ": " + _json(value, inner) for key, value in obj.items())
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(obj) is Records:
+        return _records(obj, newline)
     if type(obj) is list and obj:
         if _plain_numbers(obj):
             body = ("," + inner).join(map(repr, obj))
-        elif (records := _records(obj, inner)) is not None:
-            body = records
         else:
             body = ("," + inner).join(_json(item, inner) for item in obj)
         return "[" + inner + body + newline + "]"
     return json.dumps(obj, indent=2).replace("\n", newline)
 
 
-def _records(obj: list, newline: str) -> str | None:
-    """A list of dicts with one shared order of ``str`` keys and plain-number
-    values, written by one record template; ``None`` for any other list."""
-    if set(map(type, obj)) != {dict} or len(set(map(tuple, obj))) != 1:
-        return None
-    if not obj[0] or not all(type(key) is str for key in obj[0]):
-        return None
-    values = list(chain.from_iterable(map(dict.values, obj)))
-    if not _plain_numbers(values):
-        return None
-    inner = newline + "  "
-    fields = ("," + inner).join(json.dumps(key).replace("%", "%%") + ": %r" for key in obj[0])
-    record = "{" + inner + fields + newline + "}"
-    return ("," + newline).join([record] * len(obj)) % tuple(values)
+def _records(table: Records, newline: str) -> str:
+    """The records by one template: ``%r`` for a column of plain numbers,
+    any other column cell by cell.  Raises ``ValueError`` unless the header
+    names each column once and the columns are equal in length."""
+    header, columns = table
+    if len(header) != len(columns) or len(set(header)) != len(header):
+        raise ValueError(f"{len(header)} field names for {len(columns)} columns, or a name repeated: {header}")
+    inner, field = newline + "  ", newline + "    "
+
+    def column_format(column: list) -> tuple[str, list]:
+        if _plain_numbers(column):
+            return "%r", column
+        return "%s", [_json(value, field) for value in column]
+
+    directives, cells, rows = _interleave(columns, column_format)
+    if not rows:
+        return "[]"
+    fields = ("," + field).join(json.dumps(key).replace("%", "%%") + ": " + d for key, d in zip(header, directives))
+    record = "{" + field + fields + inner + "}"
+    return "[" + inner + ("," + inner).join([record] * rows) % tuple(cells) + newline + "]"
 
 
 def _plain_numbers(values: list) -> bool:

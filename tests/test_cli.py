@@ -314,8 +314,13 @@ class TestUsageErrors:
             ["spectrum", "--tol", "rigidity.parseval=1"],
             ["rigidity", "--tol", "converge.final_l2_rel=1"],
             ["converge", "--tol", "constant_projection.rule_agreement=1"],
+            ["spectrum", "--n-max", "1", "--no-meta"],
+            ["critical-index", "--format", "csv", "--no-meta"],
         ],
-        ids=["project-format", "eigenfunction-no-meta", "spectrum-tol", "rigidity-foreign-tol", "library-only-tol"],
+        ids=[
+            "project-format", "eigenfunction-no-meta", "spectrum-tol", "rigidity-foreign-tol", "library-only-tol",
+            "spectrum-csv-no-meta", "critical-index-csv-no-meta",
+        ],
     )
     def test_flag_the_subcommand_does_not_honour(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -141,6 +142,18 @@ class TestConstantCoefficients:
         assert closed[0] == pytest.approx(4 * math.sqrt(CANON.v_c) / math.pi, rel=1e-14)
         assert all(closed[n] == 0.0 for n in (1, 3, 5, 7))
         assert all(closed[n] > 0.1 for n in (0, 2, 4))
+
+    @pytest.mark.parametrize("n_max", [-1, 512, 600])
+    def test_n_max_beyond_the_gauss_legendre_cap_is_rejected_by_name(self, n_max):
+        with mock.patch("deformspec.experiments.gauss_legendre_rule") as build:
+            with pytest.raises(ValidationError, match=rf"n_max must be in \[0, 511\], got {n_max}"):
+                constant_coefficient_report(CANON, n_max)
+        build.assert_not_called()
+
+    def test_largest_n_max_is_accepted(self):
+        report = constant_coefficient_report(CANON, 511)
+        gauss, closed = (np.array(report.series[column]) for column in ("gauss_legendre", "closed_form"))
+        assert len(closed) == 512 and np.max(np.abs(gauss - closed)) < 1e-13
 
 
 class TestInverseLimit:

@@ -12,12 +12,14 @@ any difference::
     PYTHONPATH=src python tests/test_io.py
 """
 
+import ast
 import contextlib
 import hashlib
 import json
 import math
 import sys
 from io import StringIO
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 
 import deformspec.io as writers
 from deformspec import cli
-from deformspec.io import table_to_csv, to_json
+from deformspec.io import Records, table_to_csv, to_json
 
 
 def oracle_format_float(x) -> str:
@@ -52,6 +54,21 @@ def oracle_to_json(payload: dict, meta: dict | None = None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def oracle_records(value):
+    """``value`` with every ``Records`` in it expanded into its list of dicts."""
+    if isinstance(value, Records):
+        return [dict(zip(value.header, row)) for row in zip(*value.columns)]
+    if isinstance(value, dict):
+        return {key: oracle_records(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [oracle_records(item) for item in value]
+    return value
+
+
+def oracle_records_to_json(payload: dict, meta: dict | None = None) -> str:
+    return oracle_to_json(oracle_records(payload), meta)
+
+
 def cli_output(argv, oracle: bool = False) -> bytes:
     """stdout of ``deformspec argv``, written by the oracles when ``oracle``."""
     out = StringIO()
@@ -60,7 +77,7 @@ def cli_output(argv, oracle: bool = False) -> bytes:
             # the io writers call table_to_csv through their module's globals
             stack.enter_context(mock.patch.object(writers, "table_to_csv", oracle_table_to_csv))
             stack.enter_context(mock.patch.object(cli, "table_to_csv", oracle_table_to_csv))
-            stack.enter_context(mock.patch.object(cli, "to_json", oracle_to_json))
+            stack.enter_context(mock.patch.object(cli, "to_json", oracle_records_to_json))
         stack.enter_context(contextlib.redirect_stdout(out))
         code = cli.run(list(argv))
     if code != 0:
@@ -195,6 +212,68 @@ class TestToJson:
         assert to_json(payload, {"argv": ["x"]}) == oracle_to_json(payload, {"argv": ["x"]})
 
 
+# past float range, or not written as a repr by json
+unplain_numbers = st.sampled_from([10**400, -(10**400), math.nan, math.inf, -math.inf])
+RECORD_CELLS = [
+    ints | st.floats(allow_nan=False, allow_infinity=False),
+    ints | st.floats(allow_nan=False, allow_infinity=False) | unplain_numbers,
+    ints | json_floats | unplain_numbers | st.booleans() | st.none() | st.text(max_size=4),
+    st.booleans() | st.none(),
+    st.text(alphabet=st.sampled_from("%sdr,é✓\"\\\n"), max_size=4),
+]
+
+
+@st.composite
+def record_tables(draw):
+    rows = draw(st.integers(0, 6))
+    header = draw(st.lists(st.text(alphabet=st.sampled_from("n%sd_é✓\"\\"), max_size=3), max_size=4, unique=True))
+    columns = [draw(st.lists(draw(st.sampled_from(RECORD_CELLS)), min_size=rows, max_size=rows)) for _ in header]
+    return Records(header, columns)
+
+
+class TestRecords:
+    @settings(max_examples=250, deadline=None)
+    @given(record_tables(), st.none() | json_values)
+    def test_equals_oracle(self, table, meta):
+        payload = {"modes": table}
+        assert to_json(payload, meta) == oracle_records_to_json(payload, meta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(record_tables())
+    def test_nested_equals_oracle(self, table):
+        payload = {"nested": [table, {"r": table}], "modes": table}
+        assert to_json(payload) == oracle_records_to_json(payload)
+
+    def test_zero_rows_write_an_empty_list(self):
+        assert to_json({"modes": Records(["n", "x"], [[], np.array([])])}) == '{\n  "modes": []\n}\n'
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            Records(["n", "x"], [[0, 1, 2], [0.5]]),
+            Records(["n"], [[0], [1.0]]),
+            Records(["n", "x"], [[0]]),
+            Records(["n", "n"], [[0], [1.0]]),
+        ],
+        ids=["ragged", "fewer-names", "fewer-columns", "repeated-name"],
+    )
+    def test_malformed_tables_raise(self, table):
+        with pytest.raises(ValueError):
+            to_json({"modes": table})
+
+
+def test_io_imports_no_compute_module_but_params_and_transform():
+    """io writes formats; laying out other modules' results is the CLI's job."""
+    tree = ast.parse(Path(writers.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."), (alias.name for alias in node.names))
+        elif isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert not names & {"experiments", "fdsolver", "quadrature", "spectrum", "cli"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -212,6 +291,8 @@ BENCHMARK_SIZE = [
     ["spectrum", "--n-max", "200000"],
     ["eigenfunction", "--n", "137", "--grid-points", "400001"],
     ["gram", "--n-max", "600", "--nodes", "19233"],
+    ["rigidity", "--format", "csv"],
+    ["fd-validate", "--grid-sizes", "250,500,1000,2000", "--modes", "10"],
 ]
 
 
