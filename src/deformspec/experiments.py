@@ -226,10 +226,9 @@ def constant_coefficient_report(
     one = lambda v: np.ones_like(np.asarray(v, dtype=float))
     nodes = NODES_PER_MODE * (n_max + 1)
     gauss = project(params, one, n_max, gauss_legendre_rule(params, max(512, nodes))).coefficients
-    simpson_pts = max(16385, nodes + 1)
-    simpson = project(
-        params, one, n_max, composite_simpson_rule(params, simpson_pts + 1 - simpson_pts % 2)
-    ).coefficients
+    # odd, and 128 points a mode keep Simpson within the tolerance up to n_max 511
+    simpson_pts = max(16385, 128 * (n_max + 1) + 1)
+    simpson = project(params, one, n_max, composite_simpson_rule(params, simpson_pts)).coefficients
     ns = np.arange(n_max + 1)
     closed = np.where(ns % 2 == 0, 4.0 * math.sqrt(params.v_c) / ((ns + 1) * math.pi), 0.0)
     ok = np.max(np.abs(gauss - closed)) <= tol and np.max(np.abs(simpson - closed)) <= tol

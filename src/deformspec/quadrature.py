@@ -8,6 +8,7 @@ reference to the sine basis they are used to validate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -139,7 +140,7 @@ def _theta_start(m: int) -> np.ndarray:
     exact cosine series of P_m; the others use Stieltjes' asymptotic series
     (Hale & Townsend, SISC 35(2), 2013, section 3).  Newton needs only the
     ratio P/P'.  The tests check that the result is within 1e-15 of the
-    roots, so the recurrence loop in gauss_legendre_rule stops after one sweep.
+    roots, so the recurrence loop in _unit_gauss_legendre stops after one sweep.
     """
     i = np.arange(1, (m + 1) // 2 + 1)
     guess = (1.0 - 1.0 / (8.0 * m**2) + 1.0 / (8.0 * m**3)) * np.cos(np.pi * (i - 0.25) / (m + 0.5))
@@ -158,6 +159,10 @@ def _theta_start(m: int) -> np.ndarray:
 def gauss_legendre_rule(params: OperatorParams, m: int) -> QuadratureRule:
     """m-node Gauss-Legendre rule mapped to [-v_c, v_c]; nodes symmetric about 0.
 
+    Each node count is built once per process on [-1, 1] (the 8 counts used
+    last are kept) and scaled by v_c on every call, so the rule is bit for
+    bit the one a fresh build gives and its arrays are the caller's own.
+
     Nodes are Legendre roots: one Newton step on the three-term recurrence;
     no tables.  It runs on the ceil(m/2) non-negative roots only, from the
     start that `_theta_start` converges in theta, so the step is below 1e-15
@@ -174,6 +179,13 @@ def gauss_legendre_rule(params: OperatorParams, m: int) -> QuadratureRule:
     m = int(m)
     if not 1 <= m <= GAUSS_LEGENDRE_MAX_NODES:
         raise ValidationError(f"node count must be in [1, {GAUSS_LEGENDRE_MAX_NODES}]")
+    nodes, weights = _unit_gauss_legendre(m)
+    return QuadratureRule(params.v_c * nodes, params.v_c * weights)
+
+
+@functools.lru_cache(maxsize=8)  # at most 64 KB a rule, at the 4096-node cap
+def _unit_gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the m-node rule on [-1, 1]."""
     half = (m + 1) // 2
     x = _theta_start(m)
     p_prev, p, scratch = np.ones(half), x.copy(), np.empty(half)
@@ -192,7 +204,8 @@ def gauss_legendre_rule(params: OperatorParams, m: int) -> QuadratureRule:
     w = 2.0 / ((1.0 - x**2) * dp**2)
     nodes = np.concatenate([-x[: m // 2], x[::-1]])
     weights = np.concatenate([w[: m // 2], w[::-1]])
-    return QuadratureRule(params.v_c * nodes, params.v_c * weights)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def composite_simpson_rule(params: OperatorParams, points: int) -> QuadratureRule:

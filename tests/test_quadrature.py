@@ -24,7 +24,7 @@ from deformspec import (
     uniform_grid,
     wavenumber,
 )
-from deformspec.quadrature import _BOUNDARY_ROOTS, _STENCILS, _theta_start
+from deformspec.quadrature import _BOUNDARY_ROOTS, _STENCILS, _theta_start, _unit_gauss_legendre
 from deformspec.transform import _on_uniform_nodes, _sample as _evaluate
 
 CANON = canonical_params()
@@ -193,6 +193,56 @@ class TestAgainstReferenceBuilder:
             x, w = rule.nodes / v_c, rule.weights / v_c
             for j in range(min(m, 40)):
                 assert abs(w @ x ** (2 * j) - 2.0 / (2 * j + 1)) <= 64 * np.finfo(float).eps, (m, j)
+
+
+class TestUnitRuleMemo:
+    """gauss_legendre_rule scales a cached unit-interval rule by v_c."""
+
+    @pytest.mark.parametrize("params", [CANON, custom_params(0.8, 3.0, 1.7)], ids=["canonical", "custom"])
+    def test_cached_rule_equals_an_uncached_build_bit_for_bit(self, params):
+        for m in [1, 2, 3, 255, 2048, 2056, 3208, 4096]:
+            nodes, weights = _unit_gauss_legendre.__wrapped__(m)
+            for _ in range(2):  # the second call is served from the cache
+                rule = gauss_legendre_rule(params, m)
+                assert np.array_equal(rule.nodes, params.v_c * nodes), m
+                assert np.array_equal(rule.weights, params.v_c * weights), m
+
+    def test_mutating_a_rule_leaves_the_next_one_intact(self):
+        first = gauss_legendre_rule(CANON, 2056)
+        expected = QuadratureRule(first.nodes.copy(), first.weights.copy())
+        first.nodes[:] = 0.0
+        first.weights[:] = 1.0
+        again = gauss_legendre_rule(CANON, 2056)
+        assert np.array_equal(again.nodes, expected.nodes)
+        assert np.array_equal(again.weights, expected.weights)
+
+    def test_cached_unit_arrays_are_read_only(self):
+        nodes, weights = _unit_gauss_legendre(255)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights *= 2.0
+
+    def test_cache_stays_within_its_bound(self):
+        bound = _unit_gauss_legendre.cache_info().maxsize
+        for m in range(100, 100 + 2 * bound):
+            gauss_legendre_rule(CANON, m)
+            assert _unit_gauss_legendre.cache_info().currsize <= bound
+
+    def test_second_request_runs_no_newton_sweep(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return _theta_start(m)
+
+        monkeypatch.setattr("deformspec.quadrature._theta_start", counting)
+        _unit_gauss_legendre.cache_clear()
+        gauss_legendre_rule(CANON, 3208)
+        gauss_legendre_rule(custom_params(0.8, 3.0, 1.7), 3208)
+        gauss_legendre_rule(CANON, 3208.0)
+        assert calls == [3208]
 
 
 class TestSimpson:
