@@ -19,6 +19,7 @@ from deformspec.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
 
+CUSTOM = ["--hbar", "0.8", "--c", "3", "--v-c", "1.7"]
 COEFFS = "n,a_n\n0,0.5\n1,-0.25\n2,0.125\n3,-0.0625\n"
 
 # name -> (argv, exit code); "{coeffs}" is replaced by the path of a file
@@ -64,6 +65,18 @@ CASES = {
     "asymptotics-csv": (["asymptotics", "--n-min", "100", "--n-max", "200", "--format", "csv"], 0),
     "converge-json": (["converge", "--n-list", "8,16,32,64,128"], 0),
     "converge-csv": (["converge", "--n-list", "8,16,32,64,128", "--format", "csv"], 0),
+    # the uniform-grid paths at SI and custom scale, recorded before the
+    # points became plain arrays
+    "eigenfunction-si-csv": (["eigenfunction", "--si", "--n", "3", "--grid-points", "65"], 0),
+    "eigenfunction-custom-csv": (["eigenfunction", *CUSTOM, "--n", "3", "--grid-points", "65"], 0),
+    "reconstruct-si-csv": (["reconstruct", "--si", "--coeffs", "{coeffs}", "--grid-points", "33"], 0),
+    "reconstruct-custom-csv": (["reconstruct", *CUSTOM, "--coeffs", "{coeffs}", "--grid-points", "33"], 0),
+    "rigidity-si-json": (["rigidity", "--si", "--n-list", "8,16"], 0),
+    "rigidity-custom-json": (["rigidity", *CUSTOM, "--n-list", "8,16"], 0),
+    "inverse-limit-si-json": (["inverse-limit", "--si", "--n-max", "8", "--tau-list", "1,2,3", "--k-max", "4"], 0),
+    "inverse-limit-custom-json": (["inverse-limit", *CUSTOM, "--n-max", "8", "--tau-list", "1,2,3", "--k-max", "4"], 0),
+    "converge-si-json": (["converge", "--si", "--n-list", "8,16,32,64,128"], 0),
+    "converge-custom-json": (["converge", *CUSTOM, "--n-list", "8,16,32,64,128"], 1),
 }
 
 # name -> sha256 of stdout
@@ -71,12 +84,16 @@ GOLDEN = {
     "asymptotics-csv": "0e939610be40cf6582dce53a02933145c6a994925eed23cff5f6dae3eb4629a9",
     "asymptotics-json": "a3187fb27622c6d35fad5634de4549a11eb7effb01c1fc81a4c884d6b9d0fadc",
     "converge-csv": "7260df78503137b447821749c2edd21ab9941ee46d9f535df60371146b2e099c",
+    "converge-custom-json": "40793f2f5835bf9c959eb1d0ff0c09968fd6181ed4a49e1ac941fcbed45a0ee0",
     "converge-json": "c1fde9d2013534b4d64db652bf225e42c88415c100078104107935db966dd65f",
+    "converge-si-json": "b1f9c3c56ed9c786028b51793e03c12b4a11c65b4da770b689716a1e22b7035c",
     "critical-index-csv": "4f38a3f75e763da9617d474149ffcb7c80977e03f2f0d845c416cb7ff928614c",
     "critical-index-custom-csv": "d9ade9e20ad9db73a58a856d6dc4b7080dc56776e0ffe3c10067e1ec80a721cb",
     "critical-index-json": "e84d219e996e96da08bfc7022a1a5ee9cb20e537c4bad0d54fa3b9c4bdf24109",
     "eigenfunction-csv": "5a8352066c9f633a49d084d44e15aaa585e14ec0d2aa69d264eac63b9f5b960c",
+    "eigenfunction-custom-csv": "963ad731f8fa03b152dacd7912d2a03171990cf055fc58967e9741a874382187",
     "eigenfunction-json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "eigenfunction-si-csv": "965baf9dfb3994353eb82f44bb9150f02a73042d6e831ff75a61375b4021425e",
     "fd-validate-csv": "537c0f33cece00e132ce3760a1bc422437faa838ab4c0a8c787047a16a2f3436",
     "fd-validate-json": "bc0f215514cd9d342b6da7a4e24cd9dd47e925fc2eccd54f0f5a6eacc082c1fe",
     "fd-validate-single-csv": "609515138346b65b4754205dd2643716b81a32b868239b4574352be8f47705ac",
@@ -84,17 +101,23 @@ GOLDEN = {
     "gram-gl-csv": "893834d3b72801033374703c83c4d4688d6ee6cbe6a59c10b7cd52e39a49d116",
     "gram-simpson-csv": "02842c7ad612b502a4b057b6b8428c574b327da9f63122e0f58013266288de3c",
     "inverse-limit-csv": "9f14459d58e55886d3ecbdb49a099240a65100c5f131b3b1e8af67e38f286f66",
+    "inverse-limit-custom-json": "83f641b1e18dde83549b59e5e91614e059b713d4cd90540ea9b4868394e4f76d",
     "inverse-limit-json": "28b20f3b87267115ea3a4236f72c5fecab908ac546ff27ce2578d7a70832ca3f",
+    "inverse-limit-si-json": "ac7488dede4d05f29bd9f7e74bac32a18ffbfa878028b59621a0371755c90b7c",
     "parseval-csv": "1e51f85598e9080941fd0cab104ba9936d7e797caadccaa2b2adf7d48aeaa2aa",
     "parseval-json": "4ceb26058bcb3a73533f7ec64c0155933ca6d92213a5063760f1bb65214fa9db",
     "project-csv": "ae16c9ea21fa7649924b33ceb9d3d8bfb5aaf5420d707cc7b57f0caa135f58a5",
     "project-psi-csv": "b27c9ff81cb1f5a93a9a78b976bc7c4bccc3f2db8b20bd89c10e8fe0c41dcb63",
     "project-simpson-csv": "ce9769eb4c4189ee84597ed62cc680242caef1497be60a39cf3cc1ecc728578a",
     "reconstruct-csv": "9f6426bb6397edc43867f3ad674b902a1b539ab40f8bd89f0662142a79b0c261",
+    "reconstruct-custom-csv": "6afdc66f9ec505cd366420a402ff56cbab39e3cef6fe6409de5a3db0d8cf32f1",
     "reconstruct-json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "reconstruct-si-csv": "5e30fbdcb1017854c156df58311f80bfec28f7a89f29274030bac25711812080",
     "rigidity-csv": "a83c0fdb582e9148c245d64e9dfa2e69f98ccfabba181a2da9101754f83bc0da",
+    "rigidity-custom-json": "77eaf23df6d3a3e81f8a7a809a1accc6a19360a0d805733a86e5067d79b66ab2",
     "rigidity-fail-json": "f5391e2b0e7b06877874bf28a413423c56d9748cfaa2108d815e4dae6dc50e0c",
     "rigidity-json": "1df720709cf826ac47c430bbd27381823f7773e91b223a5b589adf9d274e4af9",
+    "rigidity-si-json": "7a22d675d5011fbc07ae2169223eaae1c7ba9e9c99a1ef182dec6ea1529dc6f7",
     "spectrum-csv": "4e4530d9456327c5e2a66676038255a56c965e18e06117a20dc4b9360e96a66e",
     "spectrum-json": "a72efeda0f7201711555a7a238b0e545c4db9c98ddf549a9f29dcf1b1747f65d",
     "spectrum-negative-n-max": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
