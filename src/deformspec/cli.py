@@ -24,12 +24,16 @@ from .io import Records, coefficients_to_csv, read_coefficients, table_to_csv, t
 from .params import OperatorParams, canonical_params, custom_params, deformation_profile, si_params
 from .quadrature import _rule_from_nodes, default_projection_rule, uniform_grid
 from .spectrum import critical_index, eigenfunction, eigenvalue, wavenumber
-from .transform import _norm_and_defect, gram_matrix, project, reconstruct
+from .transform import _norm_and_defect, evaluate, gram_matrix, project
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# Largest integer flag or list item: numpy refuses arrays above 2^63 bytes, and gram's
+# (N+1)^2 table of 8-byte entries, the largest array a count N sizes, needs N + 1 < 2^30.
+MAX_INT_ARG = 2**28  # 16 times below that in bytes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,34 +76,34 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", parents=[formats["csv"]], help="closed-form modes 0..n_max")
-    p.add_argument("--n-max", type=int, default=16)
+    p.add_argument("--n-max", type=_int_arg, default=16)
 
     p = sub.add_parser("eigenfunction", parents=[common], help="samples of one eigenfunction")
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--grid-points", type=int, default=257)
+    p.add_argument("--n", type=_int_arg, default=0)
+    p.add_argument("--grid-points", type=_int_arg, default=257)
 
     sub.add_parser("critical-index", parents=[formats["json"]], help="floor formula vs exact sign change")
 
     p = sub.add_parser("project", parents=[common], help="coefficients of a target function")
     p.add_argument("--target", default="C")
-    p.add_argument("--n-max", type=int, default=16)
-    p.add_argument("--nodes", type=int, help="quadrature nodes (Gauss-Legendre up to 4096)")
+    p.add_argument("--n-max", type=_int_arg, default=16)
+    p.add_argument("--nodes", type=_int_arg, help="quadrature nodes (Gauss-Legendre up to 4096)")
 
     p = sub.add_parser("reconstruct", parents=[common], help="partial sum from a coefficient CSV")
     p.add_argument("--coeffs", required=True, help="CSV file with header n,a_n")
-    p.add_argument("--grid-points", type=int, default=257)
+    p.add_argument("--grid-points", type=_int_arg, default=257)
 
     p = sub.add_parser("parseval", parents=[formats["json"]], help="norm vs truncated coefficient sum")
     p.add_argument("--target", default="C")
-    p.add_argument("--n-max", type=int, default=64)
+    p.add_argument("--n-max", type=_int_arg, default=64)
 
     p = sub.add_parser("gram", parents=[formats["csv"]], help="pairwise eigenfunction inner products")
-    p.add_argument("--n-max", type=int, default=16)
-    p.add_argument("--nodes", type=int)
+    p.add_argument("--n-max", type=_int_arg, default=16)
+    p.add_argument("--nodes", type=_int_arg)
 
     p = sub.add_parser("fd-validate", parents=[formats["json"]], help="finite-difference cross-validation")
     p.add_argument("--grid-sizes", default="250,500,1000,2000", help="comma-separated m values")
-    p.add_argument("--modes", type=int, default=10, dest="n_modes")
+    p.add_argument("--modes", type=_int_arg, default=10, dest="n_modes")
 
     p = sub.add_parser("rigidity", parents=[report], help="uniform-coefficient obstruction")
     p.add_argument("--n-list", default="8,16,32,64")
@@ -108,13 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", type=float, default=1.0, dest="amplitude")
     p.add_argument("--beta", type=float, default=2.0, dest="decay_rate")
     p.add_argument("--gamma-mode-decay", type=float, default=1.0, dest="mode_decay")
-    p.add_argument("--n-max", type=int, default=32)
+    p.add_argument("--n-max", type=_int_arg, default=32)
     p.add_argument("--tau-list", default="1,2,3,4,5,6,7,8")
-    p.add_argument("--k-max", type=int, default=2)
+    p.add_argument("--k-max", type=_int_arg, default=2)
 
     p = sub.add_parser("asymptotics", parents=[report], help="quadratic-approximant remainder")
-    p.add_argument("--n-min", type=int, default=100)
-    p.add_argument("--n-max", type=int, default=1000)
+    p.add_argument("--n-min", type=_int_arg, default=100)
+    p.add_argument("--n-max", type=_int_arg, default=1000)
 
     p = sub.add_parser("converge", parents=[report], help="reconstruction convergence study")
     p.add_argument("--target", default="C")
@@ -160,11 +164,22 @@ def _target_function(name: str, params: OperatorParams):
     raise ValidationError(f"unknown target {name!r}; choose C, const or psi:<n>")
 
 
-def _number_list(text: str, flag: str, kind=int) -> list:
+def _int_arg(text: str) -> int:
+    """An integer flag value or list item, at most MAX_INT_ARG."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > MAX_INT_ARG:
+        raise argparse.ArgumentTypeError(f"{value} is above {MAX_INT_ARG}, the largest integer accepted")
+    return value
+
+
+def _number_list(text: str, flag: str, kind=_int_arg) -> list:
     try:
         return [kind(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"{flag} expects a comma-separated list of {kind.__name__} values") from None
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
 
 
 def _emit(args, text: str) -> None:
@@ -214,8 +229,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_eigenfunction(args) -> int:
     grid = uniform_grid(args.params, args.grid_points - 1)
-    values = eigenfunction(args.params, args.n, grid.points)
-    _emit(args, table_to_csv(["v", "f"], [grid.points, values]))
+    _emit(args, table_to_csv(["v", "f"], [grid, eigenfunction(args.params, args.n, grid)]))
     return EXIT_OK
 
 
@@ -245,7 +259,7 @@ def _cmd_project(args) -> int:
 def _cmd_reconstruct(args) -> int:
     coeffs = read_coefficients(args.coeffs, args.params)
     grid = uniform_grid(args.params, args.grid_points - 1)
-    _emit(args, table_to_csv(["v", "f"], [grid.points, reconstruct(coeffs, grid).values]))
+    _emit(args, table_to_csv(["v", "f"], [grid, evaluate(coeffs, grid)]))
     return EXIT_OK
 
 

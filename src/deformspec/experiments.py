@@ -19,7 +19,6 @@ from .params import OperatorParams
 from .quadrature import (
     GAUSS_LEGENDRE_MAX_NODES,
     NODES_PER_MODE,
-    SampledFunction,
     composite_simpson_rule,
     default_projection_rule,
     fd_derivative,
@@ -27,7 +26,7 @@ from .quadrature import (
     uniform_grid,
 )
 from .spectrum import _deficit, asymptotic_coefficient, asymptotic_eigenvalue, eigenvalue
-from .transform import CoefficientVector, _project_samples, _sample, evaluate, project, reconstruct
+from .transform import CoefficientVector, _project_samples, _sample, evaluate, project
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -179,12 +178,11 @@ def rigidity_report(
     norm_sq, ratio_err, boundary_gap, sup_dev, dist = [], [], [], [], []
     for n in n_list:
         coeffs = CoefficientVector(params, np.full(n + 1, math.pi))
-        partial = reconstruct(coeffs, grid)
         on_nodes = evaluate(coeffs, rule.nodes)
         nsq = float(np.dot(rule.weights, on_nodes**2))
         norm_sq.append(nsq)
         ratio_err.append(abs(nsq / (n + 1) - math.pi**2))
-        deviation = np.abs(partial.values - math.pi)
+        deviation = np.abs(evaluate(coeffs, grid) - math.pi)
         boundary_gap.append(float(min(deviation[0], deviation[-1])))
         sup_dev.append(float(np.max(deviation)))
         dist.append(float(np.sqrt(np.dot(rule.weights, (on_nodes - math.pi) ** 2))))
@@ -271,7 +269,7 @@ def inverse_limit_report(
         raise ValidationError("k_max must be in 0..4")
     grid = uniform_grid(params, max((64 if k_max <= 2 else 256) * (model.n_max + 1), 2048))
     slope_rel = tolerances["inverse_limit.slope_rel"]
-    profile = evaluate(CoefficientVector(params, model.amplitude * model.weights), grid.points)
+    profile = evaluate(CoefficientVector(params, model.amplitude * model.weights), grid)
     if np.max(np.abs(profile)) == 0.0:
         raise ValidationError("deviation vanishes identically; nothing to fit")
     deviations = []
@@ -284,13 +282,11 @@ def inverse_limit_report(
             values = scale * profile
         if not np.all(np.isfinite(values)):
             raise NumericalError(f"deviation at tau = {float(tau)!r} overflows a 64-bit float")
-        deviations.append(SampledFunction(grid, values))
+        deviations.append(values)
     series: dict = {"tau": taus.tolist()}
     slopes = []
     for k in range(k_max + 1):
-        seminorms = [
-            float(np.max(np.abs(d.values if k == 0 else fd_derivative(d, k).values))) for d in deviations
-        ]
+        seminorms = [float(np.max(np.abs(d if k == 0 else fd_derivative(params, d, k)))) for d in deviations]
         if not all(0.0 < s < math.inf for s in seminorms):
             raise NumericalError(f"seminorm_k{k} = {seminorms!r}: a log-slope needs finite positive values")
         series[f"seminorm_k{k}"] = seminorms
@@ -337,14 +333,14 @@ def convergence_study(
     coeffs = _project_samples(params, target_on_nodes, n_list[-1], rule)
     target_norm = float(np.sqrt(np.dot(rule.weights, target_on_nodes**2)))
     window = uniform_grid(params, 4096)
-    interior = np.abs(window.points) <= 0.9 * params.v_c
-    target_interior = _sample(target, window.points[interior])
+    interior = np.abs(window) <= 0.9 * params.v_c
+    target_interior = _sample(target, window[interior])
     l2_errors, sup_errors = [], []
     for n in n_list:
         partial = CoefficientVector(params, coeffs.coefficients[: n + 1])
         residual_nodes = target_on_nodes - evaluate(partial, rule.nodes)
         l2_errors.append(float(np.sqrt(np.dot(rule.weights, residual_nodes**2))))
-        residual_interior = target_interior - evaluate(partial, window.points)[interior]
+        residual_interior = target_interior - evaluate(partial, window)[interior]
         sup_errors.append(float(np.max(np.abs(residual_interior))))
     ok = (
         all(b <= a + slack for a, b in zip(l2_errors, l2_errors[1:]))

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConditioningWarning, NumericalError, ResolutionError, ValidationError
 from .params import OperatorParams
+from .quadrature import uniform_grid
 from .spectrum import eigenvalue
 
 # A Sturm sweep over s shifts costs about (1 + s/SWEEP_WIDTH) sweeps over one
@@ -30,9 +31,9 @@ from .spectrum import eigenvalue
 # build and walk, whole solves tie from 2500 to 4000 and slow 15-20% at 2000.
 SWEEP_WIDTH = 3000
 
-# Largest grid an FD validation discretizes; each eigenvalue sweep is an
-# m-step Python loop, so m = 100000 with 10 modes takes about 8 s on a
-# 2-core x86-64 box.
+# Largest grid an FD validation discretizes; each eigenvalue sweep is an m-step
+# Python loop.  In process on a 2-core x86-64 box, `fd-validate --grid-sizes
+# 100000 --modes 10` takes 6.7-7.1 s and `--grid-sizes 25000,50000,100000` 9-13 s.
 FD_MAX_INTERIOR_POINTS = 100_000
 
 
@@ -101,7 +102,7 @@ def discretize(params: OperatorParams, m: int) -> TridiagonalSymmetricMatrix:
 
 def interior_grid(params: OperatorParams, m: int) -> np.ndarray:
     """The m interior points the discretization acts on."""
-    return np.linspace(-params.v_c, params.v_c, int(m) + 2)[1:-1]
+    return uniform_grid(params, m + 1)[1:-1]
 
 
 def _sturm_counts(diag: np.ndarray, off2: np.ndarray, pivmin: float, xs: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Grids, quadrature rules and finite differences on [-v_c, v_c].
+"""Uniform grids, quadrature rules and finite differences on [-v_c, v_c].
 
 Two independent quadrature families are kept on purpose: Gauss-Legendre
 (nodes by Newton iteration on the Legendre recurrence) and composite Simpson.
@@ -9,7 +9,7 @@ reference to the sine basis they are used to validate.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,29 +20,6 @@ from .params import OperatorParams
 GAUSS_LEGENDRE_MAX_NODES = 4096
 #: Fewest quadrature nodes per mode a projection accepts (see transform).
 NODES_PER_MODE = 8
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Strictly increasing points spanning [-v_c, v_c]; `spacing` is the step when
-    they equal `np.linspace` between their ends bit for bit, else None."""
-
-    points: np.ndarray
-    spacing: float | None = field(init=False)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or len(pts) < 2:
-            raise ValidationError("grid needs at least two points")
-        if not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0):
-            raise ValidationError("grid points must be finite and strictly increasing")
-        spacing = float(pts[-1] - pts[0]) / (len(pts) - 1)
-        uniform = np.array_equal(pts, np.linspace(pts[0], pts[-1], len(pts)))
-        object.__setattr__(self, "spacing", spacing if uniform else None)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -63,29 +40,12 @@ class QuadratureRule:
             raise ValidationError("nodes must be finite and weights positive")
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """Values of a real function on a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != self.grid.points.shape:
-            raise ValidationError("values length must match the grid")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("sampled values must be finite")
-
-
-def uniform_grid(params: OperatorParams, m: int) -> Grid:
+def uniform_grid(params: OperatorParams, m: int) -> np.ndarray:
     """m+1 equally spaced points from -v_c to v_c, spacing 2 v_c / m."""
     m = int(m)
     if m < 2:
         raise ValidationError("uniform grid needs m >= 2 intervals")
-    points = np.linspace(-params.v_c, params.v_c, m + 1)
-    return Grid(points=points)
+    return np.linspace(-params.v_c, params.v_c, m + 1)
 
 
 #: Roots nearest +1 that take the exact cosine series of P_m.  Past them the
@@ -213,12 +173,11 @@ def composite_simpson_rule(params: OperatorParams, points: int) -> QuadratureRul
     points = int(points)
     if points < 3 or points % 2 == 0:
         raise ValidationError("composite Simpson needs an odd point count >= 3")
-    nodes = np.linspace(-params.v_c, params.v_c, points)
     h = 2.0 * params.v_c / (points - 1)
     weights = np.ones(points)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return QuadratureRule(nodes, weights * (h / 3.0))
+    return QuadratureRule(uniform_grid(params, points - 1), weights * (h / 3.0))
 
 
 def default_projection_rule(params: OperatorParams, n_max: int) -> QuadratureRule:
@@ -251,8 +210,8 @@ _STENCILS = {
 }
 
 
-def fd_derivative(sf: SampledFunction, order: int) -> SampledFunction:
-    """Finite-difference derivative of a uniformly sampled function.
+def fd_derivative(params: OperatorParams, values, order: int) -> np.ndarray:
+    """Finite-difference derivative of values on `uniform_grid(params, len(values) - 1)`.
 
     Central 2nd-order-accurate stencils in the interior; one-sided
     2nd-order-accurate stencils where the central window leaves the grid
@@ -262,13 +221,13 @@ def fd_derivative(sf: SampledFunction, order: int) -> SampledFunction:
     order = int(order)
     if order not in (1, 2, 3, 4):
         raise ValidationError("derivative order must be in 1..4")
-    if sf.grid.spacing is None:
-        raise ValidationError("finite differences need a uniform grid")
-    npts = len(sf.grid)
+    f = np.asarray(values, dtype=float)
+    if f.ndim != 1 or not np.all(np.isfinite(f)):
+        raise ValidationError("sampled values must be finite, in a 1-d array")
+    npts = len(f)
     if npts < order + 5:
         raise ResolutionError(f"need at least {order + 5} points for order {order}")
-    h = sf.grid.spacing
-    f = sf.values
+    h = 2.0 * params.v_c / (npts - 1)
     out = np.empty_like(f)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         central, fwd = (np.array(w) / h**order for w in _STENCILS[order])
@@ -281,4 +240,4 @@ def fd_derivative(sf: SampledFunction, order: int) -> SampledFunction:
             out[npts - 1 - i] = np.dot(bwd, f[npts - i - side : npts - i])
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"order-{order} finite difference overflows a 64-bit float")
-    return SampledFunction(grid=sf.grid, values=out)
+    return out

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NumericalError, ResolutionError, ValidationError
 from .params import OperatorParams, _require_in_interval
+from .quadrature import uniform_grid
 
 
 def sinpi(x):
@@ -167,7 +168,7 @@ def count_interior_zeros(params: OperatorParams, n: int, grid_points: int = 1000
         raise ResolutionError(
             f"grid_points = {grid_points} too coarse for mode {n}; need >= {10 * (n + 1)}"
         )
-    grid = np.linspace(-params.v_c, params.v_c, grid_points)
+    grid = uniform_grid(params, grid_points - 1)
     band = 2.0 * params.v_c / grid_points
     values = eigenfunction(params, n, grid[np.abs(grid) < params.v_c - band])
     signs = np.sign(values)

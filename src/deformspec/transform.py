@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, ResolutionError, ValidationError
 from .params import OperatorParams
-from .quadrature import NODES_PER_MODE, Grid, QuadratureRule, SampledFunction
+from .quadrature import NODES_PER_MODE, QuadratureRule
 from .spectrum import eigenfunction, eigenvalue
 
 _CHUNK = 128  # modes per block when filling eigenfunction matrices
@@ -144,11 +144,6 @@ def evaluate(coeffs: CoefficientVector, v) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"expansion of {len(a)} coefficients overflows a 64-bit float")
     return out
-
-
-def reconstruct(coeffs: CoefficientVector, grid: Grid) -> SampledFunction:
-    """Sampled partial sum  sum_n a_n psi_n  over the grid."""
-    return SampledFunction(grid=grid, values=evaluate(coeffs, grid.points))
 
 
 def l2_norm(params: OperatorParams, f: Callable, rule: QuadratureRule) -> float:

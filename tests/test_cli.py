@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deformspec import FormatError, canonical_params, project, gauss_legendre_rule, deformation_profile
-from deformspec.cli import _COMMANDS, _build_parser, run
+from deformspec.cli import _COMMANDS, MAX_INT_ARG, _build_parser, run
 from deformspec.experiments import DEFAULT_TOLERANCES
 from deformspec.io import coefficients_to_csv, read_coefficients, table_to_csv
 
@@ -372,6 +372,31 @@ class TestUsageErrors:
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("deformspec: error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# Integer arguments past what numpy can allocate (2^63 bytes) or sinpi can cast
+# to int64; each once escaped as a traceback or printed meaningless samples.
+HUGE = str(10**20)
+OVERSIZED_ARGV = [
+    ["spectrum", "--n-max", HUGE],
+    ["project", "--n-max", HUGE],
+    ["gram", "--n-max", "3", "--nodes", HUGE],
+    ["rigidity", "--n-list", HUGE],
+    ["asymptotics", "--n-min", "1", "--n-max", HUGE],
+    ["inverse-limit", "--n-max", HUGE],
+    ["converge", "--n-list", f"8,{HUGE}"],
+    ["parseval", "--n-max", HUGE],
+    ["eigenfunction", "--grid-points", HUGE],
+    ["eigenfunction", "--n", str(2**63 - 1)],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_ARGV, ids=lambda argv: argv[0] + argv[-2])
+def test_oversized_integer_is_a_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert argv[-2] in err and str(MAX_INT_ARG) in err
 
 
 class TestIOErrors:

@@ -16,9 +16,9 @@ from deformspec import (
     convergence_study,
     deformation_profile,
     eigenfunction,
+    evaluate,
     gauss_legendre_rule,
     inverse_limit_report,
-    reconstruct,
     rigidity_report,
     si_params,
     uniform_grid,
@@ -83,17 +83,13 @@ class TestRigidity:
     def test_partial_sum_endpoints_vanish(self):
         grid = uniform_grid(CANON, 256)
         for n in (0, 9, 64):
-            partial = reconstruct(CoefficientVector(CANON, np.full(n + 1, math.pi)), grid)
-            assert partial.values[0] == 0.0
-            assert partial.values[-1] == 0.0
+            partial = evaluate(CoefficientVector(CANON, np.full(n + 1, math.pi)), grid)
+            assert partial[0] == 0.0
+            assert partial[-1] == 0.0
 
     def test_partial_sum_norm_parseval(self):
         rule = gauss_legendre_rule(CANON, 512)
-        grid = uniform_grid(CANON, 512)
-        partial = reconstruct(CoefficientVector(CANON, np.full(10, math.pi)), grid)
         # Parseval with ten coefficients equal to pi
-        from deformspec import evaluate
-
         values = evaluate(CoefficientVector(CANON, np.full(10, math.pi)), rule.nodes)
         norm_sq = float(np.dot(rule.weights, values**2))
         assert norm_sq == pytest.approx(math.pi**2 * 10, abs=1e-8)
@@ -166,24 +162,24 @@ class TestInverseLimit:
     def test_trajectory_far_in_time_is_uniform_sum(self):
         model = DecayModel(amplitude=1.0, decay_rate=1.0, n_max=8)
         grid = uniform_grid(CANON, 600)
-        far = reconstruct(CoefficientVector(CANON, model.coefficients(50.0)), grid)
-        uniform = reconstruct(CoefficientVector(CANON, np.full(9, math.pi)), grid)
-        assert np.max(np.abs(far.values - uniform.values)) < math.exp(-50) * 20 + 1e-12
+        far = evaluate(CoefficientVector(CANON, model.coefficients(50.0)), grid)
+        uniform = evaluate(CoefficientVector(CANON, np.full(9, math.pi)), grid)
+        assert np.max(np.abs(far - uniform)) < math.exp(-50) * 20 + 1e-12
 
     def test_trajectory_zero_amplitude_is_uniform_sum(self):
         model = DecayModel(amplitude=0.0, decay_rate=1.0, n_max=8)
         grid = uniform_grid(CANON, 600)
         np.testing.assert_array_equal(
-            reconstruct(CoefficientVector(CANON, model.coefficients(3.0)), grid).values,
-            reconstruct(CoefficientVector(CANON, np.full(9, math.pi)), grid).values,
+            evaluate(CoefficientVector(CANON, model.coefficients(3.0)), grid),
+            evaluate(CoefficientVector(CANON, np.full(9, math.pi)), grid),
         )
 
     def test_initial_deviation_bounded_by_geometric_sum(self):
         model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=32)
         grid = uniform_grid(CANON, 64 * 33)
-        at_zero = reconstruct(CoefficientVector(CANON, model.coefficients(0.0)), grid)
-        uniform = reconstruct(CoefficientVector(CANON, np.full(33, math.pi)), grid)
-        deviation = np.max(np.abs(at_zero.values - uniform.values))
+        at_zero = evaluate(CoefficientVector(CANON, model.coefficients(0.0)), grid)
+        uniform = evaluate(CoefficientVector(CANON, np.full(33, math.pi)), grid)
+        deviation = np.max(np.abs(at_zero - uniform))
         bound = (1 - math.exp(-33)) / (1 - math.exp(-1)) / math.sqrt(CANON.v_c)
         assert deviation <= bound * (1 + 1e-12)
         assert bound == pytest.approx(1.741, abs=1e-3)
@@ -206,8 +202,8 @@ class TestInverseLimit:
         model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=32, mode_decay=0.0)
         grid = uniform_grid(CANON, 64 * 33)
         report = inverse_limit_report(model, CANON, [0.0, 1.0, 2.0], 0)
-        uniform = reconstruct(CoefficientVector(CANON, np.full(33, math.pi)), grid)
-        uniform_sup = np.max(np.abs(uniform.values / math.pi))
+        uniform = evaluate(CoefficientVector(CANON, np.full(33, math.pi)), grid)
+        uniform_sup = np.max(np.abs(uniform / math.pi))
         assert report.series["seminorm_k0"][0] == pytest.approx(uniform_sup, rel=1e-12)
         assert report.series["fitted_slope"][0] == pytest.approx(-2.0, abs=1e-9)
 
@@ -288,7 +284,7 @@ class TestConvergenceStudy:
         assert sizes == [1032, 3687]
 
     def test_non_finite_target_in_window_rejected(self):
-        bad = uniform_grid(CANON, 4096).points[1000]
+        bad = uniform_grid(CANON, 4096)[1000]
         target = lambda v: np.where(np.asarray(v) == bad, np.nan, 1.0)
         assert np.all(np.isfinite(target(gauss_legendre_rule(CANON, 256).nodes)))
         with pytest.raises(ValidationError, match="finite"):

@@ -147,14 +147,14 @@ DEMOS = {
 PUBLIC_NAMES = {
     "CRITICAL_VELOCITY_RATIO", "CoefficientVector", "ConditioningWarning", "CriticalIndexReport",
     "DEFAULT_TOLERANCES", "DecayModel", "DeformSpecError", "DomainError", "ExperimentReport",
-    "FDSpectrumReport", "FormatError", "Grid", "NumericalError", "OperatorParams", "QuadratureRule",
-    "ResolutionError", "SampledFunction", "TridiagonalSymmetricMatrix", "ValidationError",
+    "FDSpectrumReport", "FormatError", "NumericalError", "OperatorParams", "QuadratureRule",
+    "ResolutionError", "TridiagonalSymmetricMatrix", "ValidationError",
     "apply_operator_spectral", "asymptotic_coefficient", "asymptotic_eigenvalue", "asymptotics_report",
     "canonical_params", "composite_simpson_rule", "constant_coefficient_report", "convergence_study",
     "count_interior_zeros", "critical_index", "custom_params", "default_projection_rule",
     "deformation_profile", "discretize", "eigenfunction", "eigenvalue", "eigenvalues_tridiagonal",
     "eigenvector_inverse_iteration", "evaluate", "fd_derivative", "gauss_legendre_rule", "gram_matrix",
-    "interior_grid", "inverse_limit_report", "l2_norm", "parseval_defect", "project", "reconstruct",
+    "interior_grid", "inverse_limit_report", "l2_norm", "parseval_defect", "project",
     "refinement_study", "rigidity_report", "si_params", "sinpi", "top_eigenvalues", "uniform_grid",
     "wavenumber",
 }

@@ -10,19 +10,19 @@ from deformspec import (
     CRITICAL_VELOCITY_RATIO,
     DecayModel,
     DomainError,
-    Grid,
     OperatorParams,
     QuadratureRule,
-    SampledFunction,
     TridiagonalSymmetricMatrix,
     ValidationError,
     canonical_params,
     custom_params,
     deformation_profile,
+    fd_derivative,
     gauss_legendre_rule,
     project,
     si_params,
     top_eigenvalues,
+    uniform_grid,
 )
 
 
@@ -149,15 +149,12 @@ INPUT_CHECKS = {
         "requires hbar = c = 1",
     ),
     "dimensionless-v_c": (lambda: OperatorParams(1.0, 1.0, 0.5, "dimensionless"), "requires v_c = sqrt"),
-    "grid-one-point": (lambda: Grid(np.array([0.0])), "at least two points"),
+    "grid-one-point": (lambda: uniform_grid(canonical_params(), 0), "m >= 2 intervals"),
     "rule-shapes": (lambda: QuadratureRule(np.zeros(3), np.ones(2)), "1-d arrays of equal length"),
     "rule-zero-weight": (lambda: QuadratureRule(np.arange(3.0), np.array([1.0, 0.0, 1.0])), "weights positive"),
-    "samples-length": (
-        lambda: SampledFunction(Grid(np.linspace(-1.0, 1.0, 5)), np.zeros(4)),
-        "must match the grid",
-    ),
+    "samples-2d": (lambda: fd_derivative(canonical_params(), np.zeros((9, 9)), 1), "in a 1-d array"),
     "samples-non-finite": (
-        lambda: SampledFunction(Grid(np.linspace(-1.0, 1.0, 3)), np.array([0.0, np.inf, 0.0])),
+        lambda: fd_derivative(canonical_params(), np.array([0.0] * 4 + [np.inf] + [0.0] * 4), 1),
         "sampled values must be finite",
     ),
     "project-negative-n_max": (

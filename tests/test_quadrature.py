@@ -8,10 +8,8 @@ from numpy.polynomial.legendre import leggauss
 
 from deformspec import (
     DomainError,
-    Grid,
     QuadratureRule,
     ResolutionError,
-    SampledFunction,
     ValidationError,
     canonical_params,
     composite_simpson_rule,
@@ -20,6 +18,7 @@ from deformspec import (
     eigenfunction,
     fd_derivative,
     gauss_legendre_rule,
+    interior_grid,
     si_params,
     uniform_grid,
     wavenumber,
@@ -28,34 +27,46 @@ from deformspec.quadrature import _BOUNDARY_ROOTS, _STENCILS, _theta_start, _uni
 from deformspec.transform import _on_uniform_nodes, _sample as _evaluate
 
 CANON = canonical_params()
+PARAM_SETS = [CANON, si_params(), custom_params(0.8, 3.0, 1.7)]
 
 
 class TestUniformGrid:
     def test_three_points(self):
         grid = uniform_grid(CANON, 2)
-        np.testing.assert_allclose(grid.points, [-CANON.v_c, 0.0, CANON.v_c], atol=1e-15)
-        assert grid.points[0] == -CANON.v_c and grid.points[-1] == CANON.v_c
+        np.testing.assert_allclose(grid, [-CANON.v_c, 0.0, CANON.v_c], atol=1e-15)
+        assert grid[0] == -CANON.v_c and grid[-1] == CANON.v_c
 
     def test_spacing(self):
         grid = uniform_grid(CANON, 4)
-        assert grid.spacing == pytest.approx(CANON.v_c / 2, rel=1e-14)
-        assert np.max(np.abs(np.diff(grid.points) - grid.spacing)) < 1e-12
+        assert np.max(np.abs(np.diff(grid) - CANON.v_c / 2)) < 1e-12
 
-    @pytest.mark.parametrize("params", [CANON, si_params()])
+    @pytest.mark.parametrize("params", PARAM_SETS)
+    @pytest.mark.parametrize("m", [2, 3, 1000, 4097])
+    def test_is_linspace_bit_for_bit(self, params, m):
+        grid = uniform_grid(params, m)
+        assert isinstance(grid, np.ndarray) and grid.dtype == np.float64
+        assert np.array_equal(grid, np.linspace(-params.v_c, params.v_c, m + 1))
+        assert _on_uniform_nodes(params, grid)
+
+    @pytest.mark.parametrize("params", PARAM_SETS)
+    def test_interior_and_simpson_points_are_its_slices(self, params):
+        assert np.array_equal(interior_grid(params, 999), uniform_grid(params, 1000)[1:-1])
+        assert np.array_equal(composite_simpson_rule(params, 1001).nodes, uniform_grid(params, 1000))
+
+    @pytest.mark.parametrize("params", PARAM_SETS)
     def test_spacing_is_derived_from_the_points(self, params):
+        # the finite-difference step 2 v_c / m is the spacing the points give;
+        # a unit impulse reads it back, as the order-1 central weight 0.5 / h
         grid = uniform_grid(params, 1000)
-        assert grid.spacing == 2.0 * params.v_c / 1000
-        points = grid.points.copy()
-        points[500] = np.nextafter(points[500], 1.0)
-        assert Grid(points=points).spacing is None
+        h = 2.0 * params.v_c / 1000
+        assert (grid[-1] - grid[0]) / 1000 == h
+        impulse = np.zeros(1001)
+        impulse[500] = 1.0
+        assert fd_derivative(params, impulse, 1)[499] == 0.5 / h
 
     def test_too_few_intervals(self):
         with pytest.raises(ValidationError):
             uniform_grid(CANON, 1)
-
-    def test_grid_must_increase(self):
-        with pytest.raises(ValidationError):
-            Grid(points=np.array([0.0, 0.0, 1.0]))
 
 
 class TestGaussLegendre:
@@ -313,14 +324,13 @@ def test_default_projection_rule_switches_family():
 class TestFiniteDifferences:
     def test_second_derivative_of_square(self):
         grid = uniform_grid(CANON, 64)
-        sf = SampledFunction(grid, grid.points**2)
-        d2 = fd_derivative(sf, 2)
-        np.testing.assert_allclose(d2.values[1:-1], 2.0, atol=1e-8)
+        d2 = fd_derivative(CANON, grid**2, 2)
+        np.testing.assert_allclose(d2[1:-1], 2.0, atol=1e-8)
 
     def test_first_derivative_of_sine(self):
         grid = uniform_grid(CANON, 512)
-        d1 = fd_derivative(SampledFunction(grid, np.sin(grid.points)), 1)
-        assert np.max(np.abs(d1.values - np.cos(grid.points))) < 5e-6
+        d1 = fd_derivative(CANON, np.sin(grid), 1)
+        assert np.max(np.abs(d1 - np.cos(grid))) < 5e-6
 
     # coarser grids for the higher derivatives: the eps/h^order roundoff
     # floor must stay well below the h^2 truncation term being measured
@@ -334,8 +344,8 @@ class TestFiniteDifferences:
         errors = []
         for m in grids:
             grid = uniform_grid(CANON, m)
-            d = fd_derivative(SampledFunction(grid, np.sin(grid.points)), order)
-            errors.append(np.max(np.abs(d.values - exact(grid.points))))
+            d = fd_derivative(CANON, np.sin(grid), order)
+            errors.append(np.max(np.abs(d - exact(grid))))
         measured = math.log2(errors[0] / errors[1])
         assert 1.9 <= measured <= 2.1
 
@@ -344,30 +354,24 @@ class TestFiniteDifferences:
         errors = []
         for m in (256, 512):
             grid = uniform_grid(CANON, m)
-            sf = SampledFunction(grid, eigenfunction(CANON, 0, grid.points))
-            d2 = fd_derivative(sf, 2)
-            errors.append(np.max(np.abs(d2.values + k0**2 * sf.values)))
+            values = eigenfunction(CANON, 0, grid)
+            d2 = fd_derivative(CANON, values, 2)
+            errors.append(np.max(np.abs(d2 + k0**2 * values)))
         assert 1.9 <= math.log2(errors[0] / errors[1]) <= 2.1
 
     def test_composed_first_derivatives_match_second(self):
         grid = uniform_grid(CANON, 1024)
-        sf = SampledFunction(grid, np.sin(grid.points))
-        twice = fd_derivative(fd_derivative(sf, 1), 1)
-        direct = fd_derivative(sf, 2)
+        values = np.sin(grid)
+        twice = fd_derivative(CANON, fd_derivative(CANON, values, 1), 1)
+        direct = fd_derivative(CANON, values, 2)
         interior = slice(4, -4)
-        h = grid.spacing
-        assert np.max(np.abs(twice.values[interior] - direct.values[interior])) < 10 * h**2
-
-    def test_requires_uniform_grid(self):
-        points = np.concatenate([[-CANON.v_c], np.linspace(-0.5, 0.5, 30) * CANON.v_c, [CANON.v_c]])
-        sf = SampledFunction(Grid(points=points), np.sin(points))
-        with pytest.raises(ValidationError):
-            fd_derivative(sf, 1)
+        h = 2.0 * CANON.v_c / 1024
+        assert np.max(np.abs(twice[interior] - direct[interior])) < 10 * h**2
 
     def test_order_range(self):
         grid = uniform_grid(CANON, 32)
         with pytest.raises(ValidationError):
-            fd_derivative(SampledFunction(grid, np.sin(grid.points)), 5)
+            fd_derivative(CANON, np.sin(grid), 5)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_stencil_table_is_exact_on_low_monomials(self, order):
@@ -389,4 +393,4 @@ class TestFiniteDifferences:
     def test_too_few_points(self):
         grid = uniform_grid(CANON, 6)
         with pytest.raises(ResolutionError):
-            fd_derivative(SampledFunction(grid, np.sin(grid.points)), 4)
+            fd_derivative(CANON, np.sin(grid), 4)

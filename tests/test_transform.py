@@ -9,7 +9,6 @@ from deformspec import (
     CoefficientVector,
     QuadratureRule,
     ResolutionError,
-    SampledFunction,
     ValidationError,
     apply_operator_spectral,
     canonical_params,
@@ -25,7 +24,6 @@ from deformspec import (
     l2_norm,
     parseval_defect,
     project,
-    reconstruct,
     uniform_grid,
 )
 from deformspec import transform
@@ -112,8 +110,7 @@ class TestReconstruct:
     def test_round_trip_single_mode(self):
         coeffs = project(CANON, lambda v: eigenfunction(CANON, 0, v), 0, GL256)
         grid = uniform_grid(CANON, 128)
-        rec = reconstruct(coeffs, grid)
-        np.testing.assert_allclose(rec.values, eigenfunction(CANON, 0, grid.points), atol=1e-10)
+        np.testing.assert_allclose(evaluate(coeffs, grid), eigenfunction(CANON, 0, grid), atol=1e-10)
 
     def test_round_trip_in_span(self):
         rng = np.random.default_rng(7)
@@ -121,9 +118,7 @@ class TestReconstruct:
         f = lambda v: evaluate(target_coeffs, v)
         recovered = project(CANON, f, 5, GL256)
         grid = uniform_grid(CANON, 200)
-        np.testing.assert_allclose(
-            reconstruct(recovered, grid).values, evaluate(target_coeffs, grid.points), atol=1e-9
-        )
+        np.testing.assert_allclose(evaluate(recovered, grid), evaluate(target_coeffs, grid), atol=1e-9)
 
     def test_interior_error_shrinks_with_truncation(self):
         # measured with the closed-form coefficients: the sup error on
@@ -132,13 +127,12 @@ class TestReconstruct:
         # convergence interior-only
         rule = default_projection_rule(CANON, 64)
         grid = uniform_grid(CANON, 512)
-        mask = np.abs(grid.points) <= 0.9 * CANON.v_c
+        mask = np.abs(grid) <= 0.9 * CANON.v_c
         errors = {}
         coeffs = project(CANON, profile, 64, rule)
         for n in (8, 64):
             partial = CoefficientVector(CANON, coeffs.coefficients[: n + 1])
-            rec = reconstruct(partial, grid)
-            errors[n] = np.max(np.abs(rec.values[mask] - profile(grid.points[mask])))
+            errors[n] = np.max(np.abs(evaluate(partial, grid)[mask] - profile(grid[mask])))
         assert errors[8] == pytest.approx(0.1844, abs=2e-3)
         assert errors[64] == pytest.approx(0.0504, abs=1e-3)
         assert errors[8] / errors[64] > 3.5
@@ -146,14 +140,14 @@ class TestReconstruct:
     def test_uniform_pi_coefficients_vanish_at_endpoints(self):
         for n_max in (0, 7, 64):
             coeffs = CoefficientVector(CANON, np.full(n_max + 1, math.pi))
-            rec = reconstruct(coeffs, uniform_grid(CANON, 64))
-            assert abs(rec.values[0]) < 1e-12
-            assert abs(rec.values[-1]) < 1e-12
+            rec = evaluate(coeffs, uniform_grid(CANON, 64))
+            assert abs(rec[0]) < 1e-12
+            assert abs(rec[-1]) < 1e-12
 
     def test_endpoint_annihilation_generic(self):
         coeffs = project(CANON, profile, 32, gauss_legendre_rule(CANON, 512))
-        rec = reconstruct(coeffs, uniform_grid(CANON, 100))
-        assert abs(rec.values[0]) < 1e-12 and abs(rec.values[-1]) < 1e-12
+        rec = evaluate(coeffs, uniform_grid(CANON, 100))
+        assert abs(rec[0]) < 1e-12 and abs(rec[-1]) < 1e-12
 
 
 class TestNorm:
@@ -216,9 +210,9 @@ class TestApplyOperator:
         coeffs = project(CANON, f, 4, GL256)
         applied = apply_operator_spectral(coeffs)
         grid = uniform_grid(CANON, 4096)
-        spectral = evaluate(applied, grid.points)
-        second = fd_derivative(SampledFunction(grid, f(grid.points)), 2)
-        direct = math.pi * (second.values + f(grid.points))
+        spectral = evaluate(applied, grid)
+        second = fd_derivative(CANON, f(grid), 2)
+        direct = math.pi * (second + f(grid))
         interior = slice(1, -1)
         assert np.max(np.abs(spectral[interior] - direct[interior])) < 5e-5
 
@@ -285,7 +279,7 @@ class TestUniformRoute:
         coeffs = project(CANON, profile, 8, rule)
         gram_matrix(CANON, 8, rule)
         evaluate(coeffs, rule.nodes)
-        reconstruct(coeffs, uniform_grid(CANON, 256))
+        evaluate(coeffs, uniform_grid(CANON, 256))
 
     def test_non_uniform_simpson_nodes_take_the_dense_route(self):
         simpson = composite_simpson_rule(CANON, 4097)
