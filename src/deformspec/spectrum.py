@@ -20,6 +20,20 @@ from .params import OperatorParams, _require_in_interval
 from .quadrature import uniform_grid
 
 
+def _half_turns(x):
+    """pi (x - n) in a new float buffer and the mask of odd n, with n = round(x).
+
+    sin(pi x) = (-1)^n sin(pi (x - n)) and cos(pi x) = (-1)^n cos(pi (x - n));
+    the reduction x - n is exact in binary floating point.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.round(x, out=np.empty_like(x))
+    odd = (out.astype(np.int64) & 1).astype(bool)
+    np.subtract(x, out, out=out)
+    out *= np.pi
+    return out, odd
+
+
 def sinpi(x):
     """sin(pi*x) with argument reduction so integer x gives exactly 0.0.
 
@@ -27,12 +41,7 @@ def sinpi(x):
     eigenfunction values at the interval endpoints exact zeros instead of
     O(n*eps) residue from rounding pi*(n+1).
     """
-    # sin(pi x) = (-1)^n sin(pi (x - n)) with n = round(x), built in one buffer
-    x = np.asarray(x, dtype=float)
-    out = np.round(x, out=np.empty_like(x))
-    odd = (out.astype(np.int64) & 1).astype(bool)
-    np.subtract(x, out, out=out)
-    out *= np.pi
+    out, odd = _half_turns(x)
     np.sin(out, out=out)
     np.negative(out, out=out, where=odd)
     return float(out) if out.ndim == 0 else out

@@ -8,9 +8,19 @@ On the P+1 equally spaced nodes v_j = -v_c + 2 v_c j/P the modes sample as
 psi_n(v_j) = sin((n+1) pi j/P)/sqrt(v_c), so the sums of `project`, `evaluate`
 and `gram_matrix` are a DST-I of the weighted values, a DST-I of the
 coefficients and a DCT-I of the weights, each one real FFT of length 2P: the
-same sums in O(P log P) time and O(P) memory.  On any other nodes the sums run
-over the dense basis matrix, which the tests also use as the oracle for the
-FFT route.
+same sums in O(P log P) time and O(P) memory.
+
+On any other nodes the modes come from sine and cosine tables by angle
+addition: with B = ceil(sqrt(N+1)) and n = qB + r,
+
+    sin((n+1) pi t) = sin(qB pi t) cos((r+1) pi t) + cos(qB pi t) sin((r+1) pi t),
+
+t = (v + v_c)/(2 v_c), so each node takes about 4 sqrt(N+1) sines and cosines
+instead of N+1 sines.  `project` contracts the tables with the weighted
+samples in two matrix products and never forms the (N+1) x M basis;
+`gram_matrix` and `evaluate` fill it from the tables.  The tests hold the
+tables to the per-entry `eigenfunction` within the rounding of the phase, and
+the FFT routes to the filled basis.
 """
 
 from __future__ import annotations
@@ -22,11 +32,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ResolutionError, ValidationError
-from .params import OperatorParams
+from .params import OperatorParams, _require_in_interval
 from .quadrature import NODES_PER_MODE, QuadratureRule
-from .spectrum import eigenfunction, eigenvalue
-
-_CHUNK = 128  # modes per block when filling eigenfunction matrices
+from .spectrum import _half_turns, eigenvalue
 
 
 @dataclass(frozen=True)
@@ -75,13 +83,42 @@ def _sample(f: Callable, x: np.ndarray) -> np.ndarray:
     return values
 
 
+def _sine_tables(params: OperatorParams, n_max: int, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Tables (sin_high, cos_high, sin_low, cos_low) that give psi_{qB+r}(v) as
+    sqrt(1/v_c) (sin_high[q] cos_low[r] + cos_high[q] sin_low[r]), where
+    B = ceil(sqrt(n_max+1)).
+
+    The high pair holds sin/cos(qB pi t) for q = 0..Q-1, Q = ceil((n_max+1)/B),
+    and the low pair sin/cos((r+1) pi t) for r = 0..B-1, each of shape
+    (rows, len(v)), from one argument reduction.  The phases are integers at
+    v = +-v_c, so every mode is an exact zero there.  Raises
+    :class:`DomainError` for |v| > v_c or NaN v.
+    """
+    v = _require_in_interval(params, v)
+    b = math.isqrt(n_max) + 1
+    q = -(-(n_max + 1) // b)
+    t = (v + params.v_c) / (params.v_c + params.v_c)
+    turns = np.concatenate([np.arange(q) * b, np.arange(1, b + 1)]).astype(float)
+    theta, odd = _half_turns(turns[:, None] * t)
+    sin, cos = np.sin(theta), np.cos(theta)
+    np.negative(sin, out=sin, where=odd)
+    np.negative(cos, out=cos, where=odd)
+    return sin[:q], cos[:q], sin[q:], cos[q:]
+
+
 def _basis_matrix(params: OperatorParams, n_max: int, v: np.ndarray) -> np.ndarray:
-    """Rows psi_0(v)..psi_{n_max}(v), filled in blocks to bound memory."""
+    """Rows psi_0(v)..psi_{n_max}(v) from `_sine_tables`, B rows at a time with
+    one B x len(v) temporary.  The sqrt(1/v_c) scale is the last rounding of
+    each entry, as in `eigenfunction`."""
+    sin_high, cos_high, sin_low, cos_low = _sine_tables(params, n_max, v)
+    scale = math.sqrt(1.0 / params.v_c)
     out = np.empty((n_max + 1, len(v)))
-    for start in range(0, n_max + 1, _CHUNK):
-        stop = min(start + _CHUNK, n_max + 1)
-        ns = np.arange(start, stop)[:, None]
-        out[start:stop] = eigenfunction(params, ns, v[None, :])
+    b = len(sin_low)
+    for q in range(len(sin_high)):
+        rows = out[q * b : (q + 1) * b]
+        np.multiply(sin_high[q], cos_low[: len(rows)], out=rows)
+        rows += cos_high[q] * sin_low[: len(rows)]
+        rows *= scale
     return out
 
 
@@ -115,10 +152,12 @@ def _project_samples(
     """`project` from the values of f on the rule's nodes, for a resolved n_max."""
     weighted = rule.weights * values
     if _on_uniform_nodes(params, rule.nodes):
-        coeffs = math.sqrt(1.0 / params.v_c) * _sine_sums(weighted, n_max + 1)
+        sums = _sine_sums(weighted, n_max + 1)
     else:
-        coeffs = _basis_matrix(params, n_max, rule.nodes) @ weighted
-    return CoefficientVector(params=params, coefficients=coeffs)
+        # entry (q, r) of the product is the sum for mode qB + r
+        sin_high, cos_high, sin_low, cos_low = _sine_tables(params, n_max, rule.nodes)
+        sums = ((sin_high * weighted) @ cos_low.T + (cos_high * weighted) @ sin_low.T).ravel()[: n_max + 1]
+    return CoefficientVector(params=params, coefficients=math.sqrt(1.0 / params.v_c) * sums)
 
 
 def evaluate(coeffs: CoefficientVector, v) -> np.ndarray:

@@ -83,10 +83,10 @@ CASES = {
 GOLDEN = {
     "asymptotics-csv": "0e939610be40cf6582dce53a02933145c6a994925eed23cff5f6dae3eb4629a9",
     "asymptotics-json": "a3187fb27622c6d35fad5634de4549a11eb7effb01c1fc81a4c884d6b9d0fadc",
-    "converge-csv": "7260df78503137b447821749c2edd21ab9941ee46d9f535df60371146b2e099c",
-    "converge-custom-json": "40793f2f5835bf9c959eb1d0ff0c09968fd6181ed4a49e1ac941fcbed45a0ee0",
-    "converge-json": "c1fde9d2013534b4d64db652bf225e42c88415c100078104107935db966dd65f",
-    "converge-si-json": "b1f9c3c56ed9c786028b51793e03c12b4a11c65b4da770b689716a1e22b7035c",
+    "converge-csv": "238524bcc3320eda74e1619e429cdab56f9dcd2337fb06c9bcd6ca26c59d4aac",
+    "converge-custom-json": "f5414070a3d13b85a8f0fc06abc244bff8e69b63a086b6e32b3bed454684cc53",
+    "converge-json": "1509942fc7fade80e1e30507eb6276fdf615002676d37bf805e553e088a3f78d",
+    "converge-si-json": "51edc9409233370f2fbbb5b2c8ed6da564f7b7d54774a49fe59a3bb0c58f4499",
     "critical-index-csv": "4f38a3f75e763da9617d474149ffcb7c80977e03f2f0d845c416cb7ff928614c",
     "critical-index-custom-csv": "d9ade9e20ad9db73a58a856d6dc4b7080dc56776e0ffe3c10067e1ec80a721cb",
     "critical-index-json": "e84d219e996e96da08bfc7022a1a5ee9cb20e537c4bad0d54fa3b9c4bdf24109",
@@ -97,8 +97,8 @@ GOLDEN = {
     "fd-validate-csv": "537c0f33cece00e132ce3760a1bc422437faa838ab4c0a8c787047a16a2f3436",
     "fd-validate-json": "bc0f215514cd9d342b6da7a4e24cd9dd47e925fc2eccd54f0f5a6eacc082c1fe",
     "fd-validate-single-csv": "609515138346b65b4754205dd2643716b81a32b868239b4574352be8f47705ac",
-    "gram-default-json": "e0435bd16027248be0f13ac827d7b70a127c6914a1ed927292d2c2b4bc47b68f",
-    "gram-gl-csv": "893834d3b72801033374703c83c4d4688d6ee6cbe6a59c10b7cd52e39a49d116",
+    "gram-default-json": "e819af7295fd1b6f9b8704cc6cd7d4ac347d681152c6fca556205107bf39604f",
+    "gram-gl-csv": "4c82832d209baaa3b8879562946e67fae6008c1fb2ba539996a2fb968181c8f2",
     "gram-simpson-csv": "02842c7ad612b502a4b057b6b8428c574b327da9f63122e0f58013266288de3c",
     "inverse-limit-csv": "9f14459d58e55886d3ecbdb49a099240a65100c5f131b3b1e8af67e38f286f66",
     "inverse-limit-custom-json": "83f641b1e18dde83549b59e5e91614e059b713d4cd90540ea9b4868394e4f76d",
@@ -106,17 +106,17 @@ GOLDEN = {
     "inverse-limit-si-json": "ac7488dede4d05f29bd9f7e74bac32a18ffbfa878028b59621a0371755c90b7c",
     "parseval-csv": "1e51f85598e9080941fd0cab104ba9936d7e797caadccaa2b2adf7d48aeaa2aa",
     "parseval-json": "4ceb26058bcb3a73533f7ec64c0155933ca6d92213a5063760f1bb65214fa9db",
-    "project-csv": "ae16c9ea21fa7649924b33ceb9d3d8bfb5aaf5420d707cc7b57f0caa135f58a5",
-    "project-psi-csv": "b27c9ff81cb1f5a93a9a78b976bc7c4bccc3f2db8b20bd89c10e8fe0c41dcb63",
+    "project-csv": "bdc6161b097ce8bd6c803497e97e30c57bf5ae1e20f953fe69bbbbd3ecefd220",
+    "project-psi-csv": "3b11837600a9e7d180c4a0b51a6b9d7c80acff8605a8ee342850863bd2c0bb1e",
     "project-simpson-csv": "ce9769eb4c4189ee84597ed62cc680242caef1497be60a39cf3cc1ecc728578a",
     "reconstruct-csv": "9f6426bb6397edc43867f3ad674b902a1b539ab40f8bd89f0662142a79b0c261",
     "reconstruct-custom-csv": "6afdc66f9ec505cd366420a402ff56cbab39e3cef6fe6409de5a3db0d8cf32f1",
     "reconstruct-json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "reconstruct-si-csv": "5e30fbdcb1017854c156df58311f80bfec28f7a89f29274030bac25711812080",
-    "rigidity-csv": "a83c0fdb582e9148c245d64e9dfa2e69f98ccfabba181a2da9101754f83bc0da",
-    "rigidity-custom-json": "77eaf23df6d3a3e81f8a7a809a1accc6a19360a0d805733a86e5067d79b66ab2",
-    "rigidity-fail-json": "f5391e2b0e7b06877874bf28a413423c56d9748cfaa2108d815e4dae6dc50e0c",
-    "rigidity-json": "1df720709cf826ac47c430bbd27381823f7773e91b223a5b589adf9d274e4af9",
+    "rigidity-csv": "95d162853ee6cda3af4b5cb81cd377b0d14a7b9b70c3b06fdad3434d013b98cf",
+    "rigidity-custom-json": "86876a1c6b4dd1984a3bf1f7e7143acd8ca4d3a7c10f08fe235b611fdc4fa461",
+    "rigidity-fail-json": "65df09c6a4befa72883c3f3549cb16c65bf8c2bb175c4a64969c6a44b33da265",
+    "rigidity-json": "9c873377aa455bbd07a976c487d821479d4450920070ae96ac41a9ae5df96550",
     "rigidity-si-json": "7a22d675d5011fbc07ae2169223eaae1c7ba9e9c99a1ef182dec6ea1529dc6f7",
     "spectrum-csv": "4e4530d9456327c5e2a66676038255a56c965e18e06117a20dc4b9360e96a66e",
     "spectrum-json": "a72efeda0f7201711555a7a238b0e545c4db9c98ddf549a9f29dcf1b1747f65d",
@@ -127,21 +127,21 @@ GOLDEN = {
 # file name -> sha256 for `rigidity --n-list 8,16 --format csv --output DIR`
 RIGIDITY_SERIES = {
     "rigidity__boundary_gap.csv": "f0d53f6b7df6067f54823beb2bca8a420e7284747e0fb8286fbcd960346c8cc8",
-    "rigidity__l2_distance_to_pi.csv": "ba3ece36892aee513a787ea43cfd549065c5d22db8e2b3d848d01c612253ac0a",
+    "rigidity__l2_distance_to_pi.csv": "67d63a241a66b43304eefe3ff1d5c123a3f35ac944bb6669b5b8a4964e3caacf",
     "rigidity__n.csv": "ccd35ee916c4f5482aa4eb62ebc673d0606cf1a777ecb17f26f90f08acb3ebec",
-    "rigidity__norm_sq.csv": "5c5f923fc84c1a613d943909dbd3d47a0956612339bbc33c1c91a31169239b31",
-    "rigidity__norm_sq_over_count_minus_pi_sq.csv": "8984ab02bbe991c778de6df36e7e892000a66b4ac593d339fb1ea47c7185ed2b",
+    "rigidity__norm_sq.csv": "61dd62a8735523debfed372ff18bdf7feb6def6177058285cb242e3d8845c3b0",
+    "rigidity__norm_sq_over_count_minus_pi_sq.csv": "3e61d984030a56b0606027755da357cd9bb587adcf7a8e0fb3ffbdf1cf4d46b4",
     "rigidity__sup_deviation_from_pi.csv": "ee267b242f81c1e678d8d29388efdd9420c94ea30d96fb45ca7c7822a84e849a",
 }
 
 # demo file name -> sha256 of stdout
 DEMOS = {
     "01_closed_form_spectrum.py": "e5840a9f669f651550ddd68645fed8dfbac7059b5354300ee79489db1b2abc96",
-    "02_transform_and_parseval.py": "80e35c98ff19a44bc47ab46c092a2575e901c6d9bc6322ce8a05db453074ee91",
+    "02_transform_and_parseval.py": "da9763c1355a60f073b1f26a5eb74098cc3ec04b729c9d17e6e2480a35d0d6df",
     "03_fd_cross_validation.py": "adca7b0c59c53733ca9602d4aee2227741f0267984835cbc846693f5db730fd4",
     "04_rigidity_obstruction.py": "d4a424c3f4957b81cddb4528cf2963a8be0e9de4d4cf4760d989ac3eb024701f",
     "05_inverse_limit_decay.py": "28923f4af41eaccb37bf53b96580c1c0f2a9c6f67a5e34cb2572a4a69073c3e3",
-    "06_reconstruction_convergence.py": "efea4ffffe5a8d71b4b539171603be27f781ba37368bac94be73a5ccf4b95691",
+    "06_reconstruction_convergence.py": "c13581b7222ab76bbfc6c445d631418438d57dc4e1c0af51104c9c4bb96b2b98",
 }
 
 PUBLIC_NAMES = {
@@ -188,19 +188,28 @@ def test_per_series_files_match_golden(tmp_path, capsys):
 
 
 def test_dense_basis_fills_stay_small(tmp_path, capsys, monkeypatch):
-    """Uniform points never fill the basis, and the GL cap (4096 nodes, so at
-    most 512 modes) bounds every other fill the corpus makes."""
-    fill = transform._basis_matrix
-    sizes = []
+    """Uniform points never build sine tables or fill the basis, and the GL cap
+    (4096 nodes, so at most 512 modes) bounds what the corpus allocates on other
+    points: tables of 2 (B + Q) rows with B = Q = 23 at 512 modes, and the
+    basis that `gram` and `evaluate` fill from them."""
+    sine_tables, fill = transform._sine_tables, transform._basis_matrix
+    tables, fills = [], []
 
-    def recorded(params, n_max, v):
-        sizes.append((n_max + 1) * len(v))
+    def recorded_tables(params, n_max, v):
+        out = sine_tables(params, n_max, v)
+        tables.append(sum(table.size for table in out))
+        return out
+
+    def recorded_fill(params, n_max, v):
+        fills.append((n_max + 1) * len(v))
         return fill(params, n_max, v)
 
-    monkeypatch.setattr(transform, "_basis_matrix", recorded)
+    monkeypatch.setattr(transform, "_sine_tables", recorded_tables)
+    monkeypatch.setattr(transform, "_basis_matrix", recorded_fill)
     for name in sorted(CASES):
         run_case(name, tmp_path, capsys)
-    assert sizes and max(sizes) <= 512 * 4096
+    assert tables and max(tables) <= 2 * (23 + 23) * 4096
+    assert fills and max(fills) <= 512 * 4096
 
 
 @pytest.mark.parametrize("demo", sorted(DEMOS))

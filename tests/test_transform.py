@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 from deformspec import (
     CoefficientVector,
+    DomainError,
     QuadratureRule,
     ResolutionError,
     ValidationError,
     apply_operator_spectral,
     canonical_params,
     composite_simpson_rule,
+    custom_params,
     default_projection_rule,
     deformation_profile,
     eigenfunction,
@@ -24,6 +27,7 @@ from deformspec import (
     l2_norm,
     parseval_defect,
     project,
+    si_params,
     uniform_grid,
 )
 from deformspec import transform
@@ -31,6 +35,7 @@ from deformspec.transform import _basis_matrix
 
 CANON = canonical_params()
 GL256 = gauss_legendre_rule(CANON, 256)
+EPS = np.finfo(float).eps
 
 
 def profile(v):
@@ -275,22 +280,34 @@ class TestUniformRoute:
             raise AssertionError("dense basis filled on uniform nodes")
 
         monkeypatch.setattr(transform, "_basis_matrix", no_basis)
+        monkeypatch.setattr(transform, "_sine_tables", no_basis)
         rule = composite_simpson_rule(CANON, 4097)
         coeffs = project(CANON, profile, 8, rule)
         gram_matrix(CANON, 8, rule)
         evaluate(coeffs, rule.nodes)
         evaluate(coeffs, uniform_grid(CANON, 256))
 
-    def test_non_uniform_simpson_nodes_take_the_dense_route(self):
+    def test_non_uniform_simpson_nodes_take_the_dense_route(self, monkeypatch):
         simpson = composite_simpson_rule(CANON, 4097)
         nodes = simpson.nodes.copy()
         nodes[1000] = np.nextafter(nodes[1000], 0.0)
         rule = QuadratureRule(nodes, simpson.weights)
+        tables = []
+        sine_tables = transform._sine_tables
+
+        def recorded(params, n_max, v):
+            tables.append(n_max)
+            return sine_tables(params, n_max, v)
+
+        monkeypatch.setattr(transform, "_sine_tables", recorded)
         coeffs = project(CANON, profile, 8, rule).coefficients
-        assert np.array_equal(coeffs, _basis_matrix(CANON, 8, nodes) @ (rule.weights * profile(nodes)))
-        assert np.array_equal(gram_matrix(CANON, 8, rule), dense_gram(rule, 8))
+        gram = gram_matrix(CANON, 8, rule)
         values = evaluate(CoefficientVector(CANON, coeffs), nodes)
-        assert np.array_equal(values, coeffs @ _basis_matrix(CANON, 8, nodes))
+        assert tables == [8, 8, 8]
+        oracle = PerEntryOracle(rule, 8)
+        oracle.check_project(coeffs, profile(nodes))
+        oracle.check_gram(gram)
+        oracle.check_evaluate(coeffs, values)
 
     @pytest.mark.parametrize("endpoint", [-CANON.v_c, CANON.v_c])
     def test_non_finite_endpoint_value_rejected(self, endpoint):
@@ -298,6 +315,112 @@ class TestUniformRoute:
         # the target must still be finite there
         with pytest.raises(ValidationError, match="finite"):
             project(CANON, lambda v: np.where(v == endpoint, np.nan, 1.0), 8, composite_simpson_rule(CANON, 4097))
+
+
+class PerEntryOracle:
+    """The per-entry basis (`eigenfunction`, one sinpi per mode and node) as
+    the oracle for the sine-table routes on non-uniform nodes.
+
+    Each table entry is within ENTRY = 4 (N+1) eps/sqrt(v_c) of the per-entry
+    one (see tests/test_spectrum.py), and that bound is carried through each
+    sum: a_n moves by at most ENTRY sum_j |w_j f_j|, G_nm by at most
+    2 ENTRY sum_j w_j/sqrt(v_c) (|psi| <= 1/sqrt(v_c)), and the expansion by
+    at most ENTRY sum_n |a_n|.  The summation rounding of either side stays
+    below 0.3 of these bounds at the tested sizes.
+    """
+
+    def __init__(self, rule, n_max, params=CANON):
+        self.rule = rule
+        self.params = params
+        self.basis = eigenfunction(params, np.arange(n_max + 1)[:, None], rule.nodes[None, :])
+        self.entry = 4 * (n_max + 1) * EPS / math.sqrt(params.v_c)
+
+    def check_project(self, coeffs, samples):
+        weighted = self.rule.weights * samples
+        assert np.max(np.abs(coeffs - self.basis @ weighted)) <= self.entry * np.sum(np.abs(weighted))
+
+    def check_gram(self, gram):
+        want = (self.basis * self.rule.weights) @ self.basis.T
+        bound = 2 * self.entry * np.sum(self.rule.weights) / math.sqrt(self.params.v_c)
+        assert np.max(np.abs(gram - want)) <= bound
+
+    def check_evaluate(self, coeffs, values):
+        assert np.max(np.abs(values - coeffs @ self.basis)) <= self.entry * np.sum(np.abs(coeffs))
+
+
+def long_double_modes(params, n_max, v):
+    """psi_0..psi_{n_max} at the double points v in np.longdouble, the phase
+    (n+1) (v + v_c)/(2 v_c) formed and reduced by x - round(x) in extended
+    precision before the sine."""
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    t = (v.astype(ld) + ld(params.v_c)) / (ld(params.v_c) + ld(params.v_c))
+    x = np.arange(1, n_max + 2, dtype=ld)[:, None] * t
+    k = np.round(x)
+    sign = 1 - 2 * (k.astype(np.int64) & 1)
+    return sign * np.sin(pi * (x - k)) / np.sqrt(ld(params.v_c))
+
+
+class TestSineTables:
+    """project, gram_matrix and evaluate on non-uniform points, which build the
+    modes from sine and cosine tables by angle addition."""
+
+    @pytest.mark.parametrize("n_max, nodes", [(0, 64), (3, 64), (32, 264), (100, 1000), (255, 2048), (511, 4096)])
+    def test_match_per_entry_oracle_on_gauss_legendre_nodes(self, n_max, nodes):
+        rule = gauss_legendre_rule(CANON, nodes)
+        oracle = PerEntryOracle(rule, n_max)
+        oracle.check_project(project(CANON, profile, n_max, rule).coefficients, profile(rule.nodes))
+        oracle.check_gram(gram_matrix(CANON, n_max, rule))
+        coeffs = np.random.default_rng(n_max).uniform(-1, 1, n_max + 1)
+        oracle.check_evaluate(coeffs, evaluate(CoefficientVector(CANON, coeffs), rule.nodes))
+
+    @pytest.mark.parametrize("params", [si_params(), custom_params(0.8, 3.0, 1.7)], ids=["si", "custom"])
+    def test_match_per_entry_oracle_at_other_scales(self, params):
+        rule = gauss_legendre_rule(params, 2048)
+        oracle = PerEntryOracle(rule, 255, params)
+        target = functools.partial(deformation_profile, params)
+        oracle.check_project(project(params, target, 255, rule).coefficients, target(rule.nodes))
+        oracle.check_gram(gram_matrix(params, 255, rule))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="long double is double")
+    @pytest.mark.parametrize("params", [CANON, si_params()], ids=["canonical", "si"])
+    def test_error_against_long_double_within_per_entry_error(self, params):
+        # 61 nodes of the 4096-node rule, all 512 modes; both routes start from
+        # the same rounded t, whose error dominates, so their errors come out close
+        nodes = gauss_legendre_rule(params, 4096).nodes[::68]
+        reference = long_double_modes(params, 511, nodes)
+        table_error = np.max(np.abs(_basis_matrix(params, 511, nodes) - reference))
+        entry_error = np.max(np.abs(eigenfunction(params, np.arange(512)[:, None], nodes[None, :]) - reference))
+        assert table_error <= 1.5 * entry_error
+
+    def test_project_never_fills_the_basis(self, monkeypatch):
+        def no_basis(*args):
+            raise AssertionError("dense basis filled by project")
+
+        monkeypatch.setattr(transform, "_basis_matrix", no_basis)
+        rule = gauss_legendre_rule(CANON, 4096)
+        assert len(project(CANON, profile, 511, rule).coefficients) == 512
+        parseval_defect(CANON, profile, 511, rule)
+
+    @pytest.mark.parametrize("v", [[2 * CANON.v_c, 0.1], [0.1, np.nextafter(-CANON.v_c, -1.0)], [0.1, np.nan]])
+    def test_evaluate_rejects_points_off_the_interval(self, v):
+        with pytest.raises(DomainError):
+            evaluate(CoefficientVector(CANON, [1.0, 2.0]), v)
+
+    def test_project_and_gram_reject_nodes_off_the_interval(self):
+        rule = gauss_legendre_rule(CANON, 64)
+        nodes = rule.nodes.copy()
+        nodes[-1] = 1.5 * CANON.v_c
+        outside = QuadratureRule(nodes, rule.weights)
+        with pytest.raises(DomainError):
+            project(CANON, const_one, 4, outside)
+        with pytest.raises(DomainError):
+            gram_matrix(CANON, 4, outside)
+
+    def test_evaluate_at_the_endpoints_gives_exact_zeros(self):
+        coeffs = CoefficientVector(CANON, np.random.default_rng(8).uniform(-1, 1, 512))
+        values = evaluate(coeffs, [-CANON.v_c, 0.3, CANON.v_c])
+        assert values[0] == 0.0 and values[2] == 0.0 and values[1] != 0.0
 
 
 def long_double_partial_sum(coefficients, points, samples):
