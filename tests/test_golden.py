@@ -47,6 +47,10 @@ CASES = {
     "gram-gl-csv": (["gram", "--n-max", "8", "--nodes", "4096"], 0),
     "gram-simpson-csv": (["gram", "--n-max", "8", "--nodes", "4097"], 0),
     "gram-default-json": (["gram", "--n-max", "4", "--format", "json"], 0),
+    # gram matrices with many repeated entries, recorded before the gram CSV
+    # path began formatting each distinct value once
+    "gram-simpson-64-csv": (["gram", "--n-max", "64", "--nodes", "4097"], 0),
+    "gram-default-64-csv": (["gram", "--n-max", "64"], 0),
     "fd-validate-json": (["fd-validate", "--grid-sizes", "100,200", "--modes", "3"], 0),
     "fd-validate-csv": (["fd-validate", "--grid-sizes", "100,200", "--modes", "3", "--format", "csv"], 0),
     "fd-validate-single-csv": (["fd-validate", "--grid-sizes", "150", "--modes", "2", "--format", "csv"], 0),
@@ -97,8 +101,10 @@ GOLDEN = {
     "fd-validate-csv": "537c0f33cece00e132ce3760a1bc422437faa838ab4c0a8c787047a16a2f3436",
     "fd-validate-json": "bc0f215514cd9d342b6da7a4e24cd9dd47e925fc2eccd54f0f5a6eacc082c1fe",
     "fd-validate-single-csv": "609515138346b65b4754205dd2643716b81a32b868239b4574352be8f47705ac",
+    "gram-default-64-csv": "b7b01ecfdfe9a5ec0856e3d2b8ce2529e666326a6d91f6a33c0ce4be62c03f4f",
     "gram-default-json": "e819af7295fd1b6f9b8704cc6cd7d4ac347d681152c6fca556205107bf39604f",
     "gram-gl-csv": "4c82832d209baaa3b8879562946e67fae6008c1fb2ba539996a2fb968181c8f2",
+    "gram-simpson-64-csv": "eabebea65fc71befa1966cb24a771321bda89ce2f15cde94d698abb49c83a441",
     "gram-simpson-csv": "02842c7ad612b502a4b057b6b8428c574b327da9f63122e0f58013266288de3c",
     "inverse-limit-csv": "9f14459d58e55886d3ecbdb49a099240a65100c5f131b3b1e8af67e38f286f66",
     "inverse-limit-custom-json": "83f641b1e18dde83549b59e5e91614e059b713d4cd90540ea9b4868394e4f76d",
