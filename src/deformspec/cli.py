@@ -20,7 +20,7 @@ from . import __version__
 from .errors import DeformSpecError, NumericalError, ValidationError
 from .experiments import DecayModel, asymptotics_report, convergence_study, inverse_limit_report, rigidity_report
 from .fdsolver import refinement_study
-from .io import Records, coefficients_to_csv, read_coefficients, table_to_csv, to_json
+from .io import Records, coefficients_to_csv, format_floats, read_coefficients, table_to_csv, to_json
 from .params import OperatorParams, canonical_params, custom_params, deformation_profile, si_params
 from .quadrature import _rule_from_nodes, default_projection_rule, uniform_grid
 from .spectrum import critical_index, eigenfunction, eigenvalue, wavenumber
@@ -287,7 +287,13 @@ def _cmd_gram(args) -> int:
     matrix = gram_matrix(args.params, args.n_max, rule)
     if args.format == "csv":
         n = len(matrix)
-        _emit(args, table_to_csv(["n", *map(str, range(n))], [range(n), *matrix.T]))
+        # the entries repeat (on uniform nodes each depends on |n-m| and n+m
+        # only), so each distinct value is formatted once; the rows of the
+        # object array go to the writer as they are and the float matrix is
+        # freed first, which keeps peak memory at that of formatting each entry
+        columns = format_floats(matrix.T)
+        del matrix
+        _emit(args, table_to_csv(["n", *map(str, range(n))], [range(n), *columns]))
     else:
         _emit(args, to_json({"gram": matrix.tolist()}, _meta(args)))
     return EXIT_OK

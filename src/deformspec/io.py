@@ -26,6 +26,17 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def format_floats(values: np.ndarray) -> np.ndarray:
+    """:func:`format_float` of every entry of a float array, as an object array
+    of the same shape.  Each distinct 64-bit pattern is formatted once, so
+    ``-0.0`` and ``0.0`` (and NaN payloads) stay apart; this pays off where
+    the values repeat, such as the entries of a Gram matrix."""
+    values = np.asarray(values, dtype=np.float64)
+    keys, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    distinct = ("%.17g\n" * len(keys) % tuple(keys.view(np.float64).tolist())).splitlines()
+    return np.array(distinct, dtype=object)[inverse].reshape(values.shape)
+
+
 def table_to_csv(header, columns) -> str:
     """CSV table: the header row, then row i holds element i of every column.
 
@@ -59,15 +70,17 @@ def _interleave(columns, column_format) -> tuple[list[str], list, int]:
 def _column(column: list) -> tuple[str, list]:
     """One ``%`` directive for a whole column, and the cells it takes.
 
-    Columns of exact floats or exact ints are formatted by the directive
-    (``bool`` and numpy scalars are not exact ints); any other column is
-    formatted cell by cell and written through ``%s``.
+    Columns of exact floats, exact ints or exact strs are formatted by the
+    directive (``bool`` and numpy scalars are not exact ints); any other
+    column is formatted cell by cell and written through ``%s``.
     """
     types = set(map(type, column))
     if types == {float}:
         return "%.17g", column
     if types == {int}:
         return "%d", column
+    if types == {str}:
+        return "%s", column
     return "%s", [format_float(x) if isinstance(x, float) else str(x) for x in column]
 
 

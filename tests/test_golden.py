@@ -145,7 +145,7 @@ DEMOS = {
     "01_closed_form_spectrum.py": "e5840a9f669f651550ddd68645fed8dfbac7059b5354300ee79489db1b2abc96",
     "02_transform_and_parseval.py": "da9763c1355a60f073b1f26a5eb74098cc3ec04b729c9d17e6e2480a35d0d6df",
     "03_fd_cross_validation.py": "adca7b0c59c53733ca9602d4aee2227741f0267984835cbc846693f5db730fd4",
-    "04_rigidity_obstruction.py": "d4a424c3f4957b81cddb4528cf2963a8be0e9de4d4cf4760d989ac3eb024701f",
+    "04_rigidity_obstruction.py": "c684db6224d153adc08c2a0e19ecaec9ea13d7d2c1da496db9362774cdcc4ce4",
     "05_inverse_limit_decay.py": "28923f4af41eaccb37bf53b96580c1c0f2a9c6f67a5e34cb2572a4a69073c3e3",
     "06_reconstruction_convergence.py": "c13581b7222ab76bbfc6c445d631418438d57dc4e1c0af51104c9c4bb96b2b98",
 }

@@ -2,8 +2,9 @@
 
 ``oracle_table_to_csv`` (one ``format_float`` or ``str`` call per cell, rows
 joined by ``zip``) and ``oracle_to_json`` (plain ``json.dumps(indent=2)``) are
-the writers ``deformspec.io`` used before its row and record templates; every
-output must equal theirs as a string.
+the writers ``deformspec.io`` used before its row and record templates;
+``oracle_format_floats`` formats every entry, where ``format_floats`` formats
+each distinct value once.  Every output must equal theirs as a string.
 
 Run as a script, the module compares the sha256 of CLI outputs at benchmark
 size with those of the same commands written by the oracles, and exits 1 on
@@ -29,11 +30,19 @@ from hypothesis import strategies as st
 
 import deformspec.io as writers
 from deformspec import cli
-from deformspec.io import Records, table_to_csv, to_json
+from deformspec.io import Records, format_floats, table_to_csv, to_json
 
 
 def oracle_format_float(x) -> str:
     return f"{float(x):.17g}"
+
+
+def oracle_format_floats(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    cells = np.empty(values.shape, dtype=object)
+    for index, x in np.ndenumerate(values):
+        cells[index] = oracle_format_float(x)
+    return cells
 
 
 def oracle_cells(column) -> list:
@@ -77,6 +86,7 @@ def cli_output(argv, oracle: bool = False) -> bytes:
             # the io writers call table_to_csv through their module's globals
             stack.enter_context(mock.patch.object(writers, "table_to_csv", oracle_table_to_csv))
             stack.enter_context(mock.patch.object(cli, "table_to_csv", oracle_table_to_csv))
+            stack.enter_context(mock.patch.object(cli, "format_floats", oracle_format_floats))
             stack.enter_context(mock.patch.object(cli, "to_json", oracle_records_to_json))
         stack.enter_context(contextlib.redirect_stdout(out))
         code = cli.run(list(argv))
@@ -143,6 +153,54 @@ class TestTableToCsv:
     def test_ragged_columns_raise(self):
         with pytest.raises(ValueError, match=r"columns differ in length: \[3, 1\]"):
             table_to_csv(["a", "b"], [[1.0, 2.0, 3.0], [4]])
+
+
+def nan_with_payload(payload: int, sign: int = 0) -> float:
+    return np.array([(sign << 63) | (0x7FF << 52) | payload], dtype=np.uint64).view(np.float64)[0]
+
+
+NANS = [nan_with_payload(1 << 51), nan_with_payload(1), nan_with_payload(12345, sign=1), nan_with_payload((1 << 52) - 1)]
+
+
+def assert_formats_like_oracle(values):
+    cells = format_floats(values)
+    assert cells.dtype == object and cells.shape == np.shape(values)
+    assert cells.tolist() == oracle_format_floats(values).tolist()
+
+
+class TestFormatFloats:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(floats | st.sampled_from(NANS), min_size=1, max_size=6),
+        st.integers(0, 9),
+        st.integers(0, 9),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_equals_oracle_with_repeats(self, pool, rows, cols, transpose, random):
+        values = np.array([random.choice(pool) for _ in range(rows * cols)]).reshape(rows, cols)
+        assert_formats_like_oracle(values.T if transpose else values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array(FLOAT_EDGES),
+            np.array(NANS),
+            np.array([-0.0, 0.0] * 50 + [5e-324, -5e-324] * 3),
+            np.full((1, 1), -0.0),
+            np.empty((0, 0)),
+            np.empty((3, 0)),
+            np.arange(12.0).reshape(3, 4).T / 7,
+            np.tile(np.array(FLOAT_EDGES + NANS), (5, 3)).T,
+        ],
+        ids=["edges", "nan-payloads", "signed-zeros", "1x1", "0x0", "3x0", "transposed", "transposed-repeats"],
+    )
+    def test_edge_arrays_equal_oracle(self, values):
+        assert_formats_like_oracle(values)
+
+    def test_repeats_share_one_string(self):
+        cells = format_floats(np.array([0.1, 0.2, 0.1, 0.1]))
+        assert cells[0] is cells[2] is cells[3] and cells[0] is not cells[1]
 
 
 json_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
@@ -280,6 +338,8 @@ def test_io_imports_no_compute_module_but_params_and_transform():
         ["spectrum", "--n-max", "20000", "--format", "json"],
         ["spectrum", "--n-max", "20000"],
         ["eigenfunction", "--n", "137", "--grid-points", "40001"],
+        ["gram", "--n-max", "64", "--nodes", "4097"],
+        ["gram", "--n-max", "64"],
     ],
 )
 def test_cli_output_equals_oracle(argv):
@@ -291,6 +351,7 @@ BENCHMARK_SIZE = [
     ["spectrum", "--n-max", "200000"],
     ["eigenfunction", "--n", "137", "--grid-points", "400001"],
     ["gram", "--n-max", "600", "--nodes", "19233"],
+    ["gram", "--n-max", "255"],
     ["rigidity", "--format", "csv"],
     ["fd-validate", "--grid-sizes", "250,500,1000,2000", "--modes", "10"],
 ]
