@@ -61,7 +61,6 @@ from .spectrum import (
 )
 from .transform import (
     CoefficientVector,
-    apply_operator_spectral,
     evaluate,
     gram_matrix,
     l2_norm,
@@ -89,7 +88,6 @@ __all__ = [
     "ResolutionError",
     "TridiagonalSymmetricMatrix",
     "ValidationError",
-    "apply_operator_spectral",
     "asymptotic_coefficient",
     "asymptotic_eigenvalue",
     "asymptotics_report",

@@ -287,10 +287,10 @@ def _cmd_gram(args) -> int:
     matrix = gram_matrix(args.params, args.n_max, rule)
     if args.format == "csv":
         n = len(matrix)
-        # the entries repeat (on uniform nodes each depends on |n-m| and n+m
-        # only), so each distinct value is formatted once; the rows of the
-        # object array go to the writer as they are and the float matrix is
-        # freed first, which keeps peak memory at that of formatting each entry
+        # the entries repeat (each depends on |n-m| and n+m only), so each
+        # distinct value is formatted once; the rows of the object array go to
+        # the writer as they are and the float matrix is freed first, which
+        # keeps peak memory at that of formatting each entry
         columns = format_floats(matrix.T)
         del matrix
         _emit(args, table_to_csv(["n", *map(str, range(n))], [range(n), *columns]))

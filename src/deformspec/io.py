@@ -45,8 +45,8 @@ def table_to_csv(header, columns) -> str:
     ``ValueError`` when the columns differ in length.
     """
     directives, cells, rows = _interleave(columns, _column)
-    template = ",".join(directives) + "\n"
-    return ",".join(header) + "\n" + (template * rows) % tuple(cells)
+    head = ",".join(header).replace("%", "%%") + "\n"
+    return (head + (",".join(directives) + "\n") * rows) % tuple(cells)
 
 
 def _interleave(columns, column_format) -> tuple[list[str], list, int]:

@@ -4,23 +4,26 @@ Coefficients are always computed by quadrature so the transform stays generic
 over the target function; the closed-form integrals known for special targets
 are reserved for tests, which keeps the two routes independent.
 
-On the P+1 equally spaced nodes v_j = -v_c + 2 v_c j/P the modes sample as
-psi_n(v_j) = sin((n+1) pi j/P)/sqrt(v_c), so the sums of `project`, `evaluate`
-and `gram_matrix` are a DST-I of the weighted values, a DST-I of the
-coefficients and a DCT-I of the weights, each one real FFT of length 2P: the
-same sums in O(P log P) time and O(P) memory.
+With t = (v + v_c)/(2 v_c) the modes are psi_n = sin((n+1) pi t)/sqrt(v_c), and
+psi_n psi_m = (cos((n-m) pi t) - cos((n+m+2) pi t))/(2 v_c), so `gram_matrix`
+is (c_|n-m| - c_(n+m+2))/(2 v_c) from the cosine moments
+c_k = sum_j w_j cos(k pi t_j), k = 0..2N+2, on every rule.
+
+On the P+1 equally spaced nodes v_j = -v_c + 2 v_c j/P the sums of `project`
+and `evaluate` are a DST-I of the weighted values and of the coefficients, and
+the moments a DCT-I of the weights, each one real FFT of length 2P: the same
+sums in O(P log P) time and O(P) memory.
 
 On any other nodes the modes come from sine and cosine tables by angle
 addition: with B = ceil(sqrt(N+1)) and n = qB + r,
 
     sin((n+1) pi t) = sin(qB pi t) cos((r+1) pi t) + cos(qB pi t) sin((r+1) pi t),
 
-t = (v + v_c)/(2 v_c), so each node takes about 4 sqrt(N+1) sines and cosines
-instead of N+1 sines.  `project` contracts the tables with the weighted
-samples in two matrix products and never forms the (N+1) x M basis;
-`gram_matrix` and `evaluate` fill it from the tables.  The tests hold the
-tables to the per-entry `eigenfunction` within the rounding of the phase, and
-the FFT routes to the filled basis.
+so each node takes about 4 sqrt(N+1) sines and cosines instead of N+1 sines.
+`project`, `evaluate` and the moments contract the tables in two matrix
+products each, and no (N+1) x M basis is formed.  The tests hold the tables
+to the per-entry `eigenfunction` within the rounding of the phase, and every
+route to a dense basis built from the tables.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from .errors import NumericalError, ResolutionError, ValidationError
 from .params import OperatorParams, _require_in_interval
 from .quadrature import NODES_PER_MODE, QuadratureRule
-from .spectrum import _half_turns, eigenvalue
+from .spectrum import _half_turns
 
 
 @dataclass(frozen=True)
@@ -106,22 +109,6 @@ def _sine_tables(params: OperatorParams, n_max: int, v: np.ndarray) -> tuple[np.
     return sin[:q], cos[:q], sin[q:], cos[q:]
 
 
-def _basis_matrix(params: OperatorParams, n_max: int, v: np.ndarray) -> np.ndarray:
-    """Rows psi_0(v)..psi_{n_max}(v) from `_sine_tables`, B rows at a time with
-    one B x len(v) temporary.  The sqrt(1/v_c) scale is the last rounding of
-    each entry, as in `eigenfunction`."""
-    sin_high, cos_high, sin_low, cos_low = _sine_tables(params, n_max, v)
-    scale = math.sqrt(1.0 / params.v_c)
-    out = np.empty((n_max + 1, len(v)))
-    b = len(sin_low)
-    for q in range(len(sin_high)):
-        rows = out[q * b : (q + 1) * b]
-        np.multiply(sin_high[q], cos_low[: len(rows)], out=rows)
-        rows += cos_high[q] * sin_low[: len(rows)]
-        rows *= scale
-    return out
-
-
 def _on_uniform_nodes(params: OperatorParams, nodes: np.ndarray) -> bool:
     """True when the nodes are exactly -v_c + 2 v_c j/P for j = 0..P, P >= 1."""
     return len(nodes) >= 2 and np.array_equal(nodes, np.linspace(-params.v_c, params.v_c, len(nodes)))
@@ -179,7 +166,11 @@ def evaluate(coeffs: CoefficientVector, v) -> np.ndarray:
             folded = np.bincount(np.where(flip, 2 * p - k, k), np.where(flip, -a, a), p + 1)
             out = np.pad(math.sqrt(1.0 / coeffs.params.v_c) * _sine_sums(folded, p - 1), 1)
         else:
-            out = a @ _basis_matrix(coeffs.params, coeffs.n_max, v)
+            # the coefficients as a Q x B table, a_{qB+r} at (q, r) and zeros past n_max
+            sin_high, cos_high, sin_low, cos_low = _sine_tables(coeffs.params, coeffs.n_max, v)
+            table = np.pad(a, (0, len(sin_high) * len(sin_low) - len(a))).reshape(len(sin_high), -1)
+            sums = np.sum(sin_high * (table @ cos_low) + cos_high * (table @ sin_low), axis=0)
+            out = math.sqrt(1.0 / coeffs.params.v_c) * sums
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"expansion of {len(a)} coefficients overflows a 64-bit float")
     return out
@@ -211,24 +202,19 @@ def _norm_and_defect(
     return norm, float(norm**2 - np.sum(coeffs.coefficients**2))
 
 
-def apply_operator_spectral(coeffs: CoefficientVector) -> CoefficientVector:
-    """Action of the operator in its eigenbasis: a_n -> C_n a_n."""
-    ns = np.arange(coeffs.n_max + 1)
-    scaled = eigenvalue(coeffs.params, ns) * coeffs.coefficients
-    return CoefficientVector(params=coeffs.params, coefficients=scaled)
-
-
 def gram_matrix(params: OperatorParams, n_max: int, rule: QuadratureRule) -> np.ndarray:
-    """Quadrature inner products <psi_n, psi_m> for n, m <= n_max."""
+    """Quadrature inner products <psi_n, psi_m> for n, m <= n_max, exactly symmetric."""
     n_max = _require_resolved(rule, n_max)
+    w = rule.weights
     if _on_uniform_nodes(params, rule.nodes):
-        # sin(a) sin(b) = (cos(a - b) - cos(a + b))/2 at a, b = (n+1) pi j/P, (m+1) pi j/P.
         # The real FFT of the even extension of the weights (a DCT-I) gives
-        # 2 sum_j w_j cos(pi k j/P) less the endpoint terms w_0 + (-1)^k w_P;
-        # those cancel in the difference, as |n-m| and n+m+2 share a parity.
-        w = rule.weights
-        c = np.fft.rfft(np.concatenate([w, w[-2:0:-1]])).real
-        n = np.arange(n_max + 1)
-        return (c[np.abs(n[:, None] - n)] - c[n[:, None] + n + 2]) / (4.0 * params.v_c)
-    basis = _basis_matrix(params, n_max, rule.nodes)
-    return (basis * rule.weights) @ basis.T
+        # 2 c_k less the endpoint terms w_0 + (-1)^k w_P; those cancel in the
+        # difference, as |n-m| and n+m+2 share a parity.
+        c = 0.5 * np.fft.rfft(np.concatenate([w, w[-2:0:-1]])).real
+    else:
+        # entry (q, r) of the product is c_k for k = qB + r + 1, by angle addition
+        sin_high, cos_high, sin_low, cos_low = _sine_tables(params, 2 * n_max + 1, rule.nodes)
+        moments = ((cos_high * w) @ cos_low.T - (sin_high * w) @ sin_low.T).ravel()
+        c = np.concatenate([[np.sum(w)], moments[: 2 * n_max + 2]])
+    n = np.arange(n_max + 1)
+    return (c[np.abs(n[:, None] - n)] - c[n[:, None] + n + 2]) / (2.0 * params.v_c)

@@ -87,10 +87,10 @@ CASES = {
 GOLDEN = {
     "asymptotics-csv": "0e939610be40cf6582dce53a02933145c6a994925eed23cff5f6dae3eb4629a9",
     "asymptotics-json": "a3187fb27622c6d35fad5634de4549a11eb7effb01c1fc81a4c884d6b9d0fadc",
-    "converge-csv": "238524bcc3320eda74e1619e429cdab56f9dcd2337fb06c9bcd6ca26c59d4aac",
-    "converge-custom-json": "f5414070a3d13b85a8f0fc06abc244bff8e69b63a086b6e32b3bed454684cc53",
-    "converge-json": "1509942fc7fade80e1e30507eb6276fdf615002676d37bf805e553e088a3f78d",
-    "converge-si-json": "51edc9409233370f2fbbb5b2c8ed6da564f7b7d54774a49fe59a3bb0c58f4499",
+    "converge-csv": "ceea659cb42bd5375d1f4fac0710be43923fc4fd5ef5a92f33e6a51dd7f68d4a",
+    "converge-custom-json": "2b75f546ffde61c33e02e49bf2976ba22e0c4fcd135d9154513257f84438a7e0",
+    "converge-json": "9b19ef2179dc490c88504526a1e39119a1bfa0a5309e9033dd3ca351e3ff5039",
+    "converge-si-json": "5a1081a24964a9c34ee4b7a957e88fb8b16910a5af5f4ea43b1d2bcf80d4cfa1",
     "critical-index-csv": "4f38a3f75e763da9617d474149ffcb7c80977e03f2f0d845c416cb7ff928614c",
     "critical-index-custom-csv": "d9ade9e20ad9db73a58a856d6dc4b7080dc56776e0ffe3c10067e1ec80a721cb",
     "critical-index-json": "e84d219e996e96da08bfc7022a1a5ee9cb20e537c4bad0d54fa3b9c4bdf24109",
@@ -101,9 +101,9 @@ GOLDEN = {
     "fd-validate-csv": "537c0f33cece00e132ce3760a1bc422437faa838ab4c0a8c787047a16a2f3436",
     "fd-validate-json": "bc0f215514cd9d342b6da7a4e24cd9dd47e925fc2eccd54f0f5a6eacc082c1fe",
     "fd-validate-single-csv": "609515138346b65b4754205dd2643716b81a32b868239b4574352be8f47705ac",
-    "gram-default-64-csv": "b7b01ecfdfe9a5ec0856e3d2b8ce2529e666326a6d91f6a33c0ce4be62c03f4f",
-    "gram-default-json": "e819af7295fd1b6f9b8704cc6cd7d4ac347d681152c6fca556205107bf39604f",
-    "gram-gl-csv": "4c82832d209baaa3b8879562946e67fae6008c1fb2ba539996a2fb968181c8f2",
+    "gram-default-64-csv": "9b539db60513a4a53eb6988cf28dfd71022cb06a39c91fcce2f3b481dd3b056d",
+    "gram-default-json": "54a49df24f2a408dc091abeca766153d5ab97f9076650f0fe7ffb18256b5e683",
+    "gram-gl-csv": "e00238599609dd1d3b7f747d77ede0b07ce7745716db39bd63af50775138b0e8",
     "gram-simpson-64-csv": "eabebea65fc71befa1966cb24a771321bda89ce2f15cde94d698abb49c83a441",
     "gram-simpson-csv": "02842c7ad612b502a4b057b6b8428c574b327da9f63122e0f58013266288de3c",
     "inverse-limit-csv": "9f14459d58e55886d3ecbdb49a099240a65100c5f131b3b1e8af67e38f286f66",
@@ -120,7 +120,7 @@ GOLDEN = {
     "reconstruct-json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "reconstruct-si-csv": "5e30fbdcb1017854c156df58311f80bfec28f7a89f29274030bac25711812080",
     "rigidity-csv": "95d162853ee6cda3af4b5cb81cd377b0d14a7b9b70c3b06fdad3434d013b98cf",
-    "rigidity-custom-json": "86876a1c6b4dd1984a3bf1f7e7143acd8ca4d3a7c10f08fe235b611fdc4fa461",
+    "rigidity-custom-json": "1a42d6bec9b19f6bfc3536b33f9c0ede0113591a0304b5260a30abd339c146e6",
     "rigidity-fail-json": "65df09c6a4befa72883c3f3549cb16c65bf8c2bb175c4a64969c6a44b33da265",
     "rigidity-json": "9c873377aa455bbd07a976c487d821479d4450920070ae96ac41a9ae5df96550",
     "rigidity-si-json": "7a22d675d5011fbc07ae2169223eaae1c7ba9e9c99a1ef182dec6ea1529dc6f7",
@@ -143,11 +143,11 @@ RIGIDITY_SERIES = {
 # demo file name -> sha256 of stdout
 DEMOS = {
     "01_closed_form_spectrum.py": "e5840a9f669f651550ddd68645fed8dfbac7059b5354300ee79489db1b2abc96",
-    "02_transform_and_parseval.py": "da9763c1355a60f073b1f26a5eb74098cc3ec04b729c9d17e6e2480a35d0d6df",
+    "02_transform_and_parseval.py": "44ee3f24242cb14e54e266756373d7719aa61664f008588968c4f5103e1b443e",
     "03_fd_cross_validation.py": "adca7b0c59c53733ca9602d4aee2227741f0267984835cbc846693f5db730fd4",
     "04_rigidity_obstruction.py": "c684db6224d153adc08c2a0e19ecaec9ea13d7d2c1da496db9362774cdcc4ce4",
     "05_inverse_limit_decay.py": "28923f4af41eaccb37bf53b96580c1c0f2a9c6f67a5e34cb2572a4a69073c3e3",
-    "06_reconstruction_convergence.py": "c13581b7222ab76bbfc6c445d631418438d57dc4e1c0af51104c9c4bb96b2b98",
+    "06_reconstruction_convergence.py": "377ff2edb5ce657159a7298e3c3cbe012fec58be88a5f3ef647085371f6c9872",
 }
 
 PUBLIC_NAMES = {
@@ -155,7 +155,7 @@ PUBLIC_NAMES = {
     "DEFAULT_TOLERANCES", "DecayModel", "DeformSpecError", "DomainError", "ExperimentReport",
     "FDSpectrumReport", "FormatError", "NumericalError", "OperatorParams", "QuadratureRule",
     "ResolutionError", "TridiagonalSymmetricMatrix", "ValidationError",
-    "apply_operator_spectral", "asymptotic_coefficient", "asymptotic_eigenvalue", "asymptotics_report",
+    "asymptotic_coefficient", "asymptotic_eigenvalue", "asymptotics_report",
     "canonical_params", "composite_simpson_rule", "constant_coefficient_report", "convergence_study",
     "count_interior_zeros", "critical_index", "custom_params", "default_projection_rule",
     "deformation_profile", "discretize", "eigenfunction", "eigenvalue", "eigenvalues_tridiagonal",
@@ -194,28 +194,24 @@ def test_per_series_files_match_golden(tmp_path, capsys):
 
 
 def test_dense_basis_fills_stay_small(tmp_path, capsys, monkeypatch):
-    """Uniform points never build sine tables or fill the basis, and the GL cap
-    (4096 nodes, so at most 512 modes) bounds what the corpus allocates on other
-    points: tables of 2 (B + Q) rows with B = Q = 23 at 512 modes, and the
-    basis that `gram` and `evaluate` fill from them."""
-    sine_tables, fill = transform._sine_tables, transform._basis_matrix
-    tables, fills = [], []
+    """No command fills a dense basis: uniform points go through real FFTs,
+    and every other route contracts sine tables.  The GL cap (4096 nodes, so
+    at most 512 modes) bounds the tables at 2 (B + Q) rows with B = Q = 32,
+    those of mode 1023 that the Gram matrix's cosine moments take at 512
+    modes."""
+    sine_tables = transform._sine_tables
+    tables = []
 
     def recorded_tables(params, n_max, v):
         out = sine_tables(params, n_max, v)
         tables.append(sum(table.size for table in out))
         return out
 
-    def recorded_fill(params, n_max, v):
-        fills.append((n_max + 1) * len(v))
-        return fill(params, n_max, v)
-
     monkeypatch.setattr(transform, "_sine_tables", recorded_tables)
-    monkeypatch.setattr(transform, "_basis_matrix", recorded_fill)
     for name in sorted(CASES):
         run_case(name, tmp_path, capsys)
-    assert tables and max(tables) <= 2 * (23 + 23) * 4096
-    assert fills and max(fills) <= 512 * 4096
+    assert not hasattr(transform, "_basis_matrix")
+    assert tables and max(tables) <= 2 * (32 + 32) * 4096
 
 
 @pytest.mark.parametrize("demo", sorted(DEMOS))

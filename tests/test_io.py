@@ -125,7 +125,8 @@ def tables(draw):
         if kind in ("float", "bool", "int64", "float64") and draw(st.booleans()):
             column = np.array(column)
         columns.append(column)
-    return [f"c%{j}" for j in range(len(columns))], columns
+    # headers such as "%s" or "%d" would be live directives in the row template if unescaped
+    return [draw(texts) for _ in columns], columns
 
 
 class TestTableToCsv:

@@ -23,7 +23,7 @@ from deformspec import (
     sinpi,
     wavenumber,
 )
-from deformspec.transform import _basis_matrix
+from deformspec.transform import _sine_tables
 
 CANON = canonical_params()
 
@@ -271,7 +271,9 @@ class TestSinpiAgainstReference:
         n_max = 511
         nodes = gauss_legendre_rule(params, 4096).nodes
         want = reference_eigenfunction(params, np.arange(n_max + 1)[:, None], nodes[None, :])
-        got = _basis_matrix(params, n_max, nodes)
+        sin_high, cos_high, sin_low, cos_low = _sine_tables(params, n_max, nodes)
+        rows = sin_high[:, None] * cos_low + cos_high[:, None] * sin_low
+        got = rows.reshape(-1, len(nodes))[: n_max + 1] * math.sqrt(1.0 / params.v_c)
         bound = 4 * (n_max + 1) * np.finfo(float).eps / math.sqrt(params.v_c)
         assert np.max(np.abs(got - want)) <= bound
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,16 +13,13 @@ from deformspec import (
     QuadratureRule,
     ResolutionError,
     ValidationError,
-    apply_operator_spectral,
     canonical_params,
     composite_simpson_rule,
     custom_params,
     default_projection_rule,
     deformation_profile,
     eigenfunction,
-    eigenvalue,
     evaluate,
-    fd_derivative,
     gauss_legendre_rule,
     gram_matrix,
     l2_norm,
@@ -31,11 +29,12 @@ from deformspec import (
     uniform_grid,
 )
 from deformspec import transform
-from deformspec.transform import _basis_matrix
 
 CANON = canonical_params()
 GL256 = gauss_legendre_rule(CANON, 256)
 EPS = np.finfo(float).eps
+# one dense basis at the GL cap: 512 modes on 4096 nodes
+DENSE_BASIS_BYTES = 512 * 4096 * 8
 
 
 def profile(v):
@@ -195,34 +194,16 @@ class TestParseval:
         assert all(b < a for a, b in zip(defects, defects[1:]))
 
 
-class TestApplyOperator:
-    def test_basis_vector(self):
-        coeffs = CoefficientVector(CANON, np.array([1.0, 0.0, 0.0]))
-        out = apply_operator_spectral(coeffs)
-        np.testing.assert_allclose(
-            out.coefficients, [eigenvalue(CANON, 0), 0.0, 0.0], rtol=1e-15
-        )
-
-    def test_zero_vector(self):
-        out = apply_operator_spectral(CoefficientVector(CANON, np.zeros(4)))
-        assert np.all(out.coefficients == 0.0)
-
-    def test_matches_finite_differences_for_smooth_target(self):
-        # sin^3(pi (v+v_c)/(2 v_c)) lies exactly in span{psi_0, psi_2}
-        def f(v):
-            return np.sin(math.pi * (np.asarray(v) + CANON.v_c) / (2 * CANON.v_c)) ** 3
-
-        coeffs = project(CANON, f, 4, GL256)
-        applied = apply_operator_spectral(coeffs)
-        grid = uniform_grid(CANON, 4096)
-        spectral = evaluate(applied, grid)
-        second = fd_derivative(CANON, f(grid), 2)
-        direct = math.pi * (second + f(grid))
-        interior = slice(1, -1)
-        assert np.max(np.abs(spectral[interior] - direct[interior])) < 5e-5
-
-
 class TestGram:
+    @pytest.mark.parametrize(
+        "n_max, rule",
+        [(n, default_projection_rule(CANON, n)) for n in (8, 64, 255, 511)] + [(8, gauss_legendre_rule(CANON, 4096))],
+        ids=["default-8", "default-64", "default-255", "default-511", "nodes-4096-8"],
+    )
+    def test_exactly_symmetric(self, n_max, rule):
+        gram = gram_matrix(CANON, n_max, rule)
+        assert np.array_equal(gram, gram.T)
+
     def test_identity_gl512(self):
         gram = gram_matrix(CANON, 16, gauss_legendre_rule(CANON, 512))
         assert np.max(np.abs(gram - np.eye(17))) < 1e-10
@@ -237,19 +218,47 @@ class TestGram:
         assert np.max(np.abs(gram - np.eye(33))) < 1e-8
 
 
+def basis_matrix(params, n_max, v):
+    """Rows psi_0(v)..psi_{n_max}(v) from `_sine_tables`, B rows at a time with
+    one B x len(v) temporary: the dense basis, the oracle for the routes that
+    never form it.  The sqrt(1/v_c) scale is the last rounding of each entry,
+    as in `eigenfunction`."""
+    sin_high, cos_high, sin_low, cos_low = transform._sine_tables(params, n_max, v)
+    scale = math.sqrt(1.0 / params.v_c)
+    out = np.empty((n_max + 1, len(v)))
+    b = len(sin_low)
+    for q in range(len(sin_high)):
+        rows = out[q * b : (q + 1) * b]
+        np.multiply(sin_high[q], cos_low[: len(rows)], out=rows)
+        rows += cos_high[q] * sin_low[: len(rows)]
+        rows *= scale
+    return out
+
+
 def dense_projection(rule, n_max, targets, block=8192):
-    """Oracle for the FFT route: _basis_matrix(...) @ (w*f) per target, summed
+    """Oracle for the FFT route: basis_matrix(...) @ (w*f) per target, summed
     over node blocks so the basis never holds more than `block` columns."""
     weighted = np.stack([rule.weights * target(rule.nodes) for target in targets], axis=1)
     return sum(
-        _basis_matrix(CANON, n_max, rule.nodes[i : i + block]) @ weighted[i : i + block]
+        basis_matrix(CANON, n_max, rule.nodes[i : i + block]) @ weighted[i : i + block]
         for i in range(0, len(rule.nodes), block)
     )
 
 
 def dense_gram(rule, n_max):
-    basis = _basis_matrix(CANON, n_max, rule.nodes)
+    basis = basis_matrix(CANON, n_max, rule.nodes)
     return (basis * rule.weights) @ basis.T
+
+
+def peak_bytes(call) -> int:
+    """Peak traced allocation of one call, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # (n_max, Simpson points): the golden corpus's Simpson cases, `gram --n-max 600
@@ -277,9 +286,8 @@ class TestUniformRoute:
 
     def test_uniform_nodes_never_fill_the_basis(self, monkeypatch):
         def no_basis(*args):
-            raise AssertionError("dense basis filled on uniform nodes")
+            raise AssertionError("sine tables built on uniform nodes")
 
-        monkeypatch.setattr(transform, "_basis_matrix", no_basis)
         monkeypatch.setattr(transform, "_sine_tables", no_basis)
         rule = composite_simpson_rule(CANON, 4097)
         coeffs = project(CANON, profile, 8, rule)
@@ -287,7 +295,7 @@ class TestUniformRoute:
         evaluate(coeffs, rule.nodes)
         evaluate(coeffs, uniform_grid(CANON, 256))
 
-    def test_non_uniform_simpson_nodes_take_the_dense_route(self, monkeypatch):
+    def test_non_uniform_simpson_nodes_take_the_table_route(self, monkeypatch):
         simpson = composite_simpson_rule(CANON, 4097)
         nodes = simpson.nodes.copy()
         nodes[1000] = np.nextafter(nodes[1000], 0.0)
@@ -303,7 +311,8 @@ class TestUniformRoute:
         coeffs = project(CANON, profile, 8, rule).coefficients
         gram = gram_matrix(CANON, 8, rule)
         values = evaluate(CoefficientVector(CANON, coeffs), nodes)
-        assert tables == [8, 8, 8]
+        # the Gram matrix takes the cosine moments up to 2N+2 from the tables of mode 2N+1
+        assert tables == [8, 17, 8]
         oracle = PerEntryOracle(rule, 8)
         oracle.check_project(coeffs, profile(nodes))
         oracle.check_gram(gram)
@@ -323,10 +332,13 @@ class PerEntryOracle:
 
     Each table entry is within ENTRY = 4 (N+1) eps/sqrt(v_c) of the per-entry
     one (see tests/test_spectrum.py), and that bound is carried through each
-    sum: a_n moves by at most ENTRY sum_j |w_j f_j|, G_nm by at most
-    2 ENTRY sum_j w_j/sqrt(v_c) (|psi| <= 1/sqrt(v_c)), and the expansion by
-    at most ENTRY sum_n |a_n|.  The summation rounding of either side stays
-    below 0.3 of these bounds at the tested sizes.
+    sum: a_n moves by at most ENTRY sum_j |w_j f_j|, and the expansion by at
+    most ENTRY sum_n |a_n|.  G_nm = (c_|n-m| - c_(n+m+2))/(2 v_c) takes its
+    cosine moments from the tables of mode 2N+1, each entry within
+    2 ENTRY sqrt(v_c), so it moves by at most 2 ENTRY sum_j w_j/sqrt(v_c), the
+    bound of a product of two modes (|psi| <= 1/sqrt(v_c)).  The summation
+    rounding of either side stays below 0.3 of these bounds at the tested
+    sizes.
     """
 
     def __init__(self, rule, n_max, params=CANON):
@@ -389,18 +401,21 @@ class TestSineTables:
         # the same rounded t, whose error dominates, so their errors come out close
         nodes = gauss_legendre_rule(params, 4096).nodes[::68]
         reference = long_double_modes(params, 511, nodes)
-        table_error = np.max(np.abs(_basis_matrix(params, 511, nodes) - reference))
+        table_error = np.max(np.abs(basis_matrix(params, 511, nodes) - reference))
         entry_error = np.max(np.abs(eigenfunction(params, np.arange(512)[:, None], nodes[None, :]) - reference))
         assert table_error <= 1.5 * entry_error
 
-    def test_project_never_fills_the_basis(self, monkeypatch):
-        def no_basis(*args):
-            raise AssertionError("dense basis filled by project")
-
-        monkeypatch.setattr(transform, "_basis_matrix", no_basis)
+    def test_project_never_fills_the_basis(self):
         rule = gauss_legendre_rule(CANON, 4096)
         assert len(project(CANON, profile, 511, rule).coefficients) == 512
-        parseval_defect(CANON, profile, 511, rule)
+        assert peak_bytes(lambda: project(CANON, profile, 511, rule)) < DENSE_BASIS_BYTES
+        assert peak_bytes(lambda: parseval_defect(CANON, profile, 511, rule)) < DENSE_BASIS_BYTES
+
+    def test_gram_and_evaluate_peak_below_one_dense_basis(self):
+        rule = gauss_legendre_rule(CANON, 4096)
+        coeffs = CoefficientVector(CANON, np.random.default_rng(9).uniform(-1, 1, 512))
+        assert peak_bytes(lambda: gram_matrix(CANON, 511, rule)) < DENSE_BASIS_BYTES
+        assert peak_bytes(lambda: evaluate(coeffs, rule.nodes)) < DENSE_BASIS_BYTES
 
     @pytest.mark.parametrize("v", [[2 * CANON.v_c, 0.1], [0.1, np.nextafter(-CANON.v_c, -1.0)], [0.1, np.nan]])
     def test_evaluate_rejects_points_off_the_interval(self, v):
@@ -445,8 +460,7 @@ class TestUniformSynthesis:
         samples = np.arange(0, points + 1, 97)
         reference = long_double_partial_sum(coeffs.coefficients, points, samples)
         fft_error = np.max(np.abs(evaluate(coeffs, v)[samples] - reference))
-        # 97 divides no P here, so v[samples] misses v_c and takes the dense route
-        dense_error = np.max(np.abs(evaluate(coeffs, v[samples]) - reference))
+        dense_error = np.max(np.abs(coeffs.coefficients @ basis_matrix(CANON, n_max, v[samples]) - reference))
         eps = np.finfo(float).eps
         assert fft_error <= eps * math.log2(2 * points) * np.sum(np.abs(coeffs.coefficients)) / math.sqrt(CANON.v_c)
         assert fft_error <= dense_error
@@ -457,7 +471,7 @@ class TestUniformSynthesis:
         v = np.linspace(-CANON.v_c, CANON.v_c, 17)
         values = evaluate(coeffs, v)
         assert values[0] == 0.0 and values[-1] == 0.0
-        assert np.max(np.abs(values - coeffs.coefficients @ _basis_matrix(CANON, 100, v))) <= 1e-13
+        assert np.max(np.abs(values - coeffs.coefficients @ basis_matrix(CANON, 100, v))) <= 1e-13
 
 
 class TestUniqueness:
