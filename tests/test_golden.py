@@ -81,6 +81,17 @@ CASES = {
     "inverse-limit-custom-json": (["inverse-limit", *CUSTOM, "--n-max", "8", "--tau-list", "1,2,3", "--k-max", "4"], 0),
     "converge-si-json": (["converge", "--si", "--n-list", "8,16,32,64,128"], 0),
     "converge-custom-json": (["converge", *CUSTOM, "--n-list", "8,16,32,64,128"], 1),
+    # FD validations at the benchmark's grid sizes, and at odd sizes with 25
+    # modes, recorded before the Sturm counts split by parity
+    "fd-validate-bench-json": (["fd-validate", "--grid-sizes", "250,500,1000,2000", "--modes", "10"], 0),
+    "fd-validate-bench-custom-json": (
+        ["fd-validate", *CUSTOM, "--grid-sizes", "250,500,1000,2000", "--modes", "10"],
+        0,
+    ),
+    "fd-validate-odd-custom-csv": (
+        ["fd-validate", *CUSTOM, "--grid-sizes", "251,501,1001", "--modes", "25", "--format", "csv"],
+        0,
+    ),
 }
 
 # name -> sha256 of stdout
@@ -98,8 +109,11 @@ GOLDEN = {
     "eigenfunction-custom-csv": "963ad731f8fa03b152dacd7912d2a03171990cf055fc58967e9741a874382187",
     "eigenfunction-json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "eigenfunction-si-csv": "965baf9dfb3994353eb82f44bb9150f02a73042d6e831ff75a61375b4021425e",
+    "fd-validate-bench-custom-json": "69f61297a770e45580183ae633fdc97b5e60d050795bcbab0e094cdddd24c1be",
+    "fd-validate-bench-json": "5e1cdfc794e0011ac42907bc4f9705398bd111d95fe02381310d1ec1f52cb771",
     "fd-validate-csv": "537c0f33cece00e132ce3760a1bc422437faa838ab4c0a8c787047a16a2f3436",
     "fd-validate-json": "bc0f215514cd9d342b6da7a4e24cd9dd47e925fc2eccd54f0f5a6eacc082c1fe",
+    "fd-validate-odd-custom-csv": "86d2058d09dfb07fac9bc396a974c1d72936e3ce1723237674f6c39de1bf1904",
     "fd-validate-single-csv": "609515138346b65b4754205dd2643716b81a32b868239b4574352be8f47705ac",
     "gram-default-64-csv": "9b539db60513a4a53eb6988cf28dfd71022cb06a39c91fcce2f3b481dd3b056d",
     "gram-default-json": "54a49df24f2a408dc091abeca766153d5ab97f9076650f0fe7ffb18256b5e683",
