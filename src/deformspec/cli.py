@@ -386,7 +386,8 @@ def run(argv) -> int:
         print(f"deformspec: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:
-        print(f"deformspec: error: not enough memory: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"deformspec: error: not enough memory for {args.command}{detail}", file=sys.stderr)
         return EXIT_USAGE
     except (DeformSpecError, OSError) as exc:
         print(f"deformspec: error: {exc}", file=sys.stderr)

@@ -10,6 +10,14 @@ brackets are exactly those of one-midpoint bisection), returned as bracket
 midpoints; eigenvectors from shifted inverse iteration with a partially
 pivoted tridiagonal solve.  Nothing here touches the sine basis, so agreement
 with the analytic spectrum is a genuine two-route check.
+
+The matrix reads the same backwards (it commutes with v -> -v), so it splits
+exactly into a symmetric and an antisymmetric block of about m/2 rows that
+share all rows but their last (Cantoni & Butler, LAA 13, 1976), and with
+positive off-diagonals its eigenvalues alternate between them, the largest
+symmetric (Hald, LAA 14, 1976).  Each eigenvalue is bisected on its own block,
+so every Sturm sweep walks ceil(m/2) rows; a matrix without that structure is
+one block of m rows.
 """
 
 from __future__ import annotations
@@ -31,9 +39,10 @@ from .spectrum import eigenvalue
 # build and walk, whole solves tie from 2500 to 4000 and slow 15-20% at 2000.
 SWEEP_WIDTH = 3000
 
-# Largest grid an FD validation discretizes; each eigenvalue sweep is an m-step
-# Python loop.  In process on a 2-core x86-64 box, `fd-validate --grid-sizes
-# 100000 --modes 10` takes 6.7-7.1 s and `--grid-sizes 25000,50000,100000` 9-13 s.
+# Largest grid an FD validation discretizes; each eigenvalue sweep is an
+# m/2-step Python loop.  In process on a 2-core x86-64 box, `fd-validate
+# --grid-sizes 100000 --modes 10` takes 2.4-3.9 s and `--grid-sizes
+# 25000,50000,100000` 3.6-5.8 s.
 FD_MAX_INTERIOR_POINTS = 100_000
 
 
@@ -105,15 +114,22 @@ def interior_grid(params: OperatorParams, m: int) -> np.ndarray:
     return uniform_grid(params, m + 1)[1:-1]
 
 
-def _sturm_counts(diag: np.ndarray, off2: np.ndarray, pivmin: float, xs: np.ndarray) -> np.ndarray:
+def _sturm_counts(
+    diag: np.ndarray, off2: np.ndarray, pivmin: float, xs: np.ndarray, tails=(None,), block=None
+) -> np.ndarray:
     """Number of eigenvalues <= x for each shift x (negative-pivot count).
+
+    Shift xs[j] is counted on block block[j]: the leading rows diag/off2 that
+    every block shares, then that block's own last row tails[block[j]], a
+    (diagonal, squared coupling) pair, or none.  By default there is one
+    block, the matrix with bands diag and off2.
 
     Zero pivots are treated as negative (replaced by -pivmin before the next
     division), which keeps the count monotone when a shift hits an eigenvalue
-    of a leading submatrix exactly.  The divide finds them: with only
-    divide-by-zero and invalid raising, off2/d raises exactly when some pivot
-    is +-0.0 (x/0, or 0/0 under a zero off-diagonal), and only then is the
-    row's pivot vector scanned, fixed up and divided again.
+    of a leading submatrix exactly.  In the shared rows the divide finds them:
+    with only divide-by-zero and invalid raising, off2/d raises exactly when
+    some pivot is +-0.0 (x/0, or 0/0 under a zero off-diagonal), and only then
+    is the row's pivot vector scanned, fixed up and divided again.
     """
     xs = np.asarray(xs, dtype=float)
     base, quotient = np.empty_like(xs), np.empty_like(xs)
@@ -145,7 +161,43 @@ def _sturm_counts(diag: np.ndarray, off2: np.ndarray, pivmin: float, xs: np.ndar
             if i % 255 == 254:
                 count += tally
                 tally[...] = 0
-    return count + tally
+    count += tally
+    for b, tail in enumerate(tails):
+        if tail is not None:
+            row, link = tail
+            at = np.flatnonzero(block == b)
+            last = d[at]
+            last[last == 0.0] = -pivmin
+            with np.errstate(all="ignore"):
+                count[at] += (row - xs[at]) - link / last <= 0.0
+    return count
+
+
+def _parity_blocks(A: TridiagonalSymmetricMatrix, off2: np.ndarray):
+    """The shared rows and per-block last rows that :func:`_sturm_counts` takes.
+
+    A persymmetric A (equal read backwards) with positive off-diagonals e
+    commutes with the reversal, so from m = 3 on it splits into a symmetric
+    block of ceil(m/2) rows and an antisymmetric one of floor(m/2) rows that
+    share every leading row.  For even m = 2p both keep rows 0..p-2 and end on
+    diagonal d_(p-1) + e_(p-1) and d_(p-1) - e_(p-1) respectively; for odd
+    m = 2p + 1 the antisymmetric block is rows 0..p-1 and the symmetric one
+    adds row p, coupled by 2 e_(p-1)^2 (the product of its two off-diagonals
+    e and 2e in the block's unsymmetric form).  Any other matrix, or one
+    whose coupling square overflows, is one block of all m rows.
+    """
+    diag, off, m = A.diag, A.offdiag, A.dim
+    p = m // 2
+    persymmetric = np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
+    if m < 3 or not (persymmetric and np.all(off > 0.0)):
+        return diag, off2, (None,)
+    if m % 2:
+        coupling = 2.0 * float(off2[p - 1])
+        if not math.isfinite(coupling):
+            return diag, off2, (None,)
+        return diag[:p], off2[: p - 1], ((diag[p], coupling), None)
+    ends = (diag[p - 1] + off[p - 1], diag[p - 1] - off[p - 1])
+    return diag[: p - 1], off2[: p - 2], tuple((end, off2[p - 2]) for end in ends)
 
 
 def _multisection_depth(k: int) -> int:
@@ -177,18 +229,33 @@ def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -
     wide, or 2^-110 of the Gershgorin interval where the 110-level cap stops
     the bisection first.
 
+    Each index is bisected on its own parity block (see :func:`_parity_blocks`):
+    the eigenvalues of a persymmetric Jacobi matrix alternate between the
+    blocks, the largest symmetric (Hald, LAA 14, 1976), so the j-th largest of
+    A is the (j // 2)-th largest of block j % 2.  Every block starts from A's
+    own Gershgorin bounds and pivmin, and all brackets stop together, so each
+    follows the path one-midpoint bisection takes on its block.
+
     One sweep counts at all 2^b - 1 midpoints of the next b bisection levels
     of every bracket; the midpoints come from the same 0.5*(lo + hi)
     recursion and the levels are walked with the same stop test after each,
     so the brackets equal those of one-midpoint-per-sweep bisection bit for
     bit, whatever b is.  Reusing a count changes no bracket either, since a
-    count depends only on the value of its shift: indices that share a
-    bracket (all at the start, many where eigenvalues cluster) share one row
-    of nodes, each bracket carries the counts at its ends, and a sweep counts
-    only the distinct nodes that differ from those ends, so none for a
-    bracket collapsed to adjacent floats.
+    count depends only on its block and the value of its shift: indices that
+    share a bracket (all of a block's at the start, many where eigenvalues
+    cluster) share one row of nodes, each bracket carries the counts at its
+    ends, and a sweep counts only the distinct nodes that differ from those
+    ends, so none for a bracket collapsed to adjacent floats.
     """
     off2, pivmin, lower, upper = _sturm_setup(A)
+    diag, shared_off2, tails = _parity_blocks(A, off2)
+    blocks = len(tails)
+    sizes = len(diag) + np.array([tail is not None for tail in tails])
+    rank = A.dim - 1 - np.asarray(indices)
+    # brackets sorted by block, then ascending within it
+    order = np.lexsort((-rank, rank % blocks))
+    block = rank[order] % blocks
+    local = sizes[block] - 1 - rank[order] // blocks
     k = len(indices)
     lo, hi = np.full(k, lower), np.full(k, upper)
     # placeholders: the first sweep counts every node, the Gershgorin bounds
@@ -196,10 +263,11 @@ def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -
     count_lo = count_hi = np.zeros(k, dtype=np.int64)
     levels, converged = 0, False
     while levels < 110 and not converged:
-        # brackets ascend with the index, so equal ones are adjacent; compared as
-        # bits, since [-0.0, -0.0] and [0.0, 0.0] have different midpoints
+        # a block's brackets ascend with the index, so equal ones are adjacent;
+        # compared as bits, since [-0.0, -0.0] and [0.0, 0.0] have different
+        # midpoints
         ends = np.stack((lo, hi), axis=1).view(np.int64)
-        new = np.r_[True, np.any(ends[1:] != ends[:-1], axis=1)]
+        new = np.r_[True, np.any(ends[1:] != ends[:-1], axis=1) | (block[1:] != block[:-1])]
         first, bracket = np.flatnonzero(new), np.cumsum(new) - 1
         b = min(_multisection_depth(len(first)), 110 - levels)
         width = 2**b
@@ -213,14 +281,16 @@ def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -
         at_lo = nodes == nodes[:, :1]
         counts = np.where(at_lo, count_lo[first, None], count_hi[first, None])
         fresh = ~(at_lo | (nodes == nodes[:, -1:])) | (levels == 0)
-        # the fresh nodes ascend row after row, so repeats are adjacent
+        # the fresh nodes ascend row after row within a block, so repeats are adjacent
         xs = nodes[fresh]
-        distinct = np.r_[True, xs[1:] != xs[:-1]]
-        counts[fresh] = _sturm_counts(A.diag, off2, pivmin, xs[distinct])[np.cumsum(distinct) - 1]
+        xb = np.broadcast_to(block[first, None], nodes.shape)[fresh]
+        distinct = np.r_[True, (xs[1:] != xs[:-1]) | (xb[1:] != xb[:-1])]
+        fresh_counts = _sturm_counts(diag, shared_off2, pivmin, xs[distinct], tails, xb[distinct])
+        counts[fresh] = fresh_counts[np.cumsum(distinct) - 1]
         left = np.zeros(k, dtype=np.intp)
         for _ in range(b):
             width //= 2
-            below = counts[bracket, left + width] <= indices
+            below = counts[bracket, left + width] <= local
             left += width * below
             lo, hi = nodes[bracket, left], nodes[bracket, left + width]
             levels += 1
@@ -229,7 +299,9 @@ def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -
             if converged:
                 break
         count_lo, count_hi = counts[bracket, left], counts[bracket, left + width]
-    return 0.5 * (lo + hi)
+    out = np.empty(k)
+    out[order] = 0.5 * (lo + hi)
+    return out
 
 
 def eigenvalues_tridiagonal(A: TridiagonalSymmetricMatrix) -> np.ndarray:
@@ -300,10 +372,13 @@ def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> 
     """
     lam = float(lam)
     off2, pivmin, _, _ = _sturm_setup(A)
+    diag, shared_off2, tails = _parity_blocks(A, off2)
     scale = float(np.max(np.abs(A.diag)) + (np.max(np.abs(A.offdiag)) if A.dim > 1 else 0.0))
     gap = 1e-8 * max(1.0, scale)
-    nearby = _sturm_counts(A.diag, off2, pivmin, np.array([lam + gap, lam - gap]))
-    if int(nearby[0] - nearby[1]) > 1:
+    # A's count at each end is the sum of its blocks' counts
+    ends = np.tile([lam + gap, lam - gap], len(tails))
+    nearby = _sturm_counts(diag, shared_off2, pivmin, ends, tails, np.repeat(np.arange(len(tails)), 2))
+    if int(np.sum(nearby[0::2] - nearby[1::2])) > 1:
         warnings.warn("clustered eigenvalues near the shift", ConditioningWarning)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(A.dim)

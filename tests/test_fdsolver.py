@@ -31,7 +31,9 @@ CANON = canonical_params()
 # Reference solver: one midpoint per Sturm sweep, whole-array numpy
 # recurrences and numpy-scalar elimination.  The library's multisection,
 # buffered recurrences and list-based elimination perform the same IEEE
-# operations, so every result must equal these bit for bit.
+# operations, so every result must equal these bit for bit: on the parity
+# blocks, built here in full, for a persymmetric matrix with positive
+# off-diagonals, and on the whole matrix for any other.
 
 
 def reference_sturm_counts(diag, off2, pivmin, xs):
@@ -45,17 +47,23 @@ def reference_sturm_counts(diag, off2, pivmin, xs):
     return count
 
 
-def reference_eigenvalues_ascending(A, indices):
+def reference_bisection(A, blocks, block, local):
+    """Bisect the local-th eigenvalue (ascending) of the (diag, off2) matrix
+    blocks[block] for each entry, every bracket from A's Gershgorin bounds
+    and pivmin, all stopping together."""
     off2 = A.offdiag**2
     pivmin = max(float(np.max(off2)) if len(off2) else 0.0, 1.0) * 1e-290
     radius = np.zeros(A.dim)
     radius[:-1] += np.abs(A.offdiag)
     radius[1:] += np.abs(A.offdiag)
-    lo = np.full(len(indices), float(np.min(A.diag - radius)))
-    hi = np.full(len(indices), float(np.max(A.diag + radius)))
+    lo = np.full(len(local), float(np.min(A.diag - radius)))
+    hi = np.full(len(local), float(np.max(A.diag + radius)))
     for _ in range(110):
         mid = 0.5 * (lo + hi)
-        below = reference_sturm_counts(A.diag, off2, pivmin, mid) <= indices
+        counts = np.empty(len(local), dtype=np.int64)
+        for b, (diag, block_off2) in enumerate(blocks):
+            counts[block == b] = reference_sturm_counts(diag, block_off2, pivmin, mid[block == b])
+        below = counts <= local
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         tol = 1e-15 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-30)
@@ -64,8 +72,39 @@ def reference_eigenvalues_ascending(A, indices):
     return 0.5 * (lo + hi)
 
 
+def reference_eigenvalues_ascending(A, indices):
+    """Bisection on the whole matrix."""
+    indices = np.asarray(indices)
+    return reference_bisection(A, [(A.diag, A.offdiag**2)], np.zeros_like(indices), indices)
+
+
 def reference_top_eigenvalues(A, count):
     return reference_eigenvalues_ascending(A, np.arange(A.dim - count, A.dim))[::-1]
+
+
+def parity_blocks(A):
+    """The symmetric and antisymmetric blocks of a persymmetric A (dim >= 3),
+    as (diag, off2): for even m = 2p the last diagonal is d + e or d - e,
+    for odd m = 2p + 1 the symmetric block's extra row couples by 2 e^2."""
+    m, p = A.dim, A.dim // 2
+    d, e = A.diag, A.offdiag
+    if m % 2:
+        return [(d[: p + 1], np.r_[e[: p - 1] ** 2, 2 * e[p - 1] ** 2]), (d[:p], e[: p - 1] ** 2)]
+    return [(np.r_[d[: p - 1], d[p - 1] + s * e[p - 1]], e[: p - 1] ** 2) for s in (1, -1)]
+
+
+def block_ranks(blocks, count):
+    """Block and ascending index in it of A's count largest eigenvalues: the
+    j-th largest is the (j // 2)-th largest of block j % 2."""
+    j = np.arange(count)
+    sizes = np.array([len(diag) for diag, _ in blocks])
+    block = j % len(blocks)
+    return block, sizes[block] - 1 - j // len(blocks)
+
+
+def reference_split_top_eigenvalues(A, count):
+    blocks = parity_blocks(A)
+    return reference_bisection(A, blocks, *block_ranks(blocks, count))
 
 
 def reference_solve_shifted(A, lam, b):
@@ -265,6 +304,41 @@ def test_sturm_count_monotone_in_shift(data, shift_a, shift_b):
     assert 0 <= counts[0] <= counts[1] <= dim
 
 
+def persymmetric_jacobi(half_diag, half_off, m):
+    """The m x m matrix that reads the same backwards, from its leading
+    ceil(m/2) diagonal and m//2 off-diagonal entries."""
+    half_diag, half_off = np.array(half_diag), np.array(half_off)
+    diag = np.r_[half_diag, half_diag[::-1][m % 2 :]]
+    off = np.r_[half_off, half_off[::-1][(m - 1) % 2 :]]
+    return TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(min_value=2, max_value=64), data=st.data())
+def test_persymmetric_jacobi_top_eigenvalues(m, data):
+    half_diag = data.draw(st.lists(st.floats(-1, 1), min_size=(m + 1) // 2, max_size=(m + 1) // 2))
+    half_off = data.draw(st.lists(st.floats(1e-3, 1), min_size=m // 2, max_size=m // 2))
+    A = persymmetric_jacobi(half_diag, half_off, m)
+    assert np.array_equal(A.diag, A.diag[::-1]) and np.array_equal(A.offdiag, A.offdiag[::-1])
+    full = np.diag(A.diag) + np.diag(A.offdiag, 1) + np.diag(A.offdiag, -1)
+    dense, vectors = np.linalg.eigh(full)
+    dense, vectors = dense[::-1], vectors[:, ::-1]
+    eps = np.finfo(float).eps
+    norm = np.max(np.abs(A.diag)) + 2 * np.max(A.offdiag)
+    # the bisection is within eps * |A| of the exact values; the dense
+    # solver's own error grows with m (up to 11 eps * |A| at m = 61 against
+    # a 40-digit reference)
+    for k in range(1, m + 1):
+        np.testing.assert_allclose(top_eigenvalues(A, k), dense[:k], rtol=0, atol=(m + 8) * eps * norm)
+    # the j-th largest eigenvector is symmetric for even j and antisymmetric
+    # for odd j; checked where the gaps leave the vectors well determined
+    gaps = np.abs(np.subtract.outer(dense, dense)) + np.diag(np.full(m, np.inf))
+    parity = np.sum(vectors * vectors[::-1], axis=0)
+    sign = (-1.0) ** np.arange(m)
+    resolved = np.min(gaps, axis=1) > 1e-8 * norm
+    assert np.all(parity[resolved] * sign[resolved] > 0.99)
+
+
 def zero_pivot_kinds(diag, off2, pivmin, xs):
     """The divisions by a zero pivot that the counts at xs meet: 'divide'
     (x/0) under a nonzero squared off-diagonal, 'invalid' (0/0) under a zero
@@ -292,12 +366,26 @@ ZERO_PIVOT_IDS = ["integer-x/0", "zero-off-0/0", "signed-zeros", "mixed"]
 
 class TestBitIdenticalToReference:
     @pytest.mark.parametrize("params", [CANON, custom_params(0.8, 3.0, 1.7)], ids=["canonical", "custom"])
-    @pytest.mark.parametrize("m", [3, 4, 7, 250, 2000])
+    @pytest.mark.parametrize("m", [3, 4, 7, 250, 251, 2000])
     def test_all_and_top_eigenvalues(self, params, m):
         A = discretize(params, m)
         count = min(10, m)
-        assert np.array_equal(top_eigenvalues(A, count), reference_top_eigenvalues(A, count))
-        assert np.array_equal(eigenvalues_tridiagonal(A), reference_top_eigenvalues(A, m))
+        assert np.array_equal(top_eigenvalues(A, count), reference_split_top_eigenvalues(A, count))
+        assert np.array_equal(eigenvalues_tridiagonal(A), reference_split_top_eigenvalues(A, m))
+
+    @pytest.mark.parametrize("params", [CANON, custom_params(0.8, 3.0, 1.7)], ids=["canonical", "custom"])
+    @pytest.mark.parametrize("m", [3, 4, 7, 250, 251, 2000])
+    def test_all_eigenvalues_near_whole_matrix_bisection(self, params, m):
+        # the blocks' last pivots round unlike the whole matrix's, which moves
+        # a few interior eigenvalues by up to 1.8 eps * |A| (13 of 2000 at
+        # m = 2000 canonical); the top ten, the shifts of the benchmark's
+        # inverse-iteration vectors, are unchanged there
+        A = discretize(params, m)
+        norm = np.max(np.abs(A.diag)) + 2 * np.max(np.abs(A.offdiag))
+        lam, whole = eigenvalues_tridiagonal(A), reference_top_eigenvalues(A, m)
+        assert np.max(np.abs(lam - whole)) <= 4 * np.finfo(float).eps * norm
+        if m == 2000:
+            assert lam[:10].tobytes() == whole[:10].tobytes()
 
     def test_random_tridiagonals(self):
         rng = np.random.default_rng(7)
@@ -356,6 +444,43 @@ class TestBitIdenticalToReference:
             assert top_eigenvalues(A, count).tobytes() == reference_top_eigenvalues(A, count).tobytes()
 
     @pytest.mark.parametrize(
+        "diag, off",
+        [
+            (np.ones(4), np.ones(3)),
+            (np.ones(5), np.ones(4)),
+            (np.array([2.0, 1.0, 2.0, 1.0, 2.0]), np.ones(4)),
+            (np.array([0.0, 1.0, -0.0, -0.0, 1.0, 0.0]), np.array([1.0, 2.0, 3.0, 2.0, 1.0])),
+        ],
+        ids=["even", "odd", "odd-alternating", "signed-zeros"],
+    )
+    def test_parity_split_counts_each_block(self, diag, off):
+        # shifts at every diagonal entry, block end and +-0.0 zero the last
+        # shared pivot (x = 1 on the ones) or a block's last pivot (x = 0
+        # and x = 2 on the even ones)
+        A = TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
+        off2 = off**2
+        pivmin = max(float(np.max(off2)), 1.0) * 1e-290
+        shared_diag, shared_off2, tails = fdsolver._parity_blocks(A, off2)
+        blocks = parity_blocks(A)
+        assert len(tails) == 2 and len(shared_diag) + (tails[0] is not None) == (A.dim + 1) // 2
+        xs = np.unique(np.r_[diag, [d[-1] for d, _ in blocks], 0.0, -0.0, 1.0, 2.0])
+        xs = np.r_[xs, -0.0]
+        for b, (block_diag, block_off2) in enumerate(blocks):
+            got = _sturm_counts(shared_diag, shared_off2, pivmin, xs, tails, np.full(len(xs), b))
+            assert np.array_equal(got, reference_sturm_counts(block_diag, block_off2, pivmin, xs))
+        # the blocks' counts add up to the whole matrix's where no pivot rounds
+        both = _sturm_counts(shared_diag, shared_off2, pivmin, np.r_[xs, xs], tails, np.repeat([0, 1], len(xs)))
+        assert np.array_equal(both[: len(xs)] + both[len(xs) :], reference_sturm_counts(diag, off2, pivmin, xs))
+
+    def test_coupling_overflow_counts_the_whole_matrix(self):
+        # e^2 is finite but the odd split's coupling 2 e^2 is not
+        A = TridiagonalSymmetricMatrix(diag=np.zeros(3), offdiag=np.full(2, 1e154))
+        assert fdsolver._parity_blocks(A, A.offdiag**2)[2] == (None,)
+        with np.errstate(all="raise"):
+            lam = eigenvalues_tridiagonal(A)
+        assert lam.tobytes() == reference_top_eigenvalues(A, 3).tobytes()
+
+    @pytest.mark.parametrize(
         "diag, off, distinct",
         [
             (np.tile([0.5, -1.0, 2.0], 4), np.tile([0.3, -0.7, 0.0], 4)[:-1], 3),
@@ -381,7 +506,8 @@ class TestBitIdenticalToReference:
     def test_same_bits_under_any_outer_error_state(self, outer):
         zero_pivot = [TridiagonalSymmetricMatrix(diag=diag, offdiag=off) for diag, off, _ in ZERO_PIVOT_CASES]
         matrices = [discretize(CANON, 250), *zero_pivot]
-        expected = [reference_top_eigenvalues(A, A.dim) for A in matrices]
+        expected = [reference_split_top_eigenvalues(matrices[0], 250)]
+        expected += [reference_top_eigenvalues(A, A.dim) for A in zero_pivot]
         # a shift at every diagonal entry and at +-0.0, for each (diag, off2, pivmin, xs)
         count_args = [
             (A.diag, A.offdiag**2, max(float(np.max(A.offdiag**2)), 1.0) * 1e-290, np.r_[A.diag, 0.0, -0.0])
@@ -395,51 +521,60 @@ class TestBitIdenticalToReference:
                 top = top_eigenvalues(matrices[0], 10)
                 counts = [_sturm_counts(*args) for args in count_args]
         assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
-        assert top.tobytes() == reference_top_eigenvalues(matrices[0], 10).tobytes()
+        assert top.tobytes() == reference_split_top_eigenvalues(matrices[0], 10).tobytes()
         assert all(np.array_equal(c, e) for c, e in zip(counts, expected_counts))
 
 
 def test_all_eigenvalues_count_each_distinct_shift_once(monkeypatch):
     """Deterministic work guard: all 2000 eigenvalues of the canonical grid
-    take 130220 shift evaluations in 32 sweeps.  Counting every index's nodes
-    anew, shared and known ones included, took 216000 in 36."""
-    sizes = []
+    take 133252 shift evaluations in 32 sweeps, each walking 1000 rows, the
+    parity blocks' 999 shared rows and one of their own.  Counting every
+    index's nodes anew, shared and known ones included, took 216000 in 36;
+    the whole matrix took 130220 in 32, each walking 2000 rows."""
+    sizes, rows = [], []
     count = fdsolver._sturm_counts
 
-    def counting(diag, off2, pivmin, xs):
+    def counting(diag, off2, pivmin, xs, tails, block):
         sizes.append(len(xs))
-        return count(diag, off2, pivmin, xs)
+        rows.append(len(diag) + any(tail is not None for tail in tails))
+        return count(diag, off2, pivmin, xs, tails, block)
 
     monkeypatch.setattr(fdsolver, "_sturm_counts", counting)
     eigenvalues_tridiagonal(discretize(CANON, 2000))
     assert sum(sizes) <= 150_000, f"{sum(sizes)} shifts in {len(sizes)} sweeps"
+    assert max(rows) <= math.ceil(2000 / 2) + 1, f"sweeps walk up to {max(rows)} rows"
 
 
-def assert_within_sturm_brackets(A, eigenvalues):
+def assert_within_sturm_brackets(A, eigenvalues, blocks=None):
     """The accuracy contract: each returned eigenvalue x (sorted decreasing,
-    the top of the spectrum) with ascending index j satisfies
-    count(x - t) <= j < count(x + t), where t covers a 1e-15 relative
-    bracket or, where wider, a bracket after the 110-level cap."""
+    the top of the spectrum) with ascending index j on its block satisfies
+    count(x - t) <= j < count(x + t) there, where t covers a 1e-15 relative
+    bracket or, where wider, a bracket after the 110-level cap.  The block is
+    the whole matrix unless parity blocks are given."""
     off2 = A.offdiag**2
     pivmin = max(float(np.max(off2)) if len(off2) else 0.0, 1.0) * 1e-290
     radius = np.zeros(A.dim)
     radius[:-1] += np.abs(A.offdiag)
     radius[1:] += np.abs(A.offdiag)
     capped_width = (np.max(A.diag + radius) - np.min(A.diag - radius)) / 2.0**110
-    x = np.asarray(eigenvalues)[::-1]
-    j = np.arange(A.dim - len(x), A.dim)
+    blocks = blocks or [(A.diag, off2)]
+    x = np.asarray(eigenvalues)
     t = np.maximum(2e-15 * np.maximum(np.abs(x), 1e-30), capped_width)
-    assert np.all(_sturm_counts(A.diag, off2, pivmin, x - t) <= j)
-    assert np.all(_sturm_counts(A.diag, off2, pivmin, x + t) >= j + 1)
+    block, local = block_ranks(blocks, len(x))
+    for b, (diag, block_off2) in enumerate(blocks):
+        at = block == b
+        assert np.all(_sturm_counts(diag, block_off2, pivmin, x[at] - t[at]) <= local[at])
+        assert np.all(_sturm_counts(diag, block_off2, pivmin, x[at] + t[at]) >= local[at] + 1)
 
 
 class TestAccuracyContract:
     @pytest.mark.parametrize("params", [CANON, custom_params(0.8, 3.0, 1.7)], ids=["canonical", "custom"])
-    @pytest.mark.parametrize("m", [3, 4, 7, 250, 2000])
+    @pytest.mark.parametrize("m", [3, 4, 7, 250, 251, 2000])
     def test_discretized_operator(self, params, m):
         A = discretize(params, m)
-        assert_within_sturm_brackets(A, top_eigenvalues(A, min(10, m)))
-        assert_within_sturm_brackets(A, eigenvalues_tridiagonal(A))
+        blocks = parity_blocks(A)
+        assert_within_sturm_brackets(A, top_eigenvalues(A, min(10, m)), blocks)
+        assert_within_sturm_brackets(A, eigenvalues_tridiagonal(A), blocks)
 
     def test_random_tridiagonals(self):
         rng = np.random.default_rng(7)
@@ -538,6 +673,30 @@ class TestInverseIteration:
         A = TridiagonalSymmetricMatrix(diag=np.array([1.0, 1.0]), offdiag=np.array([1e-9]))
         with pytest.warns(ConditioningWarning):
             eigenvector_inverse_iteration(A, 1.0 + 1e-9)
+
+    def test_cluster_across_parity_blocks_warns(self):
+        # 1 is the antisymmetric block's eigenvalue and about 1 + 5e-11 the
+        # symmetric block's top one: the warning adds the blocks' counts
+        A = TridiagonalSymmetricMatrix(diag=np.array([1.0, -1.0, 1.0]), offdiag=np.full(2, 1e-5))
+        lam = top_eigenvalues(A, 2)
+        assert 0 < lam[0] - lam[1] < 1e-9
+        with pytest.warns(ConditioningWarning):
+            eigenvector_inverse_iteration(A, lam[0])
+
+    def test_clustering_check_counts_on_parity_blocks(self, monkeypatch):
+        # one count of lam +- gap on both blocks, over ceil(m/2) rows
+        calls = []
+        count = fdsolver._sturm_counts
+
+        def counting(diag, off2, pivmin, xs, tails, block):
+            calls.append((len(xs), len(diag) + any(tail is not None for tail in tails)))
+            return count(diag, off2, pivmin, xs, tails, block)
+
+        A = discretize(CANON, 2001)
+        lam = top_eigenvalues(A, 1)[0]
+        monkeypatch.setattr(fdsolver, "_sturm_counts", counting)
+        eigenvector_inverse_iteration(A, lam)
+        assert calls == [(4, 1001)]
 
     def test_far_shift_does_not_converge(self):
         A = TridiagonalSymmetricMatrix(diag=np.array([0.0, 10.0]), offdiag=np.array([0.1]))
