@@ -20,7 +20,7 @@ from . import __version__
 from .errors import DeformSpecError, NumericalError, ValidationError
 from .experiments import DecayModel, asymptotics_report, convergence_study, inverse_limit_report, rigidity_report
 from .fdsolver import refinement_study
-from .io import Records, coefficients_to_csv, format_floats, read_coefficients, table_to_csv, to_json
+from .io import Records, format_floats, read_coefficients, write_coefficients, write_csv, write_json
 from .params import OperatorParams, canonical_params, custom_params, deformation_profile, si_params
 from .quadrature import _rule_from_nodes, default_projection_rule, uniform_grid
 from .spectrum import critical_index, eigenfunction, eigenvalue, wavenumber
@@ -182,11 +182,13 @@ def _number_list(text: str, flag: str, kind=_int_arg) -> list:
         raise ValidationError(f"{flag}: {exc}") from None
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, write, *items) -> None:
+    """``write(stream, *items)`` to stdout, or to the --output file opened once."""
     if args.output is None:
-        sys.stdout.write(text)
+        write(sys.stdout, *items)
     else:
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as stream:
+            write(stream, *items)
 
 
 def _meta(args) -> dict | None:
@@ -198,11 +200,12 @@ def _meta(args) -> dict | None:
 def _emit_report(args, report) -> int:
     if args.format == "json":
         # the fields in order; dataclasses.asdict would deep-copy every series value
-        _emit(args, to_json(vars(report), _meta(args)))
+        _emit(args, write_json, vars(report), _meta(args))
     elif args.output is not None and Path(args.output).is_dir():
         for column, series in report.series.items():
             path = Path(args.output) / f"{report.name}__{column}.csv"
-            path.write_text(table_to_csv(["index", "value"], [range(len(series)), series]))
+            with open(path, "w") as stream:
+                write_csv(stream, ["index", "value"], [range(len(series)), series])
     else:
         # long format: one row per (series column, index, value)
         names, index, values = [], [], []
@@ -210,7 +213,7 @@ def _emit_report(args, report) -> int:
             names += [column] * len(series)
             index += range(len(series))
             values += series
-        _emit(args, table_to_csv(["series", "index", "value"], [names, index, values]))
+        _emit(args, write_csv, ["series", "index", "value"], [names, index, values])
     return EXIT_OK if report.verdict in ("pass", "documented_discrepancy") else EXIT_VERDICT_FAIL
 
 
@@ -219,17 +222,17 @@ def _cmd_spectrum(args) -> int:
         raise ValidationError("n_max must be >= 0")
     ns = np.arange(args.n_max + 1)
     header = ["n", "wavenumber", "eigenvalue"]
-    columns = [ns.tolist(), wavenumber(args.params, ns).tolist(), eigenvalue(args.params, ns).tolist()]
+    columns = [ns, wavenumber(args.params, ns), eigenvalue(args.params, ns)]
     if args.format == "csv":
-        _emit(args, table_to_csv(header, columns))
+        _emit(args, write_csv, header, columns)
     else:
-        _emit(args, to_json({"modes": Records(header, columns)}, _meta(args)))
+        _emit(args, write_json, {"modes": Records(header, columns)}, _meta(args))
     return EXIT_OK
 
 
 def _cmd_eigenfunction(args) -> int:
     grid = uniform_grid(args.params, args.grid_points - 1)
-    _emit(args, table_to_csv(["v", "f"], [grid, eigenfunction(args.params, args.n, grid)]))
+    _emit(args, write_csv, ["v", "f"], [grid, eigenfunction(args.params, args.n, grid)])
     return EXIT_OK
 
 
@@ -242,9 +245,9 @@ def _cmd_critical_index(args) -> int:
         "agree": report.agree,
     }
     if args.format == "json":
-        _emit(args, to_json(payload, _meta(args)))
+        _emit(args, write_json, payload, _meta(args))
     else:
-        _emit(args, table_to_csv(list(payload), [[value] for value in payload.values()]))
+        _emit(args, write_csv, list(payload), [[value] for value in payload.values()])
     return EXIT_OK
 
 
@@ -252,14 +255,14 @@ def _cmd_project(args) -> int:
     rule = _rule_from_nodes(args.params, args.nodes, args.n_max)
     f = _target_function(args.target, args.params)
     coeffs = project(args.params, f, args.n_max, rule)
-    _emit(args, coefficients_to_csv(coeffs))
+    _emit(args, write_coefficients, coeffs)
     return EXIT_OK
 
 
 def _cmd_reconstruct(args) -> int:
     coeffs = read_coefficients(args.coeffs, args.params)
     grid = uniform_grid(args.params, args.grid_points - 1)
-    _emit(args, table_to_csv(["v", "f"], [grid, evaluate(coeffs, grid)]))
+    _emit(args, write_csv, ["v", "f"], [grid, evaluate(coeffs, grid)])
     return EXIT_OK
 
 
@@ -276,9 +279,9 @@ def _cmd_parseval(args) -> int:
         "relative_defect": defect / norm**2 if norm > 0 else 0.0,
     }
     if args.format == "json":
-        _emit(args, to_json(payload, _meta(args)))
+        _emit(args, write_json, payload, _meta(args))
     else:
-        _emit(args, table_to_csv(["key", "value"], [list(payload), list(payload.values())]))
+        _emit(args, write_csv, ["key", "value"], [list(payload), list(payload.values())])
     return EXIT_OK
 
 
@@ -288,14 +291,14 @@ def _cmd_gram(args) -> int:
     if args.format == "csv":
         n = len(matrix)
         # the entries repeat (each depends on |n-m| and n+m only), so each
-        # distinct value is formatted once; the rows of the object array go to
-        # the writer as they are and the float matrix is freed first, which
-        # keeps peak memory at that of formatting each entry
-        columns = format_floats(matrix.T)
+        # distinct value is formatted once (the JSON writer does the same for a
+        # float matrix); the rows of the object array go to the writer as
+        # they are and the float matrix is freed first
+        columns = format_floats(matrix.T, "%.17g")
         del matrix
-        _emit(args, table_to_csv(["n", *map(str, range(n))], [range(n), *columns]))
+        _emit(args, write_csv, ["n", *map(str, range(n))], [range(n), *columns])
     else:
-        _emit(args, to_json({"gram": matrix.tolist()}, _meta(args)))
+        _emit(args, write_json, {"gram": matrix}, _meta(args))
     return EXIT_OK
 
 
@@ -306,23 +309,25 @@ def _cmd_fd_validate(args) -> int:
             {
                 "grid": {"m": r.m, "h": r.h},
                 "convergence_order": None if math.isnan(r.convergence_order) else r.convergence_order,
-                "eigenvalues_fd": r.eigenvalues_fd.tolist(),
-                "eigenvalues_analytic": r.eigenvalues_analytic.tolist(),
-                "abs_errors": r.abs_errors.tolist(),
-                "rel_errors": r.rel_errors.tolist(),
+                "eigenvalues_fd": r.eigenvalues_fd,
+                "eigenvalues_analytic": r.eigenvalues_analytic,
+                "abs_errors": r.abs_errors,
+                "rel_errors": r.rel_errors,
             }
             for r in reports
         ]
-        _emit(args, to_json({"reports": payload}, _meta(args)))
+        _emit(args, write_json, {"reports": payload}, _meta(args))
     else:
-        tables = [
-            table_to_csv(
-                ["n", "lambda_fd", "lambda_analytic", "abs_err", "rel_err"],
-                [range(len(r.eigenvalues_fd)), r.eigenvalues_fd, r.eigenvalues_analytic, r.abs_errors, r.rel_errors],
-            )
-            for r in reports
-        ]
-        _emit(args, "".join(tables))
+
+        def write_tables(stream):
+            for r in reports:
+                write_csv(
+                    stream,
+                    ["n", "lambda_fd", "lambda_analytic", "abs_err", "rel_err"],
+                    [range(len(r.eigenvalues_fd)), r.eigenvalues_fd, r.eigenvalues_analytic, r.abs_errors, r.rel_errors],
+                )
+
+        _emit(args, write_tables)
     return EXIT_OK
 
 

@@ -1,10 +1,13 @@
 """CSV and JSON formats: tables, JSON documents and the coefficient file.
 
-A table is a header and equal-length columns: :func:`table_to_csv` writes it
-as CSV, :func:`to_json` writes it as a list of records when wrapped in
-:class:`Records`.  Numbers are printed with 17 significant digits so 64-bit
-floats survive a write/read round trip bit-for-bit.  Nothing here emits
-timestamps: identical inputs produce byte-identical output.
+A table is a header and equal-length columns: :func:`write_csv` writes it
+as CSV, :func:`write_json` writes it as a list of records when wrapped in
+:class:`Records`.  Both writers run every check that can fail first, then
+format and write the rows in blocks of about :data:`BLOCK_CELLS` cells to a
+text stream, so their memory does not grow with the row count.  Numbers are
+printed with 17 significant digits so 64-bit floats survive a write/read
+round trip bit-for-bit.  Nothing here emits timestamps: identical inputs
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,51 +23,78 @@ from .errors import FormatError
 from .params import OperatorParams
 from .transform import CoefficientVector
 
+# Cells formatted per write.  Measured in fresh processes: eigenfunction
+# --grid-points 400001 and spectrum --n-max 200000 take the same time from
+# 2**12 to 2**16 cells a block, and peak memory grows by about 0.1 kB a cell
+# from 2**12 on.
+BLOCK_CELLS = 2**12
+
 
 def format_float(x: float) -> str:
     """Round-trippable decimal rendering of a 64-bit float."""
     return f"{float(x):.17g}"
 
 
-def format_floats(values: np.ndarray) -> np.ndarray:
-    """:func:`format_float` of every entry of a float array, as an object array
-    of the same shape.  Each distinct 64-bit pattern is formatted once, so
-    ``-0.0`` and ``0.0`` (and NaN payloads) stay apart; this pays off where
-    the values repeat, such as the entries of a Gram matrix."""
+def format_floats(values: np.ndarray, directive: str) -> np.ndarray:
+    """``directive % x`` for every entry x of a float array, as an object array
+    of the same shape: ``"%.17g"`` is :func:`format_float`, ``"%r"`` json's
+    rendering of a finite float.  Each distinct 64-bit pattern is formatted
+    once, so ``-0.0`` and ``0.0`` (and NaN payloads) stay apart; this pays off
+    where the values repeat, such as the entries of a Gram matrix."""
     values = np.asarray(values, dtype=np.float64)
     keys, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    distinct = ("%.17g\n" * len(keys) % tuple(keys.view(np.float64).tolist())).splitlines()
+    distinct = ((directive + "\n") * len(keys) % tuple(keys.view(np.float64).tolist())).splitlines()
     return np.array(distinct, dtype=object)[inverse].reshape(values.shape)
 
 
-def table_to_csv(header, columns) -> str:
-    """CSV table: the header row, then row i holds element i of every column.
+def write_csv(stream, header, columns) -> None:
+    """CSV table to ``stream``: the header row, then row i holds element i of
+    every column.
 
+    The columns are sequences (lists, ranges, ndarrays), sliced block by block.
     A float cell is written by :func:`format_float`, any other cell through
-    ``str``; ndarray columns are converted with ``tolist`` first.  Raises
-    ``ValueError`` when the columns differ in length.
+    ``str``; ndarray slices are converted with ``tolist`` first.  Raises
+    ``ValueError``, before writing anything, when the columns differ in length.
     """
-    directives, cells, rows = _interleave(columns, _column)
-    head = ",".join(header).replace("%", "%%") + "\n"
-    return (head + (",".join(directives) + "\n") * rows) % tuple(cells)
+    rows = _row_count(columns)
+    stream.write(",".join(header) + "\n")
+    for _, count, block in _blocks(columns, rows):
+        directives, cells = _interleave(block, count, _column)
+        stream.write((",".join(directives) + "\n") * count % tuple(cells))
 
 
-def _interleave(columns, column_format) -> tuple[list[str], list, int]:
-    """Each column's ``%`` directive and cells by ``column_format``, the cells
-    interleaved row by row, and the row count; ndarray columns go through
-    ``tolist``.  Raises ``ValueError`` when the columns differ in length."""
-    columns = [column.tolist() if isinstance(column, np.ndarray) else list(column) for column in columns]
+def _row_count(columns) -> int:
+    """The common length of the columns; raises ``ValueError`` when they differ."""
     lengths = [len(column) for column in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
-    rows = lengths[0] if lengths else 0
+    return lengths[0] if lengths else 0
+
+
+def _blocks(columns, rows: int):
+    """``(start, count, slices)`` for each block, the slices holding rows
+    ``start`` to ``start + count`` of every column.
+
+    A block holds :data:`BLOCK_CELLS` cells, or ``isqrt(BLOCK_CELLS)`` rows of
+    a table wider than that many columns, so that the work done once per
+    column and block is spread over that many rows at least: in blocks of
+    16384 cells, 8 rows each, the 2002-column ``gram --n-max 2000`` CSV took
+    a third longer than written whole."""
+    step = max(BLOCK_CELLS // len(columns), math.isqrt(BLOCK_CELLS)) if columns else 1
+    for start in range(0, rows, step):
+        yield start, min(step, rows - start), [column[start : start + step] for column in columns]
+
+
+def _interleave(columns, rows: int, column_format) -> tuple[list[str], list]:
+    """Each column's ``%`` directive and cells by ``column_format``, the cells
+    interleaved row by row; ndarray columns go through ``tolist``."""
     width = len(columns)
     directives, cells = [], [None] * (rows * width)
     for j, column in enumerate(columns):
-        directive, column_cells = column_format(column)
+        column = column.tolist() if isinstance(column, np.ndarray) else list(column)
+        directive, cells[j::width] = column_format(column)
         directives.append(directive)
-        cells[j::width] = column_cells
-    return directives, cells, rows
+    return directives, cells
 
 
 def _column(column: list) -> tuple[str, list]:
@@ -84,8 +114,9 @@ def _column(column: list) -> tuple[str, list]:
     return "%s", [format_float(x) if isinstance(x, float) else str(x) for x in column]
 
 
-def coefficients_to_csv(coeffs: CoefficientVector) -> str:
-    return table_to_csv(["n", "a_n"], [range(len(coeffs.coefficients)), coeffs.coefficients])
+def write_coefficients(stream, coeffs: CoefficientVector) -> None:
+    """The coefficient CSV that :func:`read_coefficients` parses."""
+    write_csv(stream, ["n", "a_n"], [range(len(coeffs.coefficients)), coeffs.coefficients])
 
 
 def read_coefficients(path, params: OperatorParams) -> CoefficientVector:
@@ -115,7 +146,7 @@ def read_coefficients(path, params: OperatorParams) -> CoefficientVector:
 
 
 class Records(NamedTuple):
-    """A table that :func:`to_json` writes as a list of records, one per row:
+    """A table that :func:`write_json` writes as a list of records, one per row:
     ``[dict(zip(header, row)) for row in zip(*columns)]`` without the dicts.
     The ``str`` field names must be distinct."""
 
@@ -123,53 +154,114 @@ class Records(NamedTuple):
     columns: list
 
 
-def to_json(payload: dict, meta: dict | None = None) -> str:
-    """``json.dumps(doc, indent=2)`` plus a newline, doc being the payload
-    with ``meta`` appended and each :class:`Records` read as its list of
-    dicts; numeric lists and records are written by templates."""
+def write_json(stream, payload: dict, meta: dict | None = None) -> None:
+    """``json.dumps(doc, indent=2)`` plus a newline to ``stream``, doc being the
+    payload with ``meta`` appended, each :class:`Records` read as its list of
+    dicts and each ndarray as its ``tolist()``.  Every :class:`Records` is
+    checked before anything is written; numeric lists, records and float
+    arrays are written in blocks by templates."""
     doc = dict(payload)
     if meta is not None:
         doc["meta"] = meta
-    return _json(doc, "\n") + "\n"
+    pieces = [*_json(doc, "\n"), "\n"]
+    stream.writelines(_flatten(pieces))
 
 
-def _json(obj, newline: str) -> str:
-    """``json.dumps(obj, indent=2)`` for a value whose line starts ``newline``."""
+def _json(obj, newline: str):
+    """``json.dumps(obj, indent=2)`` for a value whose line starts ``newline``,
+    as pieces: strings, and iterators of strings that format their blocks of a
+    long list or table only when written.  Making the pieces runs the checks."""
+    if type(obj) is np.ndarray:
+        if obj.dtype == np.float64 and obj.ndim and obj.size and np.isfinite(obj).all():
+            # a matrix's entries repeat where its structure makes them (a Gram
+            # matrix), so each distinct one is formatted once
+            cells, text = (obj, repr) if obj.ndim == 1 else (format_floats(obj, "%r"), str)
+            yield from _array(cells, newline, text)
+            return
+        obj = obj.tolist()
     inner = newline + "  "
     if type(obj) is dict and obj and all(type(key) is str for key in obj):
-        items = (json.dumps(key) + ": " + _json(value, inner) for key, value in obj.items())
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if type(obj) is Records:
-        return _records(obj, newline)
-    if type(obj) is list and obj:
+        for i, (key, value) in enumerate(obj.items()):
+            yield ("," if i else "{") + inner + json.dumps(key) + ": "
+            yield from _json(value, inner)
+        yield newline + "}"
+    elif type(obj) is Records:
+        yield from _records(obj, newline)
+    elif type(obj) is list and obj:
+        yield "[" + inner
         if _plain_numbers(obj):
-            body = ("," + inner).join(map(repr, obj))
+            yield _runs(obj, inner, repr)
         else:
-            body = ("," + inner).join(_json(item, inner) for item in obj)
-        return "[" + inner + body + newline + "]"
-    return json.dumps(obj, indent=2).replace("\n", newline)
+            for i, item in enumerate(obj):
+                if i:
+                    yield "," + inner
+                yield from _json(item, inner)
+        yield newline + "]"
+    else:
+        yield json.dumps(obj, indent=2).replace("\n", newline)
 
 
-def _records(table: Records, newline: str) -> str:
-    """The records by one template: ``%r`` for a column of plain numbers,
-    any other column cell by cell.  Raises ``ValueError`` unless the header
+def _flatten(pieces):
+    """The strings of :func:`_json`'s pieces, in order."""
+    for piece in pieces:
+        if type(piece) is str:
+            yield piece
+        else:
+            yield from piece
+
+
+def _runs(values, inner: str, text):
+    """The body of a JSON list, ``text`` of each value, one block of values at
+    a time; an ndarray block goes through ``tolist``."""
+    sep = "," + inner
+    for start in range(0, len(values), BLOCK_CELLS):
+        block = values[start : start + BLOCK_CELLS]
+        block = block.tolist() if type(block) is np.ndarray else block
+        yield (sep if start else "") + sep.join(map(text, block))
+
+
+def _array(values: np.ndarray, newline: str, text):
+    """An array (no empty axis) as nested JSON lists, ``text`` of each entry."""
+    inner = newline + "  "
+    yield "[" + inner
+    if values.ndim == 1:
+        yield _runs(values, inner, text)
+    else:
+        for i, row in enumerate(values):
+            if i:
+                yield "," + inner
+            yield from _array(row, inner, text)
+    yield newline + "]"
+
+
+def _records(table: Records, newline: str):
+    """The records by one template a block: ``%r`` for a block of plain numbers,
+    any other block cell by cell.  Raises ``ValueError`` unless the header
     names each column once and the columns are equal in length."""
     header, columns = table
     if len(header) != len(columns) or len(set(header)) != len(header):
         raise ValueError(f"{len(header)} field names for {len(columns)} columns, or a name repeated: {header}")
+    rows = _row_count(columns)
+    if not rows:
+        yield "[]"
+        return
     inner, field = newline + "  ", newline + "    "
+    names = [json.dumps(key).replace("%", "%%") + ": " for key in header]
 
     def column_format(column: list) -> tuple[str, list]:
         if _plain_numbers(column):
             return "%r", column
-        return "%s", [_json(value, field) for value in column]
+        return "%s", ["".join(_flatten(_json(value, field))) for value in column]
 
-    directives, cells, rows = _interleave(columns, column_format)
-    if not rows:
-        return "[]"
-    fields = ("," + field).join(json.dumps(key).replace("%", "%%") + ": " + d for key, d in zip(header, directives))
-    record = "{" + field + fields + inner + "}"
-    return "[" + inner + ("," + inner).join([record] * rows) % tuple(cells) + newline + "]"
+    def blocks():
+        for start, count, block in _blocks(columns, rows):
+            directives, cells = _interleave(block, count, column_format)
+            record = "{" + field + ("," + field).join(map(str.__add__, names, directives)) + inner + "}"
+            yield ("," + inner if start else "") + ("," + inner).join([record] * count) % tuple(cells)
+
+    yield "[" + inner
+    yield blocks()
+    yield newline + "]"
 
 
 def _plain_numbers(values: list) -> bool:

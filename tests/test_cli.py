@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deformspec import FormatError, canonical_params, project, gauss_legendre_rule, deformation_profile
+from deformspec import FormatError, canonical_params, project, gauss_legendre_rule, deformation_profile, eigenfunction
 from deformspec.cli import _COMMANDS, MAX_INT_ARG, _build_parser, run
 from deformspec.experiments import DEFAULT_TOLERANCES
-from deformspec.io import coefficients_to_csv, read_coefficients, table_to_csv
+from deformspec.io import read_coefficients, write_coefficients, write_csv
 
 CANON = canonical_params()
 
@@ -138,18 +138,22 @@ class TestReadCoefficients:
 
         coeffs = CoefficientVector(CANON, rng.uniform(-1, 1, 20) * 10.0 ** rng.integers(-8, 8, 20))
         path = tmp_path / "coeffs.csv"
-        path.write_text(coefficients_to_csv(coeffs))
+        with open(path, "w") as stream:
+            write_coefficients(stream, coeffs)
         loaded = read_coefficients(path, CANON)
         np.testing.assert_array_equal(loaded.coefficients, coeffs.coefficients)
 
 
 class TestTableToCsv:
     def test_cell_rule(self):
-        text = table_to_csv(["a", "b"], [np.array([0.1, 1e-300]), [np.int64(3), "none"]])
-        assert text == "a,b\n0.10000000000000001,3\n1e-300,none\n"
+        out = io.StringIO()
+        write_csv(out, ["a", "b"], [np.array([0.1, 1e-300]), [np.int64(3), "none"]])
+        assert out.getvalue() == "a,b\n0.10000000000000001,3\n1e-300,none\n"
 
     def test_header_only(self):
-        assert table_to_csv(["n", "a_n"], [[], []]) == "n,a_n\n"
+        out = io.StringIO()
+        write_csv(out, ["n", "a_n"], [[], []])
+        assert out.getvalue() == "n,a_n\n"
 
 
 class TestReports:
@@ -550,6 +554,42 @@ def test_large_inverse_limit_runs_in_linear_memory(capsys):
         tracemalloc.stop()
     assert code == 0 and json.loads(out)["verdict"] == "pass"
     assert peak < 100e6
+
+
+def test_eigenfunction_writes_in_memory_bounded_by_its_samples(tmp_path, monkeypatch):
+    """From the moment the samples exist, ``eigenfunction --output`` holds the
+    two sample arrays and one block of cells, however many rows it writes.
+
+    The sampling's own temporaries (about five arrays) are not the writer's, so
+    the peak is reset when ``eigenfunction`` returns; what is held then is the
+    two arrays plus less than 1 MB that does not grow with the rows (the parser,
+    the parameters).  A block of ``BLOCK_CELLS`` cells takes under 128 bytes a
+    cell (about 80 measured): its floats as Python objects (24 B) and in the
+    ``tolist`` list (8 B), the interleaved cells and their tuple (8 B each), the
+    row template, the formatted text and its encoded copy (about 20 B each)."""
+    import deformspec.cli as cli
+    from deformspec.io import BLOCK_CELLS
+
+    points = 2_000_001
+    held = []
+
+    def sampled(*args):
+        samples = eigenfunction(*args)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return samples
+
+    monkeypatch.setattr(cli, "eigenfunction", sampled)
+    path = tmp_path / "samples.csv"
+    tracemalloc.start()
+    try:
+        code = run(["eigenfunction", "--n", "3", "--grid-points", str(points), "--output", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and path.stat().st_size > 40 * points
+    assert held[0] < 2 * 8 * points + 1e6
+    assert peak - held[0] < 128 * BLOCK_CELLS
 
 
 @pytest.mark.parametrize("command", ["eigenfunction", "reconstruct", "rigidity", "inverse-limit"])

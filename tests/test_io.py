@@ -2,13 +2,14 @@
 
 ``oracle_table_to_csv`` (one ``format_float`` or ``str`` call per cell, rows
 joined by ``zip``) and ``oracle_to_json`` (plain ``json.dumps(indent=2)``) are
-the writers ``deformspec.io`` used before its row and record templates;
-``oracle_format_floats`` formats every entry, where ``format_floats`` formats
-each distinct value once.  Every output must equal theirs as a string.
+the writers ``deformspec.io`` used before its row and record templates and
+its blocks; ``oracle_format_floats`` formats every entry, where
+``format_floats`` formats each distinct value once.  Every output must equal
+theirs as a string.
 
 Run as a script, the module compares the sha256 of CLI outputs at benchmark
-size with those of the same commands written by the oracles, and exits 1 on
-any difference::
+size, on stdout and written to ``--output``, with those of the same commands
+written by the oracles, and exits 1 on any difference::
 
     PYTHONPATH=src python tests/test_io.py
 """
@@ -18,7 +19,9 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
+import tempfile
 from io import StringIO
 from pathlib import Path
 from unittest import mock
@@ -30,7 +33,21 @@ from hypothesis import strategies as st
 
 import deformspec.io as writers
 from deformspec import cli
-from deformspec.io import Records, format_floats, table_to_csv, to_json
+from deformspec.io import BLOCK_CELLS, Records, format_floats, write_csv, write_json
+
+
+def table_to_csv(header, columns) -> str:
+    """What ``write_csv`` writes, as a string."""
+    out = StringIO()
+    write_csv(out, header, columns)
+    return out.getvalue()
+
+
+def to_json(payload: dict, meta: dict | None = None) -> str:
+    """What ``write_json`` writes, as a string."""
+    out = StringIO()
+    write_json(out, payload, meta)
+    return out.getvalue()
 
 
 def oracle_format_float(x) -> str:
@@ -78,20 +95,52 @@ def oracle_records_to_json(payload: dict, meta: dict | None = None) -> str:
     return oracle_to_json(oracle_records(payload), meta)
 
 
-def cli_output(argv, oracle: bool = False) -> bytes:
-    """stdout of ``deformspec argv``, written by the oracles when ``oracle``."""
+def oracle_lists(value):
+    """``value`` with every ndarray in it, ``Records`` columns included, read by
+    ``tolist``, as the CLI handed its arrays to the writers before they streamed."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Records):
+        return Records(value.header, [oracle_lists(column) for column in value.columns])
+    if isinstance(value, dict):
+        return {key: oracle_lists(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [oracle_lists(item) for item in value]
+    return value
+
+
+def oracle_write_csv(stream, header, columns):
+    stream.write(oracle_table_to_csv(header, columns))
+
+
+def oracle_write_json(stream, payload, meta=None):
+    stream.write(oracle_records_to_json(oracle_lists(payload), meta))
+
+
+def cli_output(argv, oracle: bool = False, to_file: bool = False) -> bytes:
+    """stdout of ``deformspec argv``, written by the oracles when ``oracle``;
+    with ``to_file``, the bytes of ``deformspec argv --output out`` run in an
+    empty working directory, so that a JSON meta block's argv is the same on
+    every run."""
     out = StringIO()
     with contextlib.ExitStack() as stack:
         if oracle:
-            # the io writers call table_to_csv through their module's globals
-            stack.enter_context(mock.patch.object(writers, "table_to_csv", oracle_table_to_csv))
-            stack.enter_context(mock.patch.object(cli, "table_to_csv", oracle_table_to_csv))
-            stack.enter_context(mock.patch.object(cli, "format_floats", oracle_format_floats))
-            stack.enter_context(mock.patch.object(cli, "to_json", oracle_records_to_json))
+            # the io writers call write_csv through their module's globals
+            stack.enter_context(mock.patch.object(writers, "write_csv", oracle_write_csv))
+            stack.enter_context(mock.patch.object(cli, "write_csv", oracle_write_csv))
+            stack.enter_context(mock.patch.object(cli, "format_floats", lambda values, _: oracle_format_floats(values)))
+            stack.enter_context(mock.patch.object(cli, "write_json", oracle_write_json))
+        if to_file:
+            stack.callback(os.chdir, os.getcwd())
+            os.chdir(stack.enter_context(tempfile.TemporaryDirectory()))
+            argv = [*argv, "--output", "out"]
         stack.enter_context(contextlib.redirect_stdout(out))
         code = cli.run(list(argv))
-    if code != 0:
-        raise RuntimeError(f"deformspec {' '.join(argv)} exited {code}")
+        if code != 0:
+            raise RuntimeError(f"deformspec {' '.join(argv)} exited {code}")
+        if to_file:
+            assert out.getvalue() == ""
+            return Path("out").read_bytes()
     return out.getvalue().encode()
 
 
@@ -164,9 +213,11 @@ NANS = [nan_with_payload(1 << 51), nan_with_payload(1), nan_with_payload(12345, 
 
 
 def assert_formats_like_oracle(values):
-    cells = format_floats(values)
+    cells = format_floats(values, "%.17g")
     assert cells.dtype == object and cells.shape == np.shape(values)
     assert cells.tolist() == oracle_format_floats(values).tolist()
+    finite = np.asarray(values)[np.isfinite(values)]
+    assert format_floats(finite, "%r").tolist() == [json.dumps(x) for x in finite.tolist()]
 
 
 class TestFormatFloats:
@@ -200,8 +251,9 @@ class TestFormatFloats:
         assert_formats_like_oracle(values)
 
     def test_repeats_share_one_string(self):
-        cells = format_floats(np.array([0.1, 0.2, 0.1, 0.1]))
-        assert cells[0] is cells[2] is cells[3] and cells[0] is not cells[1]
+        for directive in ("%.17g", "%r"):
+            cells = format_floats(np.array([0.1, 0.2, 0.1, 0.1]), directive)
+            assert cells[0] is cells[2] is cells[3] and cells[0] is not cells[1]
 
 
 json_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
@@ -321,6 +373,124 @@ class TestRecords:
             to_json({"modes": table})
 
 
+float_arrays = st.builds(
+    lambda shape, pool, random: np.array([random.choice(pool) for _ in range(math.prod(shape))]).reshape(shape),
+    st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple),
+    st.lists(floats, min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+
+
+class TestArrays:
+    """ndarrays in a JSON payload are written as their ``tolist()``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(float_arrays | st.lists(CELLS["int64"], max_size=5).map(np.array), max_size=3))
+    def test_equal_oracle(self, arrays):
+        payload = {"a": arrays, "first": arrays[0] if arrays else np.empty(0)}
+        assert to_json(payload) == oracle_to_json(oracle_lists(payload))
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.full(0, 0.5), np.array(FLOAT_EDGES), np.array([[-0.0, 0.0], [0.0, -0.0]]), np.zeros((3, 0)), np.array(2.5)],
+        ids=["empty", "edges", "signed-zeros", "3x0", "0-d"],
+    )
+    def test_edge_arrays_equal_oracle(self, values):
+        assert to_json({"x": values}) == oracle_to_json({"x": values.tolist()})
+
+    def test_float_arrays_format_each_distinct_value_once(self):
+        matrix = np.add.outer(np.arange(40.0), np.arange(40.0)) / 3
+        with mock.patch.object(writers, "format_floats", wraps=writers.format_floats) as spy:
+            assert to_json({"gram": matrix}) == oracle_to_json({"gram": matrix.tolist()})
+        spy.assert_called_once()
+        assert spy.call_args.args[1] == "%r"
+
+
+def block_rows(width: int) -> int:
+    """Rows the writers format per block for a table of ``width`` columns."""
+    return max(BLOCK_CELLS // width, math.isqrt(BLOCK_CELLS))
+
+
+def boundary_columns(rows: int) -> list:
+    """Three columns, one a float array; the last changes cell type at each
+    block boundary and holds a non-finite float and a bool one row before the
+    first, so one block is written cell by cell."""
+    block = block_rows(3)
+    kinds = [lambda i: i / 8, lambda i: i, lambda i: f"s{i}"]
+    mixed = [kinds[min(i // block, 2)](i) for i in range(rows)]
+    if rows >= block:
+        mixed[block - 2 : block] = [math.inf, True]
+    return [range(rows), np.arange(rows) / 7, mixed]
+
+
+BOUNDARY_ROWS = [0, block_rows(3) - 1, block_rows(3), block_rows(3) + 1, 2 * block_rows(3) + 1]
+WIDE_ROWS = math.isqrt(BLOCK_CELLS)
+
+
+class TestBlocks:
+    """Outputs at and around the block boundaries equal the oracles'."""
+
+    @pytest.mark.parametrize("rows", BOUNDARY_ROWS)
+    def test_csv(self, rows):
+        table = (["n", "x", "%mixed"], boundary_columns(rows))
+        assert table_to_csv(*table) == oracle_table_to_csv(*table)
+
+    @pytest.mark.parametrize("rows", BOUNDARY_ROWS)
+    def test_records(self, rows):
+        payload = {"modes": Records(["n", "x", "%mixed"], boundary_columns(rows)), "after": [1, 2.5]}
+        assert to_json(payload, {"argv": []}) == oracle_records_to_json(oracle_lists(payload), {"argv": []})
+
+    @pytest.mark.parametrize("length", [0, BLOCK_CELLS - 1, BLOCK_CELLS, BLOCK_CELLS + 1, 2 * BLOCK_CELLS + 1])
+    def test_json_lists_and_arrays(self, length):
+        values = np.arange(length) / 3
+        payload = {"list": values.tolist(), "array": values, "ints": list(range(length))}
+        assert to_json(payload) == oracle_to_json(oracle_lists(payload))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, WIDE_ROWS + 1])
+    def test_gram(self, offset):
+        # an n-row Gram CSV has n + 1 columns, wider than WIDE_ROWS, so its blocks hold WIDE_ROWS rows
+        n = WIDE_ROWS + offset
+        assert block_rows(n + 1) == WIDE_ROWS
+        matrix = np.subtract.outer(np.arange(n), np.arange(n)) % 4 / 3
+        matrix[0, 1] = -0.0
+        header = ["n", *map(str, range(n))]
+        csv = table_to_csv(header, [range(n), *format_floats(matrix.T, "%.17g")])
+        assert csv == oracle_table_to_csv(header, [range(n), *oracle_format_floats(matrix.T)])
+        assert to_json({"gram": matrix}) == oracle_to_json({"gram": matrix.tolist()})
+
+    def test_gram_without_rows(self):
+        matrix = np.empty((0, 0))
+        assert table_to_csv(["n"], [range(0)]) == oracle_table_to_csv(["n"], [range(0)])
+        assert to_json({"gram": matrix}) == oracle_to_json({"gram": []})
+
+
+class TestChecksFirst:
+    """A table the writers reject leaves the target stream empty."""
+
+    def test_ragged_table(self):
+        out = StringIO()
+        with pytest.raises(ValueError, match="columns differ in length"):
+            write_csv(out, ["a", "b"], [np.arange(2 * BLOCK_CELLS) / 3, [1.0]])
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            Records(["n", "x"], [range(BLOCK_CELLS), [0.5]]),
+            Records(["n"], [[0], [1.0]]),
+            Records(["n", "x"], [[0]]),
+            Records(["n", "n"], [[0], [1.0]]),
+        ],
+        ids=["ragged", "fewer-names", "fewer-columns", "repeated-name"],
+    )
+    def test_malformed_records_after_other_output(self, table):
+        out = StringIO()
+        payload = {"before": np.arange(BLOCK_CELLS + 1) / 3, "good": Records(["n"], [range(5)]), "nested": [{"t": table}]}
+        with pytest.raises(ValueError):
+            write_json(out, payload, {"argv": []})
+        assert out.getvalue() == ""
+
+
 def test_io_imports_no_compute_module_but_params_and_transform():
     """io writes formats; laying out other modules' results is the CLI's job."""
     tree = ast.parse(Path(writers.__file__).read_text())
@@ -341,6 +511,8 @@ def test_io_imports_no_compute_module_but_params_and_transform():
         ["eigenfunction", "--n", "137", "--grid-points", "40001"],
         ["gram", "--n-max", "64", "--nodes", "4097"],
         ["gram", "--n-max", "64"],
+        ["gram", "--n-max", "64", "--format", "json"],
+        ["fd-validate", "--grid-sizes", "40,80", "--modes", "3", "--format", "csv"],
     ],
 )
 def test_cli_output_equals_oracle(argv):
@@ -352,6 +524,7 @@ BENCHMARK_SIZE = [
     ["spectrum", "--n-max", "200000"],
     ["eigenfunction", "--n", "137", "--grid-points", "400001"],
     ["gram", "--n-max", "600", "--nodes", "19233"],
+    ["gram", "--n-max", "600", "--nodes", "19233", "--format", "json"],
     ["gram", "--n-max", "255"],
     ["rigidity", "--format", "csv"],
     ["fd-validate", "--grid-sizes", "250,500,1000,2000", "--modes", "10"],
@@ -363,7 +536,12 @@ def main() -> int:
     for argv in BENCHMARK_SIZE:
         new, old = (hashlib.sha256(cli_output(argv, oracle)).hexdigest() for oracle in (False, True))
         print(f"{'ok' if new == old else 'DIFFERS'}: deformspec {' '.join(argv)}: {new} (oracle {old})")
-        failed += new != old
+        written, written_old = (hashlib.sha256(cli_output(argv, oracle, True)).hexdigest() for oracle in (False, True))
+        # a JSON meta block records the argv, --output included; any other file holds stdout's bytes
+        args = cli._build_parser().parse_args(argv)
+        same = written == written_old and (written == new or (args.format == "json" and not args.no_meta))
+        print(f"{'ok' if same else 'DIFFERS'}: deformspec {' '.join(argv)} --output out: {written} (oracle {written_old})")
+        failed += new != old or not same
     return 1 if failed else 0
 
 
