@@ -231,6 +231,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_eigenfunction(args) -> int:
+    if args.grid_points < 3:
+        raise ValidationError(f"--grid-points must be >= 3, got {args.grid_points}")
     grid = uniform_grid(args.params, args.grid_points - 1)
     _emit(args, write_csv, ["v", "f"], [grid, eigenfunction(args.params, args.n, grid)])
     return EXIT_OK
@@ -260,6 +262,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    if args.grid_points < 3:
+        raise ValidationError(f"--grid-points must be >= 3, got {args.grid_points}")
     coeffs = read_coefficients(args.coeffs, args.params)
     grid = uniform_grid(args.params, args.grid_points - 1)
     _emit(args, write_csv, ["v", "f"], [grid, evaluate(coeffs, grid)])

@@ -2,12 +2,14 @@
 
 A table is a header and equal-length columns: :func:`write_csv` writes it
 as CSV, :func:`write_json` writes it as a list of records when wrapped in
-:class:`Records`.  Both writers run every check that can fail first, then
-format and write the rows in blocks of about :data:`BLOCK_CELLS` cells to a
-text stream, so their memory does not grow with the row count.  Numbers are
-printed with 17 significant digits so 64-bit floats survive a write/read
-round trip bit-for-bit.  Nothing here emits timestamps: identical inputs
-produce byte-identical output.
+:class:`Records`, and a JSON list of numbers (a plain list, or the innermost
+lists of a float array) is a one-column table.  One row writer, :func:`_rows`,
+formats every table by a ``%`` row template in blocks of about
+:data:`BLOCK_CELLS` cells.  Both writers run every check that can fail before
+the first character and write the blocks to a text stream, so their memory
+does not grow with the row count.  Numbers are printed with 17 significant
+digits so 64-bit floats survive a write/read round trip bit-for-bit.  Nothing
+here emits timestamps: identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ def format_float(x: float) -> str:
 
 def format_floats(values: np.ndarray, directive: str) -> np.ndarray:
     """``directive % x`` for every entry x of a float array, as an object array
-    of the same shape: ``"%.17g"`` is :func:`format_float`, ``"%r"`` json's
-    rendering of a finite float.  Each distinct 64-bit pattern is formatted
-    once, so ``-0.0`` and ``0.0`` (and NaN payloads) stay apart; this pays off
-    where the values repeat, such as the entries of a Gram matrix."""
+    of the same shape: ``"%.17g"`` is :func:`format_float` (the cells of the
+    Gram CSV), ``"%r"`` json's rendering of a finite float (the cells of a float
+    matrix's innermost JSON lists, one-column tables of :func:`_rows`).  Each
+    distinct 64-bit pattern is formatted once, so ``-0.0`` and ``0.0`` (and NaN
+    payloads) stay apart; this pays off where the values repeat, such as the
+    entries of a Gram matrix."""
     values = np.asarray(values, dtype=np.float64)
     keys, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
     distinct = ((directive + "\n") * len(keys) % tuple(keys.view(np.float64).tolist())).splitlines()
@@ -58,9 +62,7 @@ def write_csv(stream, header, columns) -> None:
     """
     rows = _row_count(columns)
     stream.write(",".join(header) + "\n")
-    for _, count, block in _blocks(columns, rows):
-        directives, cells = _interleave(block, count, _column)
-        stream.write((",".join(directives) + "\n") * count % tuple(cells))
+    stream.writelines(_rows(columns, rows, _column, lambda directives: ",".join(directives) + "\n", ""))
 
 
 def _row_count(columns) -> int:
@@ -71,30 +73,28 @@ def _row_count(columns) -> int:
     return lengths[0] if lengths else 0
 
 
-def _blocks(columns, rows: int):
-    """``(start, count, slices)`` for each block, the slices holding rows
-    ``start`` to ``start + count`` of every column.
+def _rows(columns, rows: int, column_format, template, sep: str):
+    """The rows of a table as text, one block at a time: a block of ``count``
+    rows is ``count`` copies of the row template ``template(directives)``,
+    joined by ``sep`` (and led by it after the first block), applied to the
+    block's cells interleaved row by row.  ``column_format`` gives each column
+    slice's ``%`` directive and cells; ndarray slices go through ``tolist``.
 
     A block holds :data:`BLOCK_CELLS` cells, or ``isqrt(BLOCK_CELLS)`` rows of
     a table wider than that many columns, so that the work done once per
     column and block is spread over that many rows at least: in blocks of
     16384 cells, 8 rows each, the 2002-column ``gram --n-max 2000`` CSV took
     a third longer than written whole."""
-    step = max(BLOCK_CELLS // len(columns), math.isqrt(BLOCK_CELLS)) if columns else 1
-    for start in range(0, rows, step):
-        yield start, min(step, rows - start), [column[start : start + step] for column in columns]
-
-
-def _interleave(columns, rows: int, column_format) -> tuple[list[str], list]:
-    """Each column's ``%`` directive and cells by ``column_format``, the cells
-    interleaved row by row; ndarray columns go through ``tolist``."""
     width = len(columns)
-    directives, cells = [], [None] * (rows * width)
-    for j, column in enumerate(columns):
-        column = column.tolist() if isinstance(column, np.ndarray) else list(column)
-        directive, cells[j::width] = column_format(column)
-        directives.append(directive)
-    return directives, cells
+    step = max(BLOCK_CELLS // width, math.isqrt(BLOCK_CELLS)) if columns else 1
+    for start in range(0, rows, step):
+        count = min(step, rows - start)
+        directives, cells = [], [None] * (count * width)
+        for j, column in enumerate(columns):
+            block = column[start : start + step]
+            directive, cells[j::width] = column_format(block.tolist() if isinstance(block, np.ndarray) else list(block))
+            directives.append(directive)
+        yield (sep if start else "") + sep.join([template(directives)] * count) % tuple(cells)
 
 
 def _column(column: list) -> tuple[str, list]:
@@ -159,7 +159,7 @@ def write_json(stream, payload: dict, meta: dict | None = None) -> None:
     payload with ``meta`` appended, each :class:`Records` read as its list of
     dicts and each ndarray as its ``tolist()``.  Every :class:`Records` is
     checked before anything is written; numeric lists, records and float
-    arrays are written in blocks by templates."""
+    arrays are tables of :func:`_rows`."""
     doc = dict(payload)
     if meta is not None:
         doc["meta"] = meta
@@ -175,8 +175,7 @@ def _json(obj, newline: str):
         if obj.dtype == np.float64 and obj.ndim and obj.size and np.isfinite(obj).all():
             # a matrix's entries repeat where its structure makes them (a Gram
             # matrix), so each distinct one is formatted once
-            cells, text = (obj, repr) if obj.ndim == 1 else (format_floats(obj, "%r"), str)
-            yield from _array(cells, newline, text)
+            yield from _array(obj if obj.ndim == 1 else format_floats(obj, "%r"), newline)
             return
         obj = obj.tolist()
     inner = newline + "  "
@@ -187,15 +186,14 @@ def _json(obj, newline: str):
         yield newline + "}"
     elif type(obj) is Records:
         yield from _records(obj, newline)
+    elif type(obj) is list and obj and _plain_numbers(obj):
+        yield from _array(obj, newline)
     elif type(obj) is list and obj:
         yield "[" + inner
-        if _plain_numbers(obj):
-            yield _runs(obj, inner, repr)
-        else:
-            for i, item in enumerate(obj):
-                if i:
-                    yield "," + inner
-                yield from _json(item, inner)
+        for i, item in enumerate(obj):
+            if i:
+                yield "," + inner
+            yield from _json(item, inner)
         yield newline + "]"
     else:
         yield json.dumps(obj, indent=2).replace("\n", newline)
@@ -210,34 +208,29 @@ def _flatten(pieces):
             yield from piece
 
 
-def _runs(values, inner: str, text):
-    """The body of a JSON list, ``text`` of each value, one block of values at
-    a time; an ndarray block goes through ``tolist``."""
-    sep = "," + inner
-    for start in range(0, len(values), BLOCK_CELLS):
-        block = values[start : start + BLOCK_CELLS]
-        block = block.tolist() if type(block) is np.ndarray else block
-        yield (sep if start else "") + sep.join(map(text, block))
-
-
-def _array(values: np.ndarray, newline: str, text):
-    """An array (no empty axis) as nested JSON lists, ``text`` of each entry."""
+def _array(values, newline: str):
+    """A list of plain numbers, or an array (no empty axis) of finite floats or
+    of their ``%r`` strings, as nested JSON lists; each innermost list is a
+    one-column table whose cells are written by ``%s`` (``str`` of an exact int
+    or float is its ``repr``)."""
     inner = newline + "  "
     yield "[" + inner
-    if values.ndim == 1:
-        yield _runs(values, inner, text)
+    if type(values) is list or values.ndim == 1:
+        yield _rows([values], len(values), lambda column: ("%s", column), "".join, "," + inner)
     else:
         for i, row in enumerate(values):
             if i:
                 yield "," + inner
-            yield from _array(row, inner, text)
+            yield from _array(row, inner)
     yield newline + "]"
 
 
 def _records(table: Records, newline: str):
-    """The records by one template a block: ``%r`` for a block of plain numbers,
-    any other block cell by cell.  Raises ``ValueError`` unless the header
-    names each column once and the columns are equal in length."""
+    """The records as a table of :func:`_rows`, the record its row template: a
+    column's block of plain numbers by ``%r``, any other block by ``%s`` of each
+    value's JSON.  Raises ``ValueError``, when the pieces are made and so before
+    the first character is written, unless the header names each column once
+    and the columns are equal in length."""
     header, columns = table
     if len(header) != len(columns) or len(set(header)) != len(header):
         raise ValueError(f"{len(header)} field names for {len(columns)} columns, or a name repeated: {header}")
@@ -253,14 +246,11 @@ def _records(table: Records, newline: str):
             return "%r", column
         return "%s", ["".join(_flatten(_json(value, field))) for value in column]
 
-    def blocks():
-        for start, count, block in _blocks(columns, rows):
-            directives, cells = _interleave(block, count, column_format)
-            record = "{" + field + ("," + field).join(map(str.__add__, names, directives)) + inner + "}"
-            yield ("," + inner if start else "") + ("," + inner).join([record] * count) % tuple(cells)
+    def record(directives: list) -> str:
+        return "{" + field + ("," + field).join(map(str.__add__, names, directives)) + inner + "}"
 
     yield "[" + inner
-    yield blocks()
+    yield _rows(columns, rows, column_format, record, "," + inner)
     yield newline + "]"
 
 

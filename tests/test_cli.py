@@ -361,11 +361,14 @@ class TestUsageErrors:
             ["converge", "--n-list", ","],
             ["inverse-limit", "--tau-list", ","],
             ["fd-validate", "--grid-sizes", ","],
+            ["eigenfunction", "--grid-points", "2"],
+            ["reconstruct", "--grid-points", "0", "--coeffs", "n,a_n\n0,1\n"],
         ],
         ids=[
             "tol-without-equals", "unknown-target", "n-list-not-int", "negative-amplitude", "k-max-5",
             "zero-amplitude", "nan-tau", "inf-tau", "zero-modes", "coeffs-three-fields", "coeffs-not-a-number",
             "coeffs-header-only", "empty-n-list", "empty-converge-n-list", "empty-tau-list", "empty-grid-sizes",
+            "two-grid-points", "reconstruct-zero-grid-points",
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, capsys, tmp_path, argv):
@@ -376,6 +379,8 @@ class TestUsageErrors:
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("deformspec: error:") and err.count("\n") == 1 and "Traceback" not in err
+        if "--grid-points" in argv:
+            assert f"--grid-points must be >= 3, got {argv[argv.index('--grid-points') + 1]}" in err
 
 
 # Integer arguments past what numpy can allocate (2^63 bytes) or sinpi can cast
@@ -570,7 +575,7 @@ def test_eigenfunction_writes_in_memory_bounded_by_its_samples(tmp_path, monkeyp
     import deformspec.cli as cli
     from deformspec.io import BLOCK_CELLS
 
-    points = 2_000_001
+    points = 500_001
     held = []
 
     def sampled(*args):

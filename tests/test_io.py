@@ -513,6 +513,8 @@ def test_io_imports_no_compute_module_but_params_and_transform():
         ["gram", "--n-max", "64"],
         ["gram", "--n-max", "64", "--format", "json"],
         ["fd-validate", "--grid-sizes", "40,80", "--modes", "3", "--format", "csv"],
+        ["fd-validate", "--grid-sizes", "40,80", "--modes", "3"],
+        ["asymptotics", "--n-min", "1", "--n-max", "20000"],
     ],
 )
 def test_cli_output_equals_oracle(argv):
@@ -528,6 +530,7 @@ BENCHMARK_SIZE = [
     ["gram", "--n-max", "255"],
     ["rigidity", "--format", "csv"],
     ["fd-validate", "--grid-sizes", "250,500,1000,2000", "--modes", "10"],
+    ["asymptotics", "--n-min", "1", "--n-max", "20000"],
 ]
 
 
