@@ -51,6 +51,11 @@ CASES = {
     # path began formatting each distinct value once
     "gram-simpson-64-csv": (["gram", "--n-max", "64", "--nodes", "4097"], 0),
     "gram-default-64-csv": (["gram", "--n-max", "64"], 0),
+    # gram CSVs at the benchmark's sizes, and one of exactly two 64-row
+    # blocks, recorded before the CSV was built from the upper triangle
+    "gram-bench-600-csv": (["gram", "--n-max", "600", "--nodes", "19233"], 0),
+    "gram-bench-255-csv": (["gram", "--n-max", "255"], 0),
+    "gram-two-blocks-csv": (["gram", "--n-max", "127", "--nodes", "2048"], 0),
     "fd-validate-json": (["fd-validate", "--grid-sizes", "100,200", "--modes", "3"], 0),
     "fd-validate-csv": (["fd-validate", "--grid-sizes", "100,200", "--modes", "3", "--format", "csv"], 0),
     "fd-validate-single-csv": (["fd-validate", "--grid-sizes", "150", "--modes", "2", "--format", "csv"], 0),
@@ -115,11 +120,14 @@ GOLDEN = {
     "fd-validate-json": "bc0f215514cd9d342b6da7a4e24cd9dd47e925fc2eccd54f0f5a6eacc082c1fe",
     "fd-validate-odd-custom-csv": "86d2058d09dfb07fac9bc396a974c1d72936e3ce1723237674f6c39de1bf1904",
     "fd-validate-single-csv": "609515138346b65b4754205dd2643716b81a32b868239b4574352be8f47705ac",
+    "gram-bench-255-csv": "bf41661947ed34849a6903ca8303188c5eebd69c043db0b3863e55f77739fc04",
+    "gram-bench-600-csv": "1ad41d4dac317ce6c14ef14a76df9ed5b6cd4a73ad2c4969bbc8d73bf25534a5",
     "gram-default-64-csv": "9b539db60513a4a53eb6988cf28dfd71022cb06a39c91fcce2f3b481dd3b056d",
     "gram-default-json": "54a49df24f2a408dc091abeca766153d5ab97f9076650f0fe7ffb18256b5e683",
     "gram-gl-csv": "e00238599609dd1d3b7f747d77ede0b07ce7745716db39bd63af50775138b0e8",
     "gram-simpson-64-csv": "eabebea65fc71befa1966cb24a771321bda89ce2f15cde94d698abb49c83a441",
     "gram-simpson-csv": "02842c7ad612b502a4b057b6b8428c574b327da9f63122e0f58013266288de3c",
+    "gram-two-blocks-csv": "c56fd1303b0efed95017f5867784d29af82cd784a12ac438450c02e870181dce",
     "inverse-limit-csv": "9f14459d58e55886d3ecbdb49a099240a65100c5f131b3b1e8af67e38f286f66",
     "inverse-limit-custom-json": "83f641b1e18dde83549b59e5e91614e059b713d4cd90540ea9b4868394e4f76d",
     "inverse-limit-json": "28b20f3b87267115ea3a4236f72c5fecab908ac546ff27ce2578d7a70832ca3f",
