@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -186,6 +187,7 @@ def _emit(args, write, *items) -> None:
     """``write(stream, *items)`` to stdout, or to the --output file opened once."""
     if args.output is None:
         write(sys.stdout, *items)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
     else:
         with open(args.output, "w") as stream:
             write(stream, *items)
@@ -294,13 +296,18 @@ def _cmd_gram(args) -> int:
     matrix = gram_matrix(args.params, args.n_max, rule)
     if args.format == "csv":
         n = len(matrix)
-        # the entries repeat (each depends on |n-m| and n+m only), so each
-        # distinct value is formatted once (the JSON writer does the same for a
-        # float matrix); the rows of the object array go to the writer as
-        # they are and the float matrix is freed first
-        columns = format_floats(matrix.T, "%.17g")
+        # the matrix is symmetric bit for bit, so its upper triangle holds
+        # every value, and those repeat (each depends on |n-m| and n+m only):
+        # the float matrix is freed once the triangle is taken, each distinct
+        # value is formatted once and mirrored into the lower triangle, and
+        # the strings go to the writer as one group of columns
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        values = matrix[upper]
         del matrix
-        _emit(args, write_csv, ["n", *map(str, range(n))], [range(n), *columns])
+        cells = np.empty((n, n), dtype=object)
+        cells[upper] = cells.T[upper] = format_floats(values, "%.17g")
+        del upper, values
+        _emit(args, write_csv, ["n", *map(str, range(n))], [range(n), cells])
     else:
         _emit(args, write_json, {"gram": matrix}, _meta(args))
     return EXIT_OK
@@ -394,6 +401,13 @@ def run(argv) -> int:
     except NumericalError as exc:
         print(f"deformspec: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the reader stopped early (`deformspec spectrum | head -1`): not an
+        # error, and what is still buffered for stdout goes to the null device
+        # so that the flush at exit does not fail again
+        if args.output is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"deformspec: error: not enough memory for {args.command}{detail}", file=sys.stderr)

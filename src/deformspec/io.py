@@ -57,7 +57,8 @@ def write_csv(stream, header, columns) -> None:
 
     The columns are sequences (lists, ranges, ndarrays), sliced block by block.
     A float cell is written by :func:`format_float`, any other cell through
-    ``str``; ndarray slices are converted with ``tolist`` first.  Raises
+    ``str``; ndarray slices are converted with ``tolist`` first.  A 2-D ndarray
+    of strings is a group of adjacent columns, row i its row i.  Raises
     ``ValueError``, before writing anything, when the columns differ in length.
     """
     rows = _row_count(columns)
@@ -79,20 +80,28 @@ def _rows(columns, rows: int, column_format, template, sep: str):
     joined by ``sep`` (and led by it after the first block), applied to the
     block's cells interleaved row by row.  ``column_format`` gives each column
     slice's ``%`` directive and cells; ndarray slices go through ``tolist``.
+    A 2-D ndarray column (CSV only) is a group of at least one column whose
+    cells are already strings: each row's group cells, joined by ``","``,
+    fill one ``%s``.
 
-    A block holds :data:`BLOCK_CELLS` cells, or ``isqrt(BLOCK_CELLS)`` rows of
-    a table wider than that many columns, so that the work done once per
-    column and block is spread over that many rows at least: in blocks of
-    16384 cells, 8 rows each, the 2002-column ``gram --n-max 2000`` CSV took
-    a third longer than written whole."""
-    width = len(columns)
-    step = max(BLOCK_CELLS // width, math.isqrt(BLOCK_CELLS)) if columns else 1
+    A block holds :data:`BLOCK_CELLS` cells, each column of a group counted,
+    or ``isqrt(BLOCK_CELLS)`` rows of a table wider than that many columns,
+    so that the work done once per column and block is spread over that many
+    rows at least: in blocks of 16384 cells, 8 rows each, the 2002-column
+    ``gram --n-max 2000`` CSV took a third longer than written whole."""
+    groups = [type(column) is np.ndarray and column.ndim == 2 for column in columns]
+    width = sum(column.shape[1] if group else 1 for column, group in zip(columns, groups))
+    step = max(BLOCK_CELLS // width, math.isqrt(BLOCK_CELLS)) if width else 1
+    slots = len(columns)
     for start in range(0, rows, step):
         count = min(step, rows - start)
-        directives, cells = [], [None] * (count * width)
-        for j, column in enumerate(columns):
+        directives, cells = [], [None] * (count * slots)
+        for j, (column, group) in enumerate(zip(columns, groups)):
             block = column[start : start + step]
-            directive, cells[j::width] = column_format(block.tolist() if isinstance(block, np.ndarray) else list(block))
+            if group:
+                directive, cells[j::slots] = "%s", map(",".join, block.tolist())
+            else:
+                directive, cells[j::slots] = column_format(block.tolist() if isinstance(block, np.ndarray) else list(block))
             directives.append(directive)
         yield (sep if start else "") + sep.join([template(directives)] * count) % tuple(cells)
 

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -508,6 +512,46 @@ def test_memory_error_exits_two(monkeypatch, capsys, message):
     assert (code, out) == (2, "")
     detail = f": {message}" if message else ""
     assert err == f"deformspec: error: not enough memory for inverse-limit{detail}\n"
+
+
+def deformspec_child(argv, **kwargs) -> subprocess.Popen:
+    """``deformspec argv`` in a fresh interpreter that imports the package from src/."""
+    path = filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.Popen([sys.executable, "-m", "deformspec.cli", *argv], env=env, **kwargs)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_reader_closing_stdout_early_is_not_an_error(fmt):
+    """``deformspec spectrum --n-max 100000 | head -1``: the reader takes one
+    line and closes the pipe, and the command exits 0 without a word, at the
+    write that fails and at the interpreter's flush at exit."""
+    argv = ["spectrum", "--n-max", "100000", "--format", fmt]
+    with deformspec_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert first == (b"n,wavenumber,eigenvalue\n" if fmt == "csv" else b"{\n")
+    assert (code, err) == (0, b"")
+
+
+def test_gram_beyond_the_address_space_exits_two():
+    """gram --n-max 20000 needs about 3 GB for its index arrays alone; under a
+    2 GiB address-space limit, set in the child only, it exits 2 with one line
+    and writes nothing, because every array is allocated before the first
+    character of output."""
+    limit = 2 * 2**30
+    with deformspec_child(
+        ["gram", "--n-max", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    ) as child:
+        out, err = child.communicate(timeout=120)
+    assert (child.returncode, out) == (2, b"")
+    assert err.startswith(b"deformspec: error: not enough memory for gram") and err.count(b"\n") == 1
+    assert b"Traceback" not in err
 
 
 @pytest.mark.parametrize("gamma", ["-1", "nan"])

@@ -117,6 +117,18 @@ def oracle_write_json(stream, payload, meta=None):
     stream.write(oracle_records_to_json(oracle_lists(payload), meta))
 
 
+def oracle_cmd_gram(args) -> int:
+    """``gram``, its CSV built from every entry of the full matrix, one format
+    per entry, as the CLI wrote it before it formatted the upper triangle."""
+    if args.format == "json":
+        return cli._cmd_gram(args)
+    rule = cli._rule_from_nodes(args.params, args.nodes, args.n_max)
+    matrix = cli.gram_matrix(args.params, args.n_max, rule)
+    n = len(matrix)
+    cli._emit(args, oracle_write_csv, ["n", *map(str, range(n))], [range(n), *oracle_format_floats(matrix.T)])
+    return cli.EXIT_OK
+
+
 def cli_output(argv, oracle: bool = False, to_file: bool = False) -> bytes:
     """stdout of ``deformspec argv``, written by the oracles when ``oracle``;
     with ``to_file``, the bytes of ``deformspec argv --output out`` run in an
@@ -128,8 +140,8 @@ def cli_output(argv, oracle: bool = False, to_file: bool = False) -> bytes:
             # the io writers call write_csv through their module's globals
             stack.enter_context(mock.patch.object(writers, "write_csv", oracle_write_csv))
             stack.enter_context(mock.patch.object(cli, "write_csv", oracle_write_csv))
-            stack.enter_context(mock.patch.object(cli, "format_floats", lambda values, _: oracle_format_floats(values)))
             stack.enter_context(mock.patch.object(cli, "write_json", oracle_write_json))
+            stack.enter_context(mock.patch.dict(cli._COMMANDS, {"gram": oracle_cmd_gram}))
         if to_file:
             stack.callback(os.chdir, os.getcwd())
             os.chdir(stack.enter_context(tempfile.TemporaryDirectory()))
@@ -425,6 +437,33 @@ def boundary_columns(rows: int) -> list:
 
 BOUNDARY_ROWS = [0, block_rows(3) - 1, block_rows(3), block_rows(3) + 1, 2 * block_rows(3) + 1]
 WIDE_ROWS = math.isqrt(BLOCK_CELLS)
+GROUP_ROWS = [0, WIDE_ROWS - 1, WIDE_ROWS, WIDE_ROWS + 1, 2 * WIDE_ROWS + 1]
+
+
+def group_table(rows: int, width: int = WIDE_ROWS + 6):
+    """A header and three columns: ``range(rows)``, a ``rows`` x ``width``
+    group of float strings with ``"-0"`` and ``"0"`` cells, and a float array;
+    the group makes the table wider than ``WIDE_ROWS`` cells, so its blocks
+    hold ``WIDE_ROWS`` rows."""
+    values = np.subtract.outer(np.arange(rows), np.arange(width)) % 5 / 3
+    values[::3, 1::4] = -0.0
+    group = oracle_format_floats(values)
+    assert rows < 2 or {"-0", "0"} <= set(group.ravel())
+    header = ["n", *(f"g{j}" for j in range(width)), "x"]
+    return header, [range(rows), group, np.arange(rows) / 7]
+
+
+class Pieces:
+    """A text stream that keeps each string written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+
+    def writelines(self, texts):
+        self.pieces.extend(texts)
 
 
 class TestBlocks:
@@ -458,6 +497,18 @@ class TestBlocks:
         assert csv == oracle_table_to_csv(header, [range(n), *oracle_format_floats(matrix.T)])
         assert to_json({"gram": matrix}) == oracle_to_json({"gram": matrix.tolist()})
 
+    @pytest.mark.parametrize("rows", GROUP_ROWS)
+    def test_string_group(self, rows):
+        # a 2-D string array between two columns is its own columns, row i its row i
+        header, columns = group_table(rows)
+        assert table_to_csv(header, columns) == oracle_table_to_csv(header, [columns[0], *columns[1].T, columns[2]])
+
+    def test_string_group_blocks_count_every_cell(self):
+        header, columns = group_table(2 * WIDE_ROWS + 1)
+        out = Pieces()
+        write_csv(out, header, columns)
+        assert [piece.count("\n") for piece in out.pieces] == [1, WIDE_ROWS, WIDE_ROWS, 1]
+
     def test_gram_without_rows(self):
         matrix = np.empty((0, 0))
         assert table_to_csv(["n"], [range(0)]) == oracle_table_to_csv(["n"], [range(0)])
@@ -471,6 +522,15 @@ class TestChecksFirst:
         out = StringIO()
         with pytest.raises(ValueError, match="columns differ in length"):
             write_csv(out, ["a", "b"], [np.arange(2 * BLOCK_CELLS) / 3, [1.0]])
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("group_rows", [WIDE_ROWS, WIDE_ROWS + 2])
+    def test_string_group_of_another_length(self, group_rows):
+        header, columns = group_table(WIDE_ROWS + 1)
+        columns[1] = group_table(group_rows)[1][1]
+        out = StringIO()
+        with pytest.raises(ValueError, match="columns differ in length"):
+            write_csv(out, header, columns)
         assert out.getvalue() == ""
 
     @pytest.mark.parametrize(

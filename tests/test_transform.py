@@ -29,6 +29,7 @@ from deformspec import (
     uniform_grid,
 )
 from deformspec import transform
+from deformspec.quadrature import _rule_from_nodes
 
 CANON = canonical_params()
 GL256 = gauss_legendre_rule(CANON, 256)
@@ -203,6 +204,20 @@ class TestGram:
     def test_exactly_symmetric(self, n_max, rule):
         gram = gram_matrix(CANON, n_max, rule)
         assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize(
+        "params", [CANON, si_params(), custom_params(0.8, 3.0, 1.7)], ids=["canonical", "si", "custom"]
+    )
+    def test_bitwise_symmetric_on_every_rule_kind(self, params):
+        """The Gram CSV mirrors the upper triangle, so every entry must equal its
+        transpose bit for bit: default GL rules (n_max 0-300, sampled), Simpson
+        past 4096 nodes (odd and even counts) and small node counts."""
+        sizes = [(n, None) for n in (*range(0, 301, 23), 255, 300)]
+        sizes += [(8, 4097), (64, 4098), (600, 19233), (100, 20000)]
+        sizes += [(0, 8), (1, 17), (2, 24), (11, 100)]
+        for n_max, nodes in sizes:
+            bits = gram_matrix(params, n_max, _rule_from_nodes(params, nodes, n_max)).view(np.int64)
+            assert np.array_equal(bits, bits.T), (n_max, nodes)
 
     def test_identity_gl512(self):
         gram = gram_matrix(CANON, 16, gauss_legendre_rule(CANON, 512))
