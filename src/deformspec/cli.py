@@ -25,7 +25,7 @@ from .io import Records, format_floats, read_coefficients, write_coefficients, w
 from .params import OperatorParams, canonical_params, custom_params, deformation_profile, si_params
 from .quadrature import _rule_from_nodes, default_projection_rule, uniform_grid
 from .spectrum import critical_index, eigenfunction, eigenvalue, wavenumber
-from .transform import _norm_and_defect, evaluate, gram_matrix, project
+from .transform import evaluate, gram_matrix, parseval_defect, project
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -275,7 +275,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_parseval(args) -> int:
     f = _target_function(args.target, args.params)
     rule = default_projection_rule(args.params, args.n_max)
-    norm, defect = _norm_and_defect(args.params, f, args.n_max, rule)
+    norm, defect = parseval_defect(args.params, f, args.n_max, rule)
     payload = {
         "target": args.target,
         "n_max": args.n_max,

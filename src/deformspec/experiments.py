@@ -26,7 +26,7 @@ from .quadrature import (
     uniform_grid,
 )
 from .spectrum import _deficit, asymptotic_coefficient, asymptotic_eigenvalue, eigenvalue
-from .transform import CoefficientVector, _project_samples, _sample, evaluate, project
+from .transform import CoefficientVector, _projection, _sample, evaluate, project
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -169,7 +169,8 @@ def rigidity_report(
     Two mechanisms are measured: the squared norm of the uniform partial sum
     grows like pi^2 (N+1), and every partial sum vanishes at the endpoints
     while the target constant pi does not, so the sup distance never drops
-    below pi.
+    below pi.  Raises :class:`NumericalError` when a norm overflows a 64-bit
+    float, which happens only for a tiny v_c.
     """
     tolerances = _tolerances("rigidity", tolerances)
     n_list = _increasing(n_list)
@@ -179,13 +180,17 @@ def rigidity_report(
     for n in n_list:
         coeffs = CoefficientVector(params, np.full(n + 1, math.pi))
         on_nodes = evaluate(coeffs, rule.nodes)
-        nsq = float(np.dot(rule.weights, on_nodes**2))
+        with np.errstate(over="ignore"):
+            nsq = float(np.dot(rule.weights, on_nodes**2))
+            l2 = float(np.sqrt(np.dot(rule.weights, (on_nodes - math.pi) ** 2)))
+        if not (math.isfinite(nsq) and math.isfinite(l2)):
+            raise NumericalError(f"norm of the uniform partial sum of {n + 1} terms overflows a 64-bit float")
         norm_sq.append(nsq)
+        dist.append(l2)
         ratio_err.append(abs(nsq / (n + 1) - math.pi**2))
         deviation = np.abs(evaluate(coeffs, grid) - math.pi)
         boundary_gap.append(float(min(deviation[0], deviation[-1])))
         sup_dev.append(float(np.max(deviation)))
-        dist.append(float(np.sqrt(np.dot(rule.weights, (on_nodes - math.pi) ** 2))))
     ok_norm = all(err <= tolerances["rigidity.parseval"] for err in ratio_err)
     ok_gap = all(g >= math.pi - tolerances["rigidity.boundary_gap_slack"] for g in boundary_gap)
     return ExperimentReport(
@@ -329,8 +334,7 @@ def convergence_study(
     slack = tolerances["converge.monotonic_slack"]
     n_list = _increasing(n_list)
     rule = default_projection_rule(params, n_list[-1])
-    target_on_nodes = _sample(target, rule.nodes)
-    coeffs = _project_samples(params, target_on_nodes, n_list[-1], rule)
+    target_on_nodes, coeffs = _projection(params, target, n_list[-1], rule)
     target_norm = float(np.sqrt(np.dot(rule.weights, target_on_nodes**2)))
     window = uniform_grid(params, 4096)
     interior = np.abs(window) <= 0.9 * params.v_c

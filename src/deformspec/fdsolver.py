@@ -173,8 +173,18 @@ def _sturm_counts(
     return count
 
 
-def _parity_blocks(A: TridiagonalSymmetricMatrix, off2: np.ndarray):
-    """The shared rows and per-block last rows that :func:`_sturm_counts` takes.
+def _multisection_depth(k: int) -> int:
+    """Bisection levels per sweep for k brackets: the depth b that minimizes
+    the sweep cost per level, (1 + k (2^b - 1)/SWEEP_WIDTH)/b."""
+    return min(range(1, 20), key=lambda b: (1 + k * (2**b - 1) / SWEEP_WIDTH) / b)
+
+
+def _sturm_view(A: TridiagonalSymmetricMatrix):
+    """``(count, sizes, lower, upper)``: ``count(xs, block)`` is the number of
+    eigenvalues <= xs[j] of block block[j], by :func:`_sturm_counts` looked up
+    at each call, the blocks have ``sizes`` rows and A's Gershgorin bounds
+    [lower, upper] hold them all.  Raises :class:`NumericalError` if a squared
+    off-diagonal, or a bound doubled (bisection adds two bracket ends), overflows.
 
     A persymmetric A (equal read backwards) with positive off-diagonals e
     commutes with the reversal, so from m = 3 on it splits into a symmetric
@@ -186,50 +196,40 @@ def _parity_blocks(A: TridiagonalSymmetricMatrix, off2: np.ndarray):
     e and 2e in the block's unsymmetric form).  Any other matrix, or one
     whose coupling square overflows, is one block of all m rows.
     """
-    diag, off, m = A.diag, A.offdiag, A.dim
-    p = m // 2
-    persymmetric = np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
-    if m < 3 or not (persymmetric and np.all(off > 0.0)):
-        return diag, off2, (None,)
-    if m % 2:
-        coupling = 2.0 * float(off2[p - 1])
-        if not math.isfinite(coupling):
-            return diag, off2, (None,)
-        return diag[:p], off2[: p - 1], ((diag[p], coupling), None)
-    ends = (diag[p - 1] + off[p - 1], diag[p - 1] - off[p - 1])
-    return diag[: p - 1], off2[: p - 2], tuple((end, off2[p - 2]) for end in ends)
-
-
-def _multisection_depth(k: int) -> int:
-    """Bisection levels per sweep for k brackets: the depth b that minimizes
-    the sweep cost per level, (1 + k (2^b - 1)/SWEEP_WIDTH)/b."""
-    return min(range(1, 20), key=lambda b: (1 + k * (2**b - 1) / SWEEP_WIDTH) / b)
-
-
-def _sturm_setup(A: TridiagonalSymmetricMatrix) -> tuple[np.ndarray, float, float, float]:
-    """Squared off-diagonal, zero-pivot replacement and Gershgorin bounds; raises
-    :class:`NumericalError` if a square, or a bound doubled (bisection adds two
-    bracket ends), overflows."""
+    diag, off, p, tails = A.diag, A.offdiag, A.dim // 2, (None,)
     with np.errstate(over="ignore"):
-        off2 = A.offdiag**2
+        off2 = off**2
         radius = np.zeros(A.dim)
-        radius[:-1] += np.abs(A.offdiag)
-        radius[1:] += np.abs(A.offdiag)
-        lo = float(np.min(A.diag - radius))
-        hi = float(np.max(A.diag + radius))
+        radius[:-1] += np.abs(off)
+        radius[1:] += np.abs(off)
+        lower, upper = float(np.min(diag - radius)), float(np.max(diag + radius))
     pivmin = max(float(np.max(off2)) if len(off2) else 0.0, 1.0) * 1e-290
-    if not (math.isfinite(pivmin) and math.isfinite(2.0 * lo) and math.isfinite(2.0 * hi)):
+    if not (math.isfinite(pivmin) and math.isfinite(2.0 * lower) and math.isfinite(2.0 * upper)):
         raise NumericalError("Sturm bisection overflows: off-diagonal or Gershgorin bound too large")
-    return off2, pivmin, lo, hi
+    persymmetric = np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
+    if A.dim >= 3 and persymmetric and np.all(off > 0.0):
+        if A.dim % 2 == 0:
+            tails = tuple((end, off2[p - 2]) for end in (diag[p - 1] + off[p - 1], diag[p - 1] - off[p - 1]))
+            diag, off2 = diag[: p - 1], off2[: p - 2]
+        elif math.isfinite(2.0 * float(off2[p - 1])):
+            tails = ((diag[p], 2.0 * float(off2[p - 1])), None)
+            diag, off2 = diag[:p], off2[: p - 1]
+    sizes = len(diag) + np.array([tail is not None for tail in tails])
+
+    def count(xs: np.ndarray, block: np.ndarray) -> np.ndarray:
+        return _sturm_counts(diag, off2, pivmin, xs, tails, block)
+
+    return count, sizes, lower, upper
 
 
-def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -> np.ndarray:
-    """Bisection on the Sturm count inside the Gershgorin bounds.  Each
+def _bisect_top(A: TridiagonalSymmetricMatrix, k: int) -> np.ndarray:
+    """The k largest eigenvalues, sorted decreasing, by bisection on the
+    Sturm count of :func:`_sturm_view` inside the Gershgorin bounds.  Each
     eigenvalue is the midpoint of its final bracket, at most 1e-15 relative
     wide, or 2^-110 of the Gershgorin interval where the 110-level cap stops
     the bisection first.
 
-    Each index is bisected on its own parity block (see :func:`_parity_blocks`):
+    Each eigenvalue is bisected on its own parity block:
     the eigenvalues of a persymmetric Jacobi matrix alternate between the
     blocks, the largest symmetric (Hald, LAA 14, 1976), so the j-th largest of
     A is the (j // 2)-th largest of block j % 2.  Every block starts from A's
@@ -241,22 +241,19 @@ def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -
     recursion and the levels are walked with the same stop test after each,
     so the brackets equal those of one-midpoint-per-sweep bisection bit for
     bit, whatever b is.  Reusing a count changes no bracket either, since a
-    count depends only on its block and the value of its shift: indices that
-    share a bracket (all of a block's at the start, many where eigenvalues
+    count depends only on its block and the value of its shift: eigenvalues
+    that share a bracket (all of a block's at the start, many where eigenvalues
     cluster) share one row of nodes, each bracket carries the counts at its
     ends, and a sweep counts only the distinct nodes that differ from those
     ends, so none for a bracket collapsed to adjacent floats.
     """
-    off2, pivmin, lower, upper = _sturm_setup(A)
-    diag, shared_off2, tails = _parity_blocks(A, off2)
-    blocks = len(tails)
-    sizes = len(diag) + np.array([tail is not None for tail in tails])
-    rank = A.dim - 1 - np.asarray(indices)
+    count, sizes, lower, upper = _sturm_view(A)
+    blocks = len(sizes)
+    rank = np.arange(k)  # rank j: the j-th largest eigenvalue
     # brackets sorted by block, then ascending within it
     order = np.lexsort((-rank, rank % blocks))
     block = rank[order] % blocks
     local = sizes[block] - 1 - rank[order] // blocks
-    k = len(indices)
     lo, hi = np.full(k, lower), np.full(k, upper)
     # placeholders: the first sweep counts every node, the Gershgorin bounds
     # too, since an eigenvalue can lie on one
@@ -285,7 +282,7 @@ def _eigenvalues_ascending(A: TridiagonalSymmetricMatrix, indices: np.ndarray) -
         xs = nodes[fresh]
         xb = np.broadcast_to(block[first, None], nodes.shape)[fresh]
         distinct = np.r_[True, (xs[1:] != xs[:-1]) | (xb[1:] != xb[:-1])]
-        fresh_counts = _sturm_counts(diag, shared_off2, pivmin, xs[distinct], tails, xb[distinct])
+        fresh_counts = count(xs[distinct], xb[distinct])
         counts[fresh] = fresh_counts[np.cumsum(distinct) - 1]
         left = np.zeros(k, dtype=np.intp)
         for _ in range(b):
@@ -314,8 +311,7 @@ def top_eigenvalues(A: TridiagonalSymmetricMatrix, count: int) -> np.ndarray:
     count = int(count)
     if not 1 <= count <= A.dim:
         raise ValidationError("count must be in [1, dim]")
-    indices = np.arange(A.dim - count, A.dim)
-    return _eigenvalues_ascending(A, indices)[::-1].copy()
+    return _bisect_top(A, count)
 
 
 def _solve_shifted(A: TridiagonalSymmetricMatrix, lam: float, b: np.ndarray) -> np.ndarray:
@@ -371,13 +367,11 @@ def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> 
     1e-8 * max(1, scale) of the shift, where that error could exceed 2e-8.
     """
     lam = float(lam)
-    off2, pivmin, _, _ = _sturm_setup(A)
-    diag, shared_off2, tails = _parity_blocks(A, off2)
+    count, sizes, _, _ = _sturm_view(A)
     scale = float(np.max(np.abs(A.diag)) + (np.max(np.abs(A.offdiag)) if A.dim > 1 else 0.0))
     gap = 1e-8 * max(1.0, scale)
     # A's count at each end is the sum of its blocks' counts
-    ends = np.tile([lam + gap, lam - gap], len(tails))
-    nearby = _sturm_counts(diag, shared_off2, pivmin, ends, tails, np.repeat(np.arange(len(tails)), 2))
+    nearby = count(np.tile([lam + gap, lam - gap], len(sizes)), np.repeat(np.arange(len(sizes)), 2))
     if int(np.sum(nearby[0::2] - nearby[1::2])) > 1:
         warnings.warn("clustered eigenvalues near the shift", ConditioningWarning)
     rng = np.random.default_rng(0)

@@ -85,13 +85,10 @@ def _rows(columns, rows: int, column_format, template, sep: str):
     fill one ``%s``.
 
     A block holds :data:`BLOCK_CELLS` cells, each column of a group counted,
-    or ``isqrt(BLOCK_CELLS)`` rows of a table wider than that many columns,
-    so that the work done once per column and block is spread over that many
-    rows at least: in blocks of 16384 cells, 8 rows each, the 2002-column
-    ``gram --n-max 2000`` CSV took a third longer than written whole."""
+    or one row of a table wider than that."""
     groups = [type(column) is np.ndarray and column.ndim == 2 for column in columns]
     width = sum(column.shape[1] if group else 1 for column, group in zip(columns, groups))
-    step = max(BLOCK_CELLS // width, math.isqrt(BLOCK_CELLS)) if width else 1
+    step = max(BLOCK_CELLS // width, 1) if width else 1
     slots = len(columns)
     for start in range(0, rows, step):
         count = min(step, rows - start)
@@ -109,17 +106,15 @@ def _rows(columns, rows: int, column_format, template, sep: str):
 def _column(column: list) -> tuple[str, list]:
     """One ``%`` directive for a whole column, and the cells it takes.
 
-    Columns of exact floats, exact ints or exact strs are formatted by the
-    directive (``bool`` and numpy scalars are not exact ints); any other
-    column is formatted cell by cell and written through ``%s``.
+    Columns of exact floats or exact ints are formatted by the directive
+    (``bool`` and numpy scalars are not exact ints); any other column is
+    formatted cell by cell and written through ``%s``.
     """
     types = set(map(type, column))
     if types == {float}:
         return "%.17g", column
     if types == {int}:
         return "%d", column
-    if types == {str}:
-        return "%s", column
     return "%s", [format_float(x) if isinstance(x, float) else str(x) for x in column]
 
 

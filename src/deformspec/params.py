@@ -10,6 +10,7 @@ point where the parabolic profile pi*(1 - v^2/c^2) drops to 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,9 @@ class OperatorParams:
                 raise ValidationError(f"{name} must be positive")
         if not self.v_c < self.c:
             raise ValidationError("v_c must be < c")
+        # the interval [-v_c, v_c] has width 2 v_c, and every mode scales by sqrt(1/v_c)
+        if not (sys.float_info.min <= self.v_c and math.isfinite(2.0 * self.v_c)):
+            raise ValidationError(f"v_c must be a normal float whose double is finite, got {self.v_c!r}")
         if self.unit_mode == "dimensionless":
             if self.hbar != 1.0 or self.c != 1.0:
                 raise ValidationError("dimensionless mode requires hbar = c = 1")

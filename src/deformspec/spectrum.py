@@ -65,9 +65,15 @@ def _check_index(n) -> np.ndarray:
 
 
 def wavenumber(params: OperatorParams, n):
-    """Dirichlet wavenumber k_n = (n+1) pi / (2 v_c); scalar or ndarray n."""
+    """Dirichlet wavenumber k_n = (n+1) pi / (2 v_c); scalar or ndarray n.
+
+    Raises :class:`NumericalError` when k_n overflows a 64-bit float.
+    """
     n = _check_index(n)
-    out = (n + 1) * (math.pi / (2.0 * params.v_c))
+    with np.errstate(over="ignore"):
+        out = (n + 1) * (math.pi / (2.0 * params.v_c))
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(f"wavenumber overflows for v_c = {params.v_c!r}")
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError, ResolutionError, ValidationError
 from .params import OperatorParams, _require_in_interval
@@ -127,16 +128,11 @@ def _sine_sums(g: np.ndarray, count: int) -> np.ndarray:
     return -0.5 * np.fft.rfft(x).imag[1 : count + 1]
 
 
-def project(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule) -> CoefficientVector:
-    """Coefficients a_n = integral of f * psi_n for n = 0..n_max."""
+def _projection(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule):
+    """(f on the rule's nodes, sampled once, and its :class:`CoefficientVector`
+    a_0..a_n_max); raises :class:`ResolutionError` unless n_max is resolved."""
     n_max = _require_resolved(rule, n_max)
-    return _project_samples(params, _sample(f, rule.nodes), n_max, rule)
-
-
-def _project_samples(
-    params: OperatorParams, values: np.ndarray, n_max: int, rule: QuadratureRule
-) -> CoefficientVector:
-    """`project` from the values of f on the rule's nodes, for a resolved n_max."""
+    values = _sample(f, rule.nodes)
     weighted = rule.weights * values
     if _on_uniform_nodes(params, rule.nodes):
         sums = _sine_sums(weighted, n_max + 1)
@@ -144,7 +140,12 @@ def _project_samples(
         # entry (q, r) of the product is the sum for mode qB + r
         sin_high, cos_high, sin_low, cos_low = _sine_tables(params, n_max, rule.nodes)
         sums = ((sin_high * weighted) @ cos_low.T + (cos_high * weighted) @ sin_low.T).ravel()[: n_max + 1]
-    return CoefficientVector(params=params, coefficients=math.sqrt(1.0 / params.v_c) * sums)
+    return values, CoefficientVector(params=params, coefficients=math.sqrt(1.0 / params.v_c) * sums)
+
+
+def project(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule) -> CoefficientVector:
+    """Coefficients a_n = integral of f * psi_n for n = 0..n_max."""
+    return _projection(params, f, n_max, rule)[1]
 
 
 def evaluate(coeffs: CoefficientVector, v) -> np.ndarray:
@@ -181,23 +182,15 @@ def l2_norm(params: OperatorParams, f: Callable, rule: QuadratureRule) -> float:
     return float(np.sqrt(np.dot(rule.weights, _sample(f, rule.nodes) ** 2)))
 
 
-def parseval_defect(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule) -> float:
-    """||f||^2 minus the truncated coefficient sum; raw value, no clamping.
+def parseval_defect(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule) -> tuple[float, float]:
+    """(||f||, ||f||^2 minus the truncated coefficient sum) from one sampling
+    of f on the rule's nodes; the defect is raw, no clamping.
 
-    Quadrature noise may push the result slightly negative (no lower than
+    Quadrature noise may push the defect slightly negative (no lower than
     about -1e-9 for a resolved rule); the raw value is reported so that an
     under-resolved rule shows up instead of being masked.
     """
-    return _norm_and_defect(params, f, n_max, rule)[1]
-
-
-def _norm_and_defect(
-    params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule
-) -> tuple[float, float]:
-    """`l2_norm` and `parseval_defect` from one sampling of f on the rule's nodes."""
-    n_max = _require_resolved(rule, n_max)
-    values = _sample(f, rule.nodes)
-    coeffs = _project_samples(params, values, n_max, rule)
+    values, coeffs = _projection(params, f, n_max, rule)
     norm = float(np.sqrt(np.dot(rule.weights, values**2)))
     return norm, float(norm**2 - np.sum(coeffs.coefficients**2))
 
@@ -216,5 +209,10 @@ def gram_matrix(params: OperatorParams, n_max: int, rule: QuadratureRule) -> np.
         sin_high, cos_high, sin_low, cos_low = _sine_tables(params, 2 * n_max + 1, rule.nodes)
         moments = ((cos_high * w) @ cos_low.T - (sin_high * w) @ sin_low.T).ravel()
         c = np.concatenate([[np.sum(w)], moments[: 2 * n_max + 2]])
-    n = np.arange(n_max + 1)
-    return (c[np.abs(n[:, None] - n)] - c[n[:, None] + n + 2]) / (2.0 * params.v_c)
+    # windows of the moments: row n of the Toeplitz term is c_|n-m| and of the
+    # Hankel term c_(n+m+2), for m = 0..n_max, with no index array
+    size = n_max + 1
+    toeplitz = sliding_window_view(np.concatenate([c[n_max:0:-1], c[:size]]), size)[::-1]
+    out = toeplitz - sliding_window_view(c[2 : 2 * size + 1], size)
+    out /= 2.0 * params.v_c
+    return out

@@ -537,7 +537,7 @@ def test_reader_closing_stdout_early_is_not_an_error(fmt):
 
 
 def test_gram_beyond_the_address_space_exits_two():
-    """gram --n-max 20000 needs about 3 GB for its index arrays alone; under a
+    """gram --n-max 20000 needs about 3.2 GB for its matrix alone; under a
     2 GiB address-space limit, set in the child only, it exits 2 with one line
     and writes nothing, because every array is allocated before the first
     character of output."""
@@ -709,6 +709,47 @@ SMALL_ARGV = {
 }
 
 
+# (c, v_c) at the ends of the v_c range with hbar = 1: 2 v_c overflows, v_c
+# subnormal, the smallest normal v_c, and a v_c whose partial-sum norms overflow
+EDGE_VC = [("1.7976931348623157e308", "1.7e308"), ("2", "1e-320"), ("2", "2.2250738585072014e-308"), ("2", "1e-307")]
+
+
+def run_in_process(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def small_argv(command, coeffs):
+    return [command, *(str(coeffs) if arg == "{coeffs}" else arg for arg in SMALL_ARGV[command])]
+
+
+@pytest.mark.parametrize("c, v_c", EDGE_VC[:2], ids=["double-overflows", "subnormal"])
+@pytest.mark.parametrize("command", sorted(SMALL_ARGV))
+def test_v_c_outside_the_normal_range_is_a_usage_error(tmp_path, command, c, v_c):
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("n,a_n\n0,0.5\n1,-0.25\n")
+    code, out, err = run_in_process([*small_argv(command, coeffs), "--hbar", "1", "--c", c, "--v-c", v_c])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "v_c must be a normal float" in err
+
+
+@pytest.mark.parametrize("c, v_c", EDGE_VC[2:], ids=["smallest-normal", "tiny"])
+@pytest.mark.parametrize("command", sorted(SMALL_ARGV))
+def test_v_c_at_the_small_end_exits_with_finite_output_or_one_line(tmp_path, command, c, v_c):
+    """An overflow is a numerical error, never a verdict or a non-finite cell."""
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("n,a_n\n0,0.5\n1,-0.25\n")
+    code, out, err = run_in_process([*small_argv(command, coeffs), "--hbar", "1", "--c", c, "--v-c", v_c])
+    if command in ("spectrum", "asymptotics", "critical-index", "rigidity", "fd-validate"):
+        assert code == 3
+    if code in (2, 3):
+        assert out == "" and err.count("\n") == 1
+    else:
+        assert err == "" and "nan" not in out and "inf" not in out
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     command=st.sampled_from(sorted(SMALL_ARGV)),
@@ -717,25 +758,26 @@ SMALL_ARGV = {
     tol=st.none() | st.sampled_from(sorted(DEFAULT_TOLERANCES)),
     si=st.booleans(),
     to_file=st.booleans(),
+    edge=st.none() | st.sampled_from(EDGE_VC),
 )
-def test_exit_contract(command, fmt, no_meta, tol, si, to_file):
-    """Exit 0-3 without a traceback for any subset of the shared flags; exit 1
-    only from a report whose verdict is fail."""
+def test_exit_contract(command, fmt, no_meta, tol, si, to_file, edge):
+    """Exit 0-3 without a traceback for any subset of the shared flags, also
+    at the ends of the v_c range; exit 1 only from a report whose verdict is
+    fail."""
     with tempfile.TemporaryDirectory() as tmp:
         coeffs, output = Path(tmp) / "coeffs.csv", Path(tmp) / "out"
         coeffs.write_text("n,a_n\n0,0.5\n1,-0.25\n")
-        argv = [command, *(str(coeffs) if arg == "{coeffs}" else arg for arg in SMALL_ARGV[command])]
+        argv = small_argv(command, coeffs)
         argv += ["--format", fmt] if fmt else []
         argv += ["--no-meta"] if no_meta else []
         argv += ["--tol", f"{tol}=1e-3"] if tol else []
         argv += ["--si"] if si else []
         argv += ["--output", str(output)] if to_file else []
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = run(argv)
-        text = output.read_text() if output.exists() else stdout.getvalue()
+        argv += ["--hbar", "1", "--c", edge[0], "--v-c", edge[1]] if edge else []
+        code, out, err = run_in_process(argv)
+        text = output.read_text() if output.exists() else out
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in stderr.getvalue()
+    assert "Traceback" not in err and err.count("\n") == (1 if code in (2, 3) else 0)
     if code == 1:
         assert command in REPORTS
         if fmt != "csv":

@@ -8,12 +8,14 @@ from deformspec import (
     DEFAULT_TOLERANCES,
     CoefficientVector,
     DecayModel,
+    NumericalError,
     ValidationError,
     asymptotic_coefficient,
     asymptotics_report,
     canonical_params,
     constant_coefficient_report,
     convergence_study,
+    custom_params,
     deformation_profile,
     eigenfunction,
     evaluate,
@@ -122,6 +124,11 @@ class TestRigidity:
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValidationError, match="non-negative"):
             rigidity_report(CANON, [-5, -3])
+
+    def test_overflowing_norm_is_a_numerical_error(self):
+        # the partial sums are of size sqrt(1/v_c) ~ 3e153, their squares overflow
+        with pytest.raises(NumericalError, match="overflows"):
+            rigidity_report(custom_params(1, 2, 1e-307), [2])
 
 
 class TestConstantCoefficients:

@@ -460,22 +460,22 @@ class TestBitIdenticalToReference:
         A = TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
         off2 = off**2
         pivmin = max(float(np.max(off2)), 1.0) * 1e-290
-        shared_diag, shared_off2, tails = fdsolver._parity_blocks(A, off2)
+        count, sizes, _, _ = fdsolver._sturm_view(A)
         blocks = parity_blocks(A)
-        assert len(tails) == 2 and len(shared_diag) + (tails[0] is not None) == (A.dim + 1) // 2
+        assert list(sizes) == [(A.dim + 1) // 2, A.dim // 2]
         xs = np.unique(np.r_[diag, [d[-1] for d, _ in blocks], 0.0, -0.0, 1.0, 2.0])
         xs = np.r_[xs, -0.0]
         for b, (block_diag, block_off2) in enumerate(blocks):
-            got = _sturm_counts(shared_diag, shared_off2, pivmin, xs, tails, np.full(len(xs), b))
+            got = count(xs, np.full(len(xs), b))
             assert np.array_equal(got, reference_sturm_counts(block_diag, block_off2, pivmin, xs))
         # the blocks' counts add up to the whole matrix's where no pivot rounds
-        both = _sturm_counts(shared_diag, shared_off2, pivmin, np.r_[xs, xs], tails, np.repeat([0, 1], len(xs)))
+        both = count(np.r_[xs, xs], np.repeat([0, 1], len(xs)))
         assert np.array_equal(both[: len(xs)] + both[len(xs) :], reference_sturm_counts(diag, off2, pivmin, xs))
 
     def test_coupling_overflow_counts_the_whole_matrix(self):
         # e^2 is finite but the odd split's coupling 2 e^2 is not
         A = TridiagonalSymmetricMatrix(diag=np.zeros(3), offdiag=np.full(2, 1e154))
-        assert fdsolver._parity_blocks(A, A.offdiag**2)[2] == (None,)
+        assert list(fdsolver._sturm_view(A)[1]) == [3]
         with np.errstate(all="raise"):
             lam = eigenvalues_tridiagonal(A)
         assert lam.tobytes() == reference_top_eigenvalues(A, 3).tobytes()
@@ -543,6 +543,20 @@ def test_all_eigenvalues_count_each_distinct_shift_once(monkeypatch):
     eigenvalues_tridiagonal(discretize(CANON, 2000))
     assert sum(sizes) <= 150_000, f"{sum(sizes)} shifts in {len(sizes)} sweeps"
     assert max(rows) <= math.ceil(2000 / 2) + 1, f"sweeps walk up to {max(rows)} rows"
+
+
+def test_sturm_view_looks_up_the_count_at_each_call(monkeypatch):
+    # the work guards above replace _sturm_counts; a view made earlier must see that too
+    count, sizes, _, _ = fdsolver._sturm_view(discretize(CANON, 9))
+    calls = []
+
+    def counting(diag, off2, pivmin, xs, tails, block):
+        calls.append(len(xs))
+        return np.zeros(len(xs), dtype=np.int64)
+
+    monkeypatch.setattr(fdsolver, "_sturm_counts", counting)
+    count(np.zeros(3), np.zeros(3, dtype=np.intp))
+    assert calls == [3] and list(sizes) == [5, 4]
 
 
 def assert_within_sturm_brackets(A, eigenvalues, blocks=None):

@@ -420,7 +420,7 @@ class TestArrays:
 
 def block_rows(width: int) -> int:
     """Rows the writers format per block for a table of ``width`` columns."""
-    return max(BLOCK_CELLS // width, math.isqrt(BLOCK_CELLS))
+    return max(BLOCK_CELLS // width, 1)
 
 
 def boundary_columns(rows: int) -> list:
@@ -436,15 +436,16 @@ def boundary_columns(rows: int) -> list:
 
 
 BOUNDARY_ROWS = [0, block_rows(3) - 1, block_rows(3), block_rows(3) + 1, 2 * block_rows(3) + 1]
-WIDE_ROWS = math.isqrt(BLOCK_CELLS)
-GROUP_ROWS = [0, WIDE_ROWS - 1, WIDE_ROWS, WIDE_ROWS + 1, 2 * WIDE_ROWS + 1]
+# a table of SQUARE_ROWS columns has blocks of SQUARE_ROWS rows
+SQUARE_ROWS = math.isqrt(BLOCK_CELLS)
+GROUP_ROWS = [0, SQUARE_ROWS - 1, SQUARE_ROWS, SQUARE_ROWS + 1, 2 * SQUARE_ROWS + 1]
 
 
-def group_table(rows: int, width: int = WIDE_ROWS + 6):
+def group_table(rows: int, width: int = SQUARE_ROWS - 2):
     """A header and three columns: ``range(rows)``, a ``rows`` x ``width``
     group of float strings with ``"-0"`` and ``"0"`` cells, and a float array;
-    the group makes the table wider than ``WIDE_ROWS`` cells, so its blocks
-    hold ``WIDE_ROWS`` rows."""
+    each group cell counts, so by default the table is ``SQUARE_ROWS``
+    cells wide and its blocks hold ``SQUARE_ROWS`` rows."""
     values = np.subtract.outer(np.arange(rows), np.arange(width)) % 5 / 3
     values[::3, 1::4] = -0.0
     group = oracle_format_floats(values)
@@ -485,16 +486,20 @@ class TestBlocks:
         payload = {"list": values.tolist(), "array": values, "ints": list(range(length))}
         assert to_json(payload) == oracle_to_json(oracle_lists(payload))
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1, WIDE_ROWS + 1])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, SQUARE_ROWS + 1])
     def test_gram(self, offset):
-        # an n-row Gram CSV has n + 1 columns, wider than WIDE_ROWS, so its blocks hold WIDE_ROWS rows
-        n = WIDE_ROWS + offset
-        assert block_rows(n + 1) == WIDE_ROWS
+        # an n-row Gram CSV has n + 1 columns, so one block holds all of it
+        # up to n = SQUARE_ROWS - 1 and BLOCK_CELLS // (n + 1) rows from there on
+        n = SQUARE_ROWS + offset
         matrix = np.subtract.outer(np.arange(n), np.arange(n)) % 4 / 3
         matrix[0, 1] = -0.0
         header = ["n", *map(str, range(n))]
         csv = table_to_csv(header, [range(n), *format_floats(matrix.T, "%.17g")])
         assert csv == oracle_table_to_csv(header, [range(n), *oracle_format_floats(matrix.T)])
+        out = Pieces()
+        write_csv(out, header, [range(n), format_floats(matrix, "%.17g")])
+        assert "".join(out.pieces) == csv
+        assert len(out.pieces) == 1 + -(-n // block_rows(n + 1))
         assert to_json({"gram": matrix}) == oracle_to_json({"gram": matrix.tolist()})
 
     @pytest.mark.parametrize("rows", GROUP_ROWS)
@@ -504,10 +509,17 @@ class TestBlocks:
         assert table_to_csv(header, columns) == oracle_table_to_csv(header, [columns[0], *columns[1].T, columns[2]])
 
     def test_string_group_blocks_count_every_cell(self):
-        header, columns = group_table(2 * WIDE_ROWS + 1)
+        header, columns = group_table(2 * SQUARE_ROWS + 1)
         out = Pieces()
         write_csv(out, header, columns)
-        assert [piece.count("\n") for piece in out.pieces] == [1, WIDE_ROWS, WIDE_ROWS, 1]
+        assert [piece.count("\n") for piece in out.pieces] == [1, SQUARE_ROWS, SQUARE_ROWS, 1]
+
+    def test_table_wider_than_a_block_writes_a_row_a_block(self):
+        header, columns = group_table(3, BLOCK_CELLS)
+        out = Pieces()
+        write_csv(out, header, columns)
+        assert [piece.count("\n") for piece in out.pieces] == [1, 1, 1, 1]
+        assert "".join(out.pieces) == oracle_table_to_csv(header, [columns[0], *columns[1].T, columns[2]])
 
     def test_gram_without_rows(self):
         matrix = np.empty((0, 0))
@@ -524,9 +536,9 @@ class TestChecksFirst:
             write_csv(out, ["a", "b"], [np.arange(2 * BLOCK_CELLS) / 3, [1.0]])
         assert out.getvalue() == ""
 
-    @pytest.mark.parametrize("group_rows", [WIDE_ROWS, WIDE_ROWS + 2])
+    @pytest.mark.parametrize("group_rows", [SQUARE_ROWS, SQUARE_ROWS + 2])
     def test_string_group_of_another_length(self, group_rows):
-        header, columns = group_table(WIDE_ROWS + 1)
+        header, columns = group_table(SQUARE_ROWS + 1)
         columns[1] = group_table(group_rows)[1][1]
         out = StringIO()
         with pytest.raises(ValueError, match="columns differ in length"):

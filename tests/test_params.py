@@ -85,11 +85,18 @@ def test_custom_params_gamma():
         (-1.0, 1.0, 0.5, "hbar must be positive"),
         (1.0, -2.0, 0.5, "c must be positive"),
         (1.0, 1.0, 0.0, "v_c must be positive"),
+        (1.0, 2.0, 1e-320, "v_c must be a normal float"),
+        (1.0, 1.7976931348623157e308, 1.7e308, "whose double is finite"),
     ],
 )
 def test_custom_params_validation(hbar, c, v_c, message):
     with pytest.raises(ValidationError, match=message):
         custom_params(hbar, c, v_c)
+
+
+@pytest.mark.parametrize("c, v_c", [(2.0, 2.2250738585072014e-308), (1.7976931348623157e308, 8.98e307)])
+def test_v_c_range_ends_accepted(c, v_c):
+    assert custom_params(1.0, c, v_c).v_c == v_c
 
 
 def test_si_params():

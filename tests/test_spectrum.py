@@ -55,6 +55,13 @@ def test_eigenvalue_overflow_raises(n):
         eigenvalue(custom_params(1, 1, 1e-300), n)
 
 
+@pytest.mark.parametrize("n", [2, np.arange(5)])
+def test_wavenumber_overflow_raises(n):
+    # at the smallest normal v_c, pi/(2 v_c) is about 7.1e307: k_1 is finite and k_2 is not
+    with pytest.raises(NumericalError, match="wavenumber overflows"):
+        wavenumber(custom_params(1, 2, 2.2250738585072014e-308), n)
+
+
 def test_eigenvalues_strictly_below_pi_and_decreasing_to_1e6():
     ns = np.arange(1_000_001)
     values = eigenvalue(CANON, ns)

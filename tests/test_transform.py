@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from deformspec import (
     ValidationError,
     canonical_params,
     composite_simpson_rule,
+    convergence_study,
     custom_params,
     default_projection_rule,
     deformation_profile,
@@ -172,19 +174,41 @@ class TestNorm:
 
 class TestParseval:
     def test_in_span_defect_vanishes(self):
-        defect = parseval_defect(CANON, lambda v: eigenfunction(CANON, 3, v), 5, GL256)
-        assert abs(defect) < 1e-10
+        norm, defect = parseval_defect(CANON, lambda v: eigenfunction(CANON, 3, v), 5, GL256)
+        assert abs(defect) < 1e-10 and norm == pytest.approx(1.0, abs=1e-12)
 
     def test_profile_defect_matches_tail(self):
         rule = default_projection_rule(CANON, 200)
-        defect = parseval_defect(CANON, profile, 200, rule)
+        norm, defect = parseval_defect(CANON, profile, 200, rule)
+        assert norm == l2_norm(CANON, profile, rule)
         tail = profile_norm_sq() - sum(profile_coefficient(n) ** 2 for n in range(201))
         assert defect == pytest.approx(tail, rel=1e-6)
         assert 0 < defect / profile_norm_sq() < 1e-3
 
     def test_defect_never_below_quadrature_slack(self):
         for n, f in ((5, lambda v: eigenfunction(CANON, 3, v)), (8, const_one)):
-            assert parseval_defect(CANON, f, n, GL256) >= -1e-9
+            assert parseval_defect(CANON, f, n, GL256)[1] >= -1e-9
+
+    @pytest.mark.parametrize("route", ["project", "parseval_defect", "convergence_study"])
+    @pytest.mark.parametrize("n_max", [32, 600], ids=["gauss-legendre", "simpson"])
+    def test_samples_the_rule_nodes_once(self, route, n_max):
+        """Each route projects through one sampling of the target on the rule's
+        nodes; convergence_study samples its interior window once besides."""
+        rule = default_projection_rule(CANON, n_max)
+        calls = []
+
+        def target(v):
+            calls.append(np.asarray(v))
+            return profile(v)
+
+        if route == "project":
+            project(CANON, target, n_max, rule)
+        elif route == "parseval_defect":
+            parseval_defect(CANON, target, n_max, rule)
+        else:
+            convergence_study(CANON, target, [n_max // 2, n_max])
+        on_nodes = [v for v in calls if v.shape == rule.nodes.shape and np.array_equal(v, rule.nodes)]
+        assert len(on_nodes) == 1 and len(calls) == (2 if route == "convergence_study" else 1)
 
     def test_defect_strictly_decreasing_over_doublings(self):
         rule = default_projection_rule(CANON, 512)
@@ -218,6 +242,36 @@ class TestGram:
         for n_max, nodes in sizes:
             bits = gram_matrix(params, n_max, _rule_from_nodes(params, nodes, n_max)).view(np.int64)
             assert np.array_equal(bits, bits.T), (n_max, nodes)
+
+    @pytest.mark.parametrize(
+        "params", [CANON, si_params(), custom_params(0.8, 3.0, 1.7)], ids=["canonical", "si", "custom"]
+    )
+    def test_moment_windows_equal_the_index_form(self, params, monkeypatch):
+        """The oracle gathers the Toeplitz and Hankel terms from the same
+        moments c through the n x n index arrays |n-m| and n+m+2; the windows
+        must give the same matrix bit for bit, on GL, Simpson and small rules."""
+        windows = []
+
+        def recording(x, size):
+            windows.append(x)
+            return sliding_window_view(x, size)
+
+        monkeypatch.setattr(transform, "sliding_window_view", recording)
+        for n_max, nodes in [(0, None), (3, None), (8, 4096), (64, 4097), (127, 2048), (255, None), (600, 19233)]:
+            windows.clear()
+            gram = gram_matrix(params, n_max, _rule_from_nodes(params, nodes, n_max))
+            toeplitz, hankel = windows
+            c = np.full(2 * n_max + 3, np.nan)
+            c[: n_max + 1], c[2:] = toeplitz[n_max:], hankel
+            n = np.arange(n_max + 1)
+            want = (c[np.abs(n[:, None] - n)] - c[n[:, None] + n + 2]) / (2.0 * params.v_c)
+            assert gram.tobytes() == want.tobytes(), (n_max, nodes)
+
+    def test_peak_within_twice_the_result(self):
+        # the index form's two n x n int64 index arrays and gather peaked at 3x the result
+        rule = composite_simpson_rule(CANON, 19233)
+        nbytes = 601 * 601 * 8
+        assert peak_bytes(lambda: gram_matrix(CANON, 600, rule)) < 2 * nbytes
 
     def test_identity_gl512(self):
         gram = gram_matrix(CANON, 16, gauss_legendre_rule(CANON, 512))
