@@ -23,7 +23,7 @@ from .experiments import DecayModel, asymptotics_report, convergence_study, inve
 from .fdsolver import refinement_study
 from .io import Records, format_floats, read_coefficients, write_coefficients, write_csv, write_json
 from .params import OperatorParams, canonical_params, custom_params, deformation_profile, si_params
-from .quadrature import _rule_from_nodes, default_projection_rule, uniform_grid
+from .quadrature import default_projection_rule, uniform_grid
 from .spectrum import critical_index, eigenfunction, eigenvalue, wavenumber
 from .transform import evaluate, gram_matrix, parseval_defect, project
 
@@ -256,7 +256,7 @@ def _cmd_critical_index(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    rule = _rule_from_nodes(args.params, args.nodes, args.n_max)
+    rule = default_projection_rule(args.params, args.n_max, args.nodes)
     f = _target_function(args.target, args.params)
     coeffs = project(args.params, f, args.n_max, rule)
     _emit(args, write_coefficients, coeffs)
@@ -292,7 +292,7 @@ def _cmd_parseval(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    rule = _rule_from_nodes(args.params, args.nodes, args.n_max)
+    rule = default_projection_rule(args.params, args.n_max, args.nodes)
     matrix = gram_matrix(args.params, args.n_max, rule)
     if args.format == "csv":
         n = len(matrix)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _finite
 from .params import OperatorParams
 from .quadrature import (
     GAUSS_LEGENDRE_MAX_NODES,
@@ -26,7 +26,7 @@ from .quadrature import (
     uniform_grid,
 )
 from .spectrum import _deficit, asymptotic_coefficient, asymptotic_eigenvalue, eigenvalue
-from .transform import CoefficientVector, _projection, _sample, evaluate, project
+from .transform import CoefficientVector, _l2, _projection, _sample, evaluate, project
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -86,7 +86,8 @@ class DecayModel:
         return np.exp(-self.mode_decay * np.arange(self.n_max + 1, dtype=float))
 
     def coefficients(self, tau: float) -> np.ndarray:
-        return math.pi + self.amplitude * math.exp(-self.decay_rate * tau) * self.weights
+        message = f"coefficients at tau = {tau!r} overflow a 64-bit float"
+        return _finite(lambda: math.pi + self.amplitude * math.exp(-self.decay_rate * tau) * self.weights, message)
 
 
 def _params_inputs(params: OperatorParams) -> dict:
@@ -180,13 +181,10 @@ def rigidity_report(
     for n in n_list:
         coeffs = CoefficientVector(params, np.full(n + 1, math.pi))
         on_nodes = evaluate(coeffs, rule.nodes)
-        with np.errstate(over="ignore"):
-            nsq = float(np.dot(rule.weights, on_nodes**2))
-            l2 = float(np.sqrt(np.dot(rule.weights, (on_nodes - math.pi) ** 2)))
-        if not (math.isfinite(nsq) and math.isfinite(l2)):
-            raise NumericalError(f"norm of the uniform partial sum of {n + 1} terms overflows a 64-bit float")
+        message = f"norm of the uniform partial sum of {n + 1} terms overflows a 64-bit float"
+        nsq = _finite(lambda: float(np.dot(rule.weights, on_nodes**2)), message)
         norm_sq.append(nsq)
-        dist.append(l2)
+        dist.append(_finite(lambda: float(np.sqrt(np.dot(rule.weights, (on_nodes - math.pi) ** 2))), message))
         ratio_err.append(abs(nsq / (n + 1) - math.pi**2))
         deviation = np.abs(evaluate(coeffs, grid) - math.pi)
         boundary_gap.append(float(min(deviation[0], deviation[-1])))
@@ -278,16 +276,9 @@ def inverse_limit_report(
     if np.max(np.abs(profile)) == 0.0:
         raise ValidationError("deviation vanishes identically; nothing to fit")
     deviations = []
-    for tau in taus:
-        try:
-            scale = math.exp(-model.decay_rate * float(tau))
-        except OverflowError:
-            scale = math.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = scale * profile
-        if not np.all(np.isfinite(values)):
-            raise NumericalError(f"deviation at tau = {float(tau)!r} overflows a 64-bit float")
-        deviations.append(values)
+    for tau in taus.tolist():
+        message = f"deviation at tau = {tau!r} overflows a 64-bit float"
+        deviations.append(_finite(lambda: math.exp(-model.decay_rate * tau) * profile, message))
     series: dict = {"tau": taus.tolist()}
     slopes = []
     for k in range(k_max + 1):
@@ -335,15 +326,14 @@ def convergence_study(
     n_list = _increasing(n_list)
     rule = default_projection_rule(params, n_list[-1])
     target_on_nodes, coeffs = _projection(params, target, n_list[-1], rule)
-    target_norm = float(np.sqrt(np.dot(rule.weights, target_on_nodes**2)))
+    target_norm = _l2(rule, target_on_nodes)
     window = uniform_grid(params, 4096)
     interior = np.abs(window) <= 0.9 * params.v_c
     target_interior = _sample(target, window[interior])
     l2_errors, sup_errors = [], []
     for n in n_list:
         partial = CoefficientVector(params, coeffs.coefficients[: n + 1])
-        residual_nodes = target_on_nodes - evaluate(partial, rule.nodes)
-        l2_errors.append(float(np.sqrt(np.dot(rule.weights, residual_nodes**2))))
+        l2_errors.append(_l2(rule, target_on_nodes, evaluate(partial, rule.nodes)))
         residual_interior = target_interior - evaluate(partial, window)[interior]
         sup_errors.append(float(np.max(np.abs(residual_interior))))
     ok = (

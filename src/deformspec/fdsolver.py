@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningWarning, NumericalError, ResolutionError, ValidationError
+from .errors import ConditioningWarning, NumericalError, ResolutionError, ValidationError, _finite
 from .params import OperatorParams
 from .quadrature import uniform_grid
 from .spectrum import eigenvalue
@@ -97,16 +97,10 @@ def discretize(params: OperatorParams, m: int) -> TridiagonalSymmetricMatrix:
     if m < 3:
         raise ValidationError("discretization needs m >= 3 interior points")
     h = 2.0 * params.v_c / (m + 1)
-    try:
-        coeff = math.pi * params.hbar**2 / (params.c**2 * h**2)
-    except (OverflowError, ZeroDivisionError):
-        coeff = math.inf
-    if not math.isfinite(2.0 * coeff):
-        ratio = params.hbar / params.c
-        raise NumericalError(f"3-point coefficient overflows for hbar/c = {ratio!r} and h = {h!r}")
-    diag = np.full(m, math.pi - 2.0 * coeff)
-    offdiag = np.full(m - 1, coeff)
-    return TridiagonalSymmetricMatrix(diag=diag, offdiag=offdiag)
+    message = f"3-point coefficient overflows for hbar/c = {params.hbar / params.c!r} and h = {h!r}"
+    coeff = _finite(lambda: math.pi * params.hbar**2 / (params.c**2 * h**2), message)
+    diag = np.full(m, _finite(lambda: math.pi - 2.0 * coeff, message))
+    return TridiagonalSymmetricMatrix(diag=diag, offdiag=np.full(m - 1, coeff))
 
 
 def interior_grid(params: OperatorParams, m: int) -> np.ndarray:

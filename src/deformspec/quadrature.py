@@ -180,16 +180,11 @@ def composite_simpson_rule(params: OperatorParams, points: int) -> QuadratureRul
     return QuadratureRule(uniform_grid(params, points - 1), weights * (h / 3.0))
 
 
-def default_projection_rule(params: OperatorParams, n_max: int) -> QuadratureRule:
+def default_projection_rule(params: OperatorParams, n_max: int, nodes: int | None = None) -> QuadratureRule:
     """Rule resolving modes 0..n_max: Gauss-Legendre with max(256, 8(n_max+1))
-    nodes, or composite Simpson with 32(n_max+1)+1 points past the GL cap."""
-    return _rule_from_nodes(params, None, n_max)
-
-
-def _rule_from_nodes(params: OperatorParams, nodes: int | None, n_max: int) -> QuadratureRule:
-    """Gauss-Legendre with `nodes` nodes up to GAUSS_LEGENDRE_MAX_NODES, past it
-    composite Simpson with `nodes` rounded up to an odd point count.  Without a
-    node count, the default projection rule for modes 0..n_max."""
+    nodes, or composite Simpson with 32(n_max+1)+1 points past the GL cap.
+    With `nodes`, Gauss-Legendre with that many nodes up to the cap, and past
+    it composite Simpson with `nodes` rounded up to an odd point count."""
     simpson_points = nodes
     if nodes is None:
         nodes = max(256, NODES_PER_MODE * (int(n_max) + 1))

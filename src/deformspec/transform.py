@@ -35,10 +35,10 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericalError, ResolutionError, ValidationError
-from .params import OperatorParams, _require_in_interval
+from .errors import ResolutionError, ValidationError, _finite
+from .params import OperatorParams
 from .quadrature import NODES_PER_MODE, QuadratureRule
-from .spectrum import _half_turns
+from .spectrum import _half_turns, _phase
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,9 @@ def _sine_tables(params: OperatorParams, n_max: int, v: np.ndarray) -> tuple[np.
     v = +-v_c, so every mode is an exact zero there.  Raises
     :class:`DomainError` for |v| > v_c or NaN v.
     """
-    v = _require_in_interval(params, v)
+    t = _phase(params, v)
     b = math.isqrt(n_max) + 1
     q = -(-(n_max + 1) // b)
-    t = (v + params.v_c) / (params.v_c + params.v_c)
     turns = np.concatenate([np.arange(q) * b, np.arange(1, b + 1)]).astype(float)
     theta, odd = _half_turns(turns[:, None] * t)
     sin, cos = np.sin(theta), np.cos(theta)
@@ -130,17 +129,21 @@ def _sine_sums(g: np.ndarray, count: int) -> np.ndarray:
 
 def _projection(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule):
     """(f on the rule's nodes, sampled once, and its :class:`CoefficientVector`
-    a_0..a_n_max); raises :class:`ResolutionError` unless n_max is resolved."""
+    a_0..a_n_max); raises :class:`ResolutionError` unless n_max is resolved
+    and :class:`NumericalError` when a sum overflows a 64-bit float."""
     n_max = _require_resolved(rule, n_max)
     values = _sample(f, rule.nodes)
-    weighted = rule.weights * values
-    if _on_uniform_nodes(params, rule.nodes):
-        sums = _sine_sums(weighted, n_max + 1)
-    else:
+
+    def sums():
+        weighted = rule.weights * values
+        if _on_uniform_nodes(params, rule.nodes):
+            return _sine_sums(weighted, n_max + 1)
         # entry (q, r) of the product is the sum for mode qB + r
         sin_high, cos_high, sin_low, cos_low = _sine_tables(params, n_max, rule.nodes)
-        sums = ((sin_high * weighted) @ cos_low.T + (cos_high * weighted) @ sin_low.T).ravel()[: n_max + 1]
-    return values, CoefficientVector(params=params, coefficients=math.sqrt(1.0 / params.v_c) * sums)
+        return ((sin_high * weighted) @ cos_low.T + (cos_high * weighted) @ sin_low.T).ravel()[: n_max + 1]
+    message = f"projection onto {n_max + 1} modes overflows a 64-bit float"
+    coefficients = _finite(lambda: math.sqrt(1.0 / params.v_c) * sums(), message)
+    return values, CoefficientVector(params=params, coefficients=coefficients)
 
 
 def project(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule) -> CoefficientVector:
@@ -155,31 +158,33 @@ def evaluate(coeffs: CoefficientVector, v) -> np.ndarray:
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     a = coeffs.coefficients
-    with np.errstate(over="ignore", invalid="ignore"):
-        if _on_uniform_nodes(coeffs.params, v):
-            # psi_n(v_j) = sin(pi k j/P)/sqrt(v_c) with k = n+1 is 2P-periodic and odd
-            # in k: fold the coefficients onto k = 0..P with a sign flip past P, then
-            # one DST-I, which ignores slots k = 0 and k = P as their sines vanish at
-            # every node.
-            p = len(v) - 1
-            k = np.arange(1, len(a) + 1) % (2 * p)
-            flip = k > p
-            folded = np.bincount(np.where(flip, 2 * p - k, k), np.where(flip, -a, a), p + 1)
-            out = np.pad(math.sqrt(1.0 / coeffs.params.v_c) * _sine_sums(folded, p - 1), 1)
-        else:
-            # the coefficients as a Q x B table, a_{qB+r} at (q, r) and zeros past n_max
-            sin_high, cos_high, sin_low, cos_low = _sine_tables(coeffs.params, coeffs.n_max, v)
-            table = np.pad(a, (0, len(sin_high) * len(sin_low) - len(a))).reshape(len(sin_high), -1)
-            sums = np.sum(sin_high * (table @ cos_low) + cos_high * (table @ sin_low), axis=0)
-            out = math.sqrt(1.0 / coeffs.params.v_c) * sums
-    if not np.all(np.isfinite(out)):
-        raise NumericalError(f"expansion of {len(a)} coefficients overflows a 64-bit float")
-    return out
+    scale = math.sqrt(1.0 / coeffs.params.v_c)
+    message = f"expansion of {len(a)} coefficients overflows a 64-bit float"
+    if _on_uniform_nodes(coeffs.params, v):
+        # psi_n(v_j) = sin(pi k j/P)/sqrt(v_c) with k = n+1 is 2P-periodic and odd
+        # in k: fold the coefficients onto k = 0..P with a sign flip past P, then
+        # one DST-I, which ignores slots k = 0 and k = P as their sines vanish at
+        # every node.
+        p = len(v) - 1
+        k = np.arange(1, len(a) + 1) % (2 * p)
+        flip = k > p
+        folded = np.bincount(np.where(flip, 2 * p - k, k), np.where(flip, -a, a), p + 1)
+        return _finite(lambda: np.pad(scale * _sine_sums(folded, p - 1), 1), message)
+    # the coefficients as a Q x B table, a_{qB+r} at (q, r) and zeros past n_max
+    sin_high, cos_high, sin_low, cos_low = _sine_tables(coeffs.params, coeffs.n_max, v)
+    table = np.pad(a, (0, len(sin_high) * len(sin_low) - len(a))).reshape(len(sin_high), -1)
+    return _finite(lambda: scale * np.sum(sin_high * (table @ cos_low) + cos_high * (table @ sin_low), axis=0), message)
+
+
+def _l2(rule: QuadratureRule, values: np.ndarray, minus=0.0) -> float:
+    """sqrt of the rule's sum of w_j (values_j - minus)^2, checked by `_finite`."""
+    message = "L^2 norm overflows a 64-bit float"
+    return _finite(lambda: float(np.sqrt(np.dot(rule.weights, (values - minus) ** 2))), message)
 
 
 def l2_norm(params: OperatorParams, f: Callable, rule: QuadratureRule) -> float:
-    """sqrt of the quadrature integral of f^2."""
-    return float(np.sqrt(np.dot(rule.weights, _sample(f, rule.nodes) ** 2)))
+    """sqrt of the quadrature integral of f^2; :class:`NumericalError` when it overflows."""
+    return _l2(rule, _sample(f, rule.nodes))
 
 
 def parseval_defect(params: OperatorParams, f: Callable, n_max: int, rule: QuadratureRule) -> tuple[float, float]:
@@ -191,8 +196,8 @@ def parseval_defect(params: OperatorParams, f: Callable, n_max: int, rule: Quadr
     under-resolved rule shows up instead of being masked.
     """
     values, coeffs = _projection(params, f, n_max, rule)
-    norm = float(np.sqrt(np.dot(rule.weights, values**2)))
-    return norm, float(norm**2 - np.sum(coeffs.coefficients**2))
+    norm = _l2(rule, values)
+    return norm, _finite(lambda: float(norm**2 - np.sum(coeffs.coefficients**2)), "Parseval defect overflows a float")
 
 
 def gram_matrix(params: OperatorParams, n_max: int, rule: QuadratureRule) -> np.ndarray:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -609,7 +610,8 @@ def test_eigenfunction_writes_in_memory_bounded_by_its_samples(tmp_path, monkeyp
     """From the moment the samples exist, ``eigenfunction --output`` holds the
     two sample arrays and one block of cells, however many rows it writes.
 
-    The sampling's own temporaries (about five arrays) are not the writer's, so
+    The sampling's own temporaries (one float array and a byte mask beside the
+    result, 17 B a point in all) are not the writer's, so
     the peak is reset when ``eigenfunction`` returns; what is held then is the
     two arrays plus less than 1 MB that does not grow with the rows (the parser,
     the parameters).  A block of ``BLOCK_CELLS`` cells takes under 128 bytes a
@@ -710,8 +712,18 @@ SMALL_ARGV = {
 
 
 # (c, v_c) at the ends of the v_c range with hbar = 1: 2 v_c overflows, v_c
-# subnormal, the smallest normal v_c, and a v_c whose partial-sum norms overflow
-EDGE_VC = [("1.7976931348623157e308", "1.7e308"), ("2", "1e-320"), ("2", "2.2250738585072014e-308"), ("2", "1e-307")]
+# subnormal, the smallest normal v_c, a v_c whose partial-sum norms overflow,
+# and two large v_c: one where a target's L^2 norm overflows, and one where
+# the projection sums overflow too
+EDGE_VC = [
+    ("1.7976931348623157e308", "1.7e308"),
+    ("2", "1e-320"),
+    ("2", "2.2250738585072014e-308"),
+    ("2", "1e-307"),
+    ("1.7e308", "2e307"),
+    ("1.7e308", "5e307"),
+]
+NON_FINITE = re.compile(r"\b(inf|nan|Infinity|NaN)\b")
 
 
 def run_in_process(argv):
@@ -735,7 +747,7 @@ def test_v_c_outside_the_normal_range_is_a_usage_error(tmp_path, command, c, v_c
     assert err.count("\n") == 1 and "v_c must be a normal float" in err
 
 
-@pytest.mark.parametrize("c, v_c", EDGE_VC[2:], ids=["smallest-normal", "tiny"])
+@pytest.mark.parametrize("c, v_c", EDGE_VC[2:4], ids=["smallest-normal", "tiny"])
 @pytest.mark.parametrize("command", sorted(SMALL_ARGV))
 def test_v_c_at_the_small_end_exits_with_finite_output_or_one_line(tmp_path, command, c, v_c):
     """An overflow is a numerical error, never a verdict or a non-finite cell."""
@@ -748,6 +760,22 @@ def test_v_c_at_the_small_end_exits_with_finite_output_or_one_line(tmp_path, com
         assert out == "" and err.count("\n") == 1
     else:
         assert err == "" and "nan" not in out and "inf" not in out
+
+
+@pytest.mark.parametrize("c, v_c", EDGE_VC[4:], ids=["norm-overflows", "sums-overflow"])
+@pytest.mark.parametrize("command", sorted(SMALL_ARGV))
+def test_v_c_at_the_large_end_exits_with_finite_output_or_one_line(tmp_path, command, c, v_c):
+    """A projection sum or a target norm that overflows is a numerical error,
+    never a non-finite cell or a verdict that passes against an infinite norm."""
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("n,a_n\n0,0.5\n1,-0.25\n")
+    code, out, err = run_in_process([*small_argv(command, coeffs), "--hbar", "1", "--c", c, "--v-c", v_c])
+    if command in ("parseval", "converge", "rigidity") or (command, v_c) == ("project", "5e307"):
+        assert code == 3
+    if code in (2, 3):
+        assert out == "" and err.count("\n") == 1
+    else:
+        assert err == "" and not NON_FINITE.search(out)
 
 
 @settings(max_examples=400, deadline=None)
@@ -763,7 +791,7 @@ def test_v_c_at_the_small_end_exits_with_finite_output_or_one_line(tmp_path, com
 def test_exit_contract(command, fmt, no_meta, tol, si, to_file, edge):
     """Exit 0-3 without a traceback for any subset of the shared flags, also
     at the ends of the v_c range; exit 1 only from a report whose verdict is
-    fail."""
+    fail, and no non-finite number in the output of exit 0 or 1."""
     with tempfile.TemporaryDirectory() as tmp:
         coeffs, output = Path(tmp) / "coeffs.csv", Path(tmp) / "out"
         coeffs.write_text("n,a_n\n0,0.5\n1,-0.25\n")
@@ -778,6 +806,8 @@ def test_exit_contract(command, fmt, no_meta, tol, si, to_file, edge):
         text = output.read_text() if output.exists() else out
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err and err.count("\n") == (1 if code in (2, 3) else 0)
+    if code in (0, 1):
+        assert not NON_FINITE.search(text)
     if code == 1:
         assert command in REPORTS
         if fmt != "csv":

@@ -238,6 +238,13 @@ class TestInverseLimit:
         with pytest.raises(ValidationError):
             DecayModel(amplitude=1.0, decay_rate=1.0, n_max=4, mode_decay=-1.0)
 
+    @pytest.mark.parametrize("tau", [-1000.0, -700.0])
+    def test_coefficients_that_overflow_are_a_numerical_error(self, tau):
+        # exp(1000) raises OverflowError; exp(700) * 1e300 is inf
+        model = DecayModel(amplitude=1e300 if tau == -700.0 else 1.0, decay_rate=1.0, n_max=4)
+        with pytest.raises(NumericalError, match=f"coefficients at tau = {tau!r} overflow"):
+            model.coefficients(tau)
+
     @pytest.mark.parametrize("mode_decay", [-1.0, math.nan, math.inf])
     def test_mode_decay_must_be_finite_non_negative(self, mode_decay):
         with pytest.raises(ValidationError, match="mode_decay"):

@@ -122,7 +122,7 @@ def oracle_cmd_gram(args) -> int:
     per entry, as the CLI wrote it before it formatted the upper triangle."""
     if args.format == "json":
         return cli._cmd_gram(args)
-    rule = cli._rule_from_nodes(args.params, args.nodes, args.n_max)
+    rule = cli.default_projection_rule(args.params, args.n_max, args.nodes)
     matrix = cli.gram_matrix(args.params, args.n_max, rule)
     n = len(matrix)
     cli._emit(args, oracle_write_csv, ["n", *map(str, range(n))], [range(n), *oracle_format_floats(matrix.T)])

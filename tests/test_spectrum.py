@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from deformspec import (
     gauss_legendre_rule,
     si_params,
     sinpi,
+    uniform_grid,
     wavenumber,
 )
 from deformspec.transform import _sine_tables
@@ -91,6 +93,23 @@ def test_eigenfunction_domain_error():
 def test_eigenfunction_rejects_nan(v):
     with pytest.raises(DomainError, match="v = nan"):
         eigenfunction(CANON, 0, v)
+
+
+def test_eigenfunction_holds_17_bytes_a_point_at_its_peak():
+    """The phase product is the one float array of the result: it is reduced,
+    then sin, sign and scale are applied in place.  Beside it the reduction
+    holds the rounded phase (8 B a point, reused for the parity) and the mask
+    of odd turns (1 B a point)."""
+    points = 500_001
+    grid = uniform_grid(CANON, points - 1)
+    tracemalloc.start()
+    try:
+        values = eigenfunction(CANON, 3, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == grid.shape
+    assert peak < 17 * points + 1e6
 
 
 def test_eigenfunction_parity():

@@ -31,7 +31,6 @@ from deformspec import (
     uniform_grid,
 )
 from deformspec import transform
-from deformspec.quadrature import _rule_from_nodes
 
 CANON = canonical_params()
 GL256 = gauss_legendre_rule(CANON, 256)
@@ -240,7 +239,7 @@ class TestGram:
         sizes += [(8, 4097), (64, 4098), (600, 19233), (100, 20000)]
         sizes += [(0, 8), (1, 17), (2, 24), (11, 100)]
         for n_max, nodes in sizes:
-            bits = gram_matrix(params, n_max, _rule_from_nodes(params, nodes, n_max)).view(np.int64)
+            bits = gram_matrix(params, n_max, default_projection_rule(params, n_max, nodes)).view(np.int64)
             assert np.array_equal(bits, bits.T), (n_max, nodes)
 
     @pytest.mark.parametrize(
@@ -259,7 +258,7 @@ class TestGram:
         monkeypatch.setattr(transform, "sliding_window_view", recording)
         for n_max, nodes in [(0, None), (3, None), (8, 4096), (64, 4097), (127, 2048), (255, None), (600, 19233)]:
             windows.clear()
-            gram = gram_matrix(params, n_max, _rule_from_nodes(params, nodes, n_max))
+            gram = gram_matrix(params, n_max, default_projection_rule(params, n_max, nodes))
             toeplitz, hankel = windows
             c = np.full(2 * n_max + 3, np.nan)
             c[: n_max + 1], c[2:] = toeplitz[n_max:], hankel
