@@ -171,6 +171,11 @@ class TestDiscretize:
         with pytest.raises(NumericalError, match="overflows"):
             discretize(custom_params(1, 1, 1e-300), 100)
 
+    def test_diagonal_overflow_raises(self):
+        # kappa = pi (hbar/c)^2/h^2 = 1.003e308 is finite, but the diagonal pi - 2 kappa is not
+        with pytest.raises(NumericalError, match="3-point coefficient overflows"):
+            discretize(custom_params(1.0, 2.0, 1.77e-154), 3)
+
     def test_consistency_on_mode_zero(self):
         # applying A to samples of psi_0 approximates C_0 psi_0 with O(h^2) residual
         residuals = []
