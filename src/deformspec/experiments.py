@@ -14,17 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _finite
+from .errors import ValidationError, _finite
 from .params import OperatorParams
-from .quadrature import (
-    GAUSS_LEGENDRE_MAX_NODES,
-    NODES_PER_MODE,
-    composite_simpson_rule,
-    default_projection_rule,
-    fd_derivative,
-    gauss_legendre_rule,
-    uniform_grid,
-)
+from .quadrature import GAUSS_LEGENDRE_MAX_NODES, NODES_PER_MODE, default_projection_rule, fd_derivative, uniform_grid
 from .spectrum import _deficit, asymptotic_coefficient, asymptotic_eigenvalue, eigenvalue
 from .transform import CoefficientVector, _l2, _projection, _sample, evaluate, project
 
@@ -184,7 +176,7 @@ def rigidity_report(
         message = f"norm of the uniform partial sum of {n + 1} terms overflows a 64-bit float"
         nsq = _finite(lambda: float(np.dot(rule.weights, on_nodes**2)), message)
         norm_sq.append(nsq)
-        dist.append(_finite(lambda: float(np.sqrt(np.dot(rule.weights, (on_nodes - math.pi) ** 2))), message))
+        dist.append(_l2(rule, on_nodes, math.pi))
         ratio_err.append(abs(nsq / (n + 1) - math.pi**2))
         deviation = np.abs(evaluate(coeffs, grid) - math.pi)
         boundary_gap.append(float(min(deviation[0], deviation[-1])))
@@ -226,10 +218,11 @@ def constant_coefficient_report(
         raise ValidationError(f"n_max must be in [0, {largest}], got {n_max}")
     one = lambda v: np.ones_like(np.asarray(v, dtype=float))
     nodes = NODES_PER_MODE * (n_max + 1)
-    gauss = project(params, one, n_max, gauss_legendre_rule(params, max(512, nodes))).coefficients
-    # odd, and 128 points a mode keep Simpson within the tolerance up to n_max 511
+    gauss = project(params, one, n_max, default_projection_rule(params, n_max, max(512, nodes))).coefficients
+    # past the Gauss-Legendre cap: Simpson, on an odd count, where 128 points a
+    # mode keep it within the tolerance up to n_max 511
     simpson_pts = max(16385, 128 * (n_max + 1) + 1)
-    simpson = project(params, one, n_max, composite_simpson_rule(params, simpson_pts)).coefficients
+    simpson = project(params, one, n_max, default_projection_rule(params, n_max, simpson_pts)).coefficients
     ns = np.arange(n_max + 1)
     closed = np.where(ns % 2 == 0, 4.0 * math.sqrt(params.v_c) / ((ns + 1) * math.pi), 0.0)
     ok = np.max(np.abs(gauss - closed)) <= tol and np.max(np.abs(simpson - closed)) <= tol
@@ -283,10 +276,10 @@ def inverse_limit_report(
     slopes = []
     for k in range(k_max + 1):
         seminorms = [float(np.max(np.abs(d if k == 0 else fd_derivative(params, d, k)))) for d in deviations]
-        if not all(0.0 < s < math.inf for s in seminorms):
-            raise NumericalError(f"seminorm_k{k} = {seminorms!r}: a log-slope needs finite positive values")
+        message = f"seminorm_k{k} = {seminorms!r}: a log-slope needs finite positive values"
+        logs = _finite(lambda: np.log(seminorms), message)
         series[f"seminorm_k{k}"] = seminorms
-        slopes.append(float(np.polyfit(taus, np.log(seminorms), 1)[0]))
+        slopes.append(float(np.polyfit(taus, logs, 1)[0]))
     series["k"] = list(range(k_max + 1))
     series["fitted_slope"] = slopes
     ok = all(abs(s + model.decay_rate) <= slope_rel * model.decay_rate for s in slopes)

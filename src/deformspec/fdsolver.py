@@ -191,15 +191,18 @@ def _sturm_view(A: TridiagonalSymmetricMatrix):
     whose coupling square overflows, is one block of all m rows.
     """
     diag, off, p, tails = A.diag, A.offdiag, A.dim // 2, (None,)
-    with np.errstate(over="ignore"):
-        off2 = off**2
+    message = "Sturm bisection overflows: off-diagonal or Gershgorin bound too large"
+
+    def gershgorin():
         radius = np.zeros(A.dim)
         radius[:-1] += np.abs(off)
         radius[1:] += np.abs(off)
-        lower, upper = float(np.min(diag - radius)), float(np.max(diag + radius))
+        return float(np.min(diag - radius)), float(np.max(diag + radius))
+
+    off2 = _finite(lambda: off**2, message)
+    lower, upper = _finite(gershgorin, message)
+    _finite(lambda: (2.0 * lower, 2.0 * upper), message)
     pivmin = max(float(np.max(off2)) if len(off2) else 0.0, 1.0) * 1e-290
-    if not (math.isfinite(pivmin) and math.isfinite(2.0 * lower) and math.isfinite(2.0 * upper)):
-        raise NumericalError("Sturm bisection overflows: off-diagonal or Gershgorin bound too large")
     persymmetric = np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
     if A.dim >= 3 and persymmetric and np.all(off > 0.0):
         if A.dim % 2 == 0:
@@ -406,13 +409,14 @@ def refinement_study(params: OperatorParams, m_list, n_modes: int = 1) -> list[F
     hs = [2.0 * params.v_c / (m + 1) for m in m_list]
     lam_fd = [top_eigenvalues(discretize(params, m), n_modes) for m in m_list]
     abs_errs = [np.abs(lam - lam_an) for lam in lam_fd]
+    message = "relative error overflows a 64-bit float: a closed-form eigenvalue is 0 or nearly 0"
+    rel_errs = [_finite(lambda: err / np.abs(lam_an), message) for err in abs_errs]
     order = math.nan
     if len(m_list) > 1:
-        errs = np.array([err[0] for err in abs_errs])
-        if np.any(errs == 0.0):
-            raise NumericalError("zero error in refinement study; cannot fit an order")
-        order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+        message = "zero error in refinement study; cannot fit an order"
+        log_errs = _finite(lambda: np.log([err[0] for err in abs_errs]), message)
+        order = float(np.polyfit(np.log(hs), log_errs, 1)[0])
     return [
-        FDSpectrumReport(m, h, lam, lam_an, err, err / np.abs(lam_an), order)
-        for m, h, lam, err in zip(m_list, hs, lam_fd, abs_errs)
+        FDSpectrumReport(m, h, lam, lam_an, err, rel, order)
+        for m, h, lam, err, rel in zip(m_list, hs, lam_fd, abs_errs, rel_errs)
     ]

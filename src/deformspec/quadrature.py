@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, ResolutionError, ValidationError
+from .errors import ResolutionError, ValidationError, _finite
 from .params import OperatorParams
 
 GAUSS_LEGENDRE_MAX_NODES = 4096
@@ -223,16 +223,17 @@ def fd_derivative(params: OperatorParams, values, order: int) -> np.ndarray:
     if npts < order + 5:
         raise ResolutionError(f"need at least {order + 5} points for order {order}")
     h = 2.0 * params.v_c / (npts - 1)
-    out = np.empty_like(f)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+
+    def stencils():
         central, fwd = (np.array(w) / h**order for w in _STENCILS[order])
         bwd = (-1) ** order * fwd[::-1]
         radius, side = len(central) // 2, len(fwd)
+        out = np.empty_like(f)
         stacked = np.stack([f[i : npts - 2 * radius + i] for i in range(2 * radius + 1)])
         out[radius:-radius] = central @ stacked
         for i in range(radius):
             out[i] = np.dot(fwd, f[i : i + side])
             out[npts - 1 - i] = np.dot(bwd, f[npts - i - side : npts - i])
-    if not np.all(np.isfinite(out)):
-        raise NumericalError(f"order-{order} finite difference overflows a 64-bit float")
-    return out
+        return out
+
+    return _finite(stencils, f"order-{order} finite difference overflows a 64-bit float")

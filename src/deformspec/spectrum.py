@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ResolutionError, ValidationError, _finite
+from .errors import ResolutionError, ValidationError, _finite
 from .params import OperatorParams, _require_in_interval
 from .quadrature import uniform_grid
 
@@ -29,6 +29,8 @@ def _half_turns(x):
     n = np.round(x, out=np.empty_like(x))
     x -= n
     x *= np.pi
+    # every float past 2^53 is even, so clipping there keeps the parity and the int64 cast in range
+    np.clip(n, -(2.0**53), 2.0**53, out=n)
     # parity from n cast to int64 in place: np.fmod(n, 2.0) is several times slower on the sine tables
     turns = n.view(np.int64)
     np.copyto(turns, n, casting="unsafe")
@@ -78,7 +80,7 @@ def wavenumber(params: OperatorParams, n):
     Raises :class:`NumericalError` when k_n overflows a 64-bit float.
     """
     n = _check_index(n)
-    out = _finite(lambda: (n + 1) * (math.pi / (2.0 * params.v_c)), f"wavenumber overflows for v_c = {params.v_c!r}")
+    out = _finite(lambda: (n + 1.0) * (math.pi / (2.0 * params.v_c)), f"wavenumber overflows for v_c = {params.v_c!r}")
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -139,9 +141,8 @@ def critical_index(params: OperatorParams) -> CriticalIndexReport:
     is confirmed by directly scanning eigenvalue signs.  Raises
     :class:`NumericalError` when x overflows a 64-bit float.
     """
-    x = 2.0 * params.v_c * params.c / (math.pi * params.hbar)
-    if not math.isfinite(x):
-        raise NumericalError(f"x = 2 v_c c/(pi hbar) = {x!r} overflows a 64-bit float")
+    message = f"x = 2 v_c c/(pi hbar) overflows for hbar = {params.hbar!r}, c = {params.c!r}, v_c = {params.v_c!r}"
+    x = _finite(lambda: 2.0 * params.v_c * params.c / (math.pi * params.hbar), message)
     n_star_paper = math.floor(x)
     n_star_exact: int | None = n_star_paper - 1 if x >= 1.0 else None
     if x < 2**52:

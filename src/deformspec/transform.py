@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ResolutionError, ValidationError, _finite
 from .params import OperatorParams
-from .quadrature import NODES_PER_MODE, QuadratureRule
+from .quadrature import NODES_PER_MODE, QuadratureRule, uniform_grid
 from .spectrum import _half_turns, _phase
 
 
@@ -110,8 +110,8 @@ def _sine_tables(params: OperatorParams, n_max: int, v: np.ndarray) -> tuple[np.
 
 
 def _on_uniform_nodes(params: OperatorParams, nodes: np.ndarray) -> bool:
-    """True when the nodes are exactly -v_c + 2 v_c j/P for j = 0..P, P >= 1."""
-    return len(nodes) >= 2 and np.array_equal(nodes, np.linspace(-params.v_c, params.v_c, len(nodes)))
+    """True when the nodes are exactly `uniform_grid(params, P)`, P >= 2."""
+    return len(nodes) >= 3 and np.array_equal(nodes, uniform_grid(params, len(nodes) - 1))
 
 
 def _sine_sums(g: np.ndarray, count: int) -> np.ndarray:

@@ -16,7 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deformspec import FormatError, canonical_params, project, gauss_legendre_rule, deformation_profile, eigenfunction
+from deformspec import (
+    FormatError,
+    canonical_params,
+    custom_params,
+    deformation_profile,
+    eigenfunction,
+    eigenvalue,
+    gauss_legendre_rule,
+    project,
+)
 from deformspec.cli import _COMMANDS, MAX_INT_ARG, _build_parser, run
 from deformspec.experiments import DEFAULT_TOLERANCES
 from deformspec.io import read_coefficients, write_coefficients, write_csv
@@ -493,12 +502,26 @@ def test_inverse_limit_seminorm_underflow_exits_three(capsys, beta):
         ["--beta", "1000", "--tau-list=-3,-2,-1"],  # exp(-beta tau) overflows
         ["--A", "1e300", "--beta", "1", "--tau-list=-700,-699,-698"],  # A exp(-beta tau) overflows
         ["--A", "1e300", "--beta", "1", "--tau-list", "1,2,3", "--k-max", "4"],  # a derivative overflows
+        # a grid spacing near 1e156: the stencils' Python-float h**order overflows
+        ["--hbar", "1", "--c", "1e300", "--v-c", "1e160"],
+        ["--hbar", "1", "--c", "1e300", "--v-c", "1e160", "--k-max", "4"],
     ],
 )
 def test_inverse_limit_overflow_exits_three(capsys, argv):
     code, out, err = invoke(capsys, "inverse-limit", *argv)
     assert (code, out) == (3, "")
     assert err.startswith("deformspec: numerical error:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fd_validate_at_a_zero_eigenvalue_exits_three(capsys, fmt):
+    # 2 v_c c/(pi hbar) = 1 exactly, so C_0 = 0 and its relative error divides by zero
+    v_c = "0.7853981633974483"
+    assert eigenvalue(custom_params(1, 2, float(v_c)), 0) == 0.0
+    code, out, err = invoke(capsys, "fd-validate", "--hbar", "1", "--c", "2", "--v-c", v_c, "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith("deformspec: numerical error: relative error overflows") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 11.9 GiB for an array", ""])

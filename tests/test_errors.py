@@ -1,7 +1,9 @@
 """`errors._finite`, the one overflow check every numeric result passes."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,3 +63,23 @@ def test_finite_values_come_back_unchanged():
 def test_other_errors_propagate():
     with pytest.raises(ValueError, match="not a number"):
         _finite(lambda: float("not a number"), "unused")
+
+
+
+def _errstate_owners(node, module, owner="<module>"):
+    """(module, innermost enclosing function) of every `errstate` reference under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.Attribute) and node.attr == "errstate":
+        yield module, owner
+    for child in ast.iter_child_nodes(node):
+        yield from _errstate_owners(child, module, owner)
+
+
+def test_error_state_is_set_only_by_finite_and_the_sturm_counts():
+    """Every check on a computed result goes through `_finite`; only the Sturm
+    counts, which need divide and invalid to raise, set numpy's error state."""
+    owners = set()
+    for path in (Path(__file__).parents[1] / "src" / "deformspec").glob("*.py"):
+        owners.update(_errstate_owners(ast.parse(path.read_text()), path.stem))
+    assert owners == {("errors", "_finite"), ("fdsolver", "_sturm_counts")}

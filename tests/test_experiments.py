@@ -148,7 +148,7 @@ class TestConstantCoefficients:
 
     @pytest.mark.parametrize("n_max", [-1, 512, 600])
     def test_n_max_beyond_the_gauss_legendre_cap_is_rejected_by_name(self, n_max):
-        with mock.patch("deformspec.experiments.gauss_legendre_rule") as build:
+        with mock.patch("deformspec.experiments.default_projection_rule") as build:
             with pytest.raises(ValidationError, match=rf"n_max must be in \[0, 511\], got {n_max}"):
                 constant_coefficient_report(CANON, n_max)
         build.assert_not_called()

@@ -44,6 +44,13 @@ def test_wavenumber_validation():
         wavenumber(CANON, 1.5)
 
 
+@pytest.mark.parametrize("n", [2**63 - 1, np.uint64(2**64 - 1)], ids=["int64-max", "uint64-max"])
+def test_wavenumber_at_the_largest_integers_is_positive(n):
+    # n + 1 would wrap in the integer type; n + 1.0 is a float
+    assert wavenumber(CANON, n) == pytest.approx((float(n) + 1.0) * math.pi / (2.0 * CANON.v_c), rel=1e-15)
+    assert wavenumber(CANON, n) > 0.0
+
+
 def test_eigenvalue_values():
     # oracle: direct closed-form evaluation with k0^2 = 3.6195348154008538
     assert eigenvalue(CANON, 0) == pytest.approx(-8.229511331886018, rel=1e-14)
@@ -316,6 +323,13 @@ class TestSinpi:
     def test_half_integers(self):
         assert sinpi(0.5) == 1.0
         assert sinpi(1.5) == -1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [1e300, -1e300, 2.0**63, 1.7976931348623157e308])
+    def test_arguments_past_the_int64_range_are_exact_zeros_without_a_warning(self, x):
+        # every float past 2^53 is an even integer
+        assert sinpi(x) == 0.0
+        assert np.array_equal(sinpi(np.array([x, 0.5])), [0.0, 1.0])
 
     @settings(max_examples=200, deadline=None)
     @given(x=st.floats(min_value=-8.0, max_value=8.0))
