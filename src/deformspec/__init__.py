@@ -16,20 +16,20 @@ from .experiments import (
     DEFAULT_TOLERANCES,
     DecayModel,
     ExperimentReport,
+    FDSpectrumReport,
     asymptotics_report,
     constant_coefficient_report,
     convergence_study,
     inverse_limit_report,
+    refinement_study,
     rigidity_report,
 )
 from .fdsolver import (
-    FDSpectrumReport,
     TridiagonalSymmetricMatrix,
     discretize,
     eigenvalues_tridiagonal,
     eigenvector_inverse_iteration,
     interior_grid,
-    refinement_study,
     top_eigenvalues,
 )
 from .params import (

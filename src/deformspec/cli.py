@@ -19,8 +19,14 @@ import numpy as np
 
 from . import __version__
 from .errors import DeformSpecError, NumericalError, ValidationError
-from .experiments import DecayModel, asymptotics_report, convergence_study, inverse_limit_report, rigidity_report
-from .fdsolver import refinement_study
+from .experiments import (
+    DecayModel,
+    asymptotics_report,
+    convergence_study,
+    inverse_limit_report,
+    refinement_study,
+    rigidity_report,
+)
 from .io import Records, format_floats, read_coefficients, write_coefficients, write_csv, write_json
 from .params import OperatorParams, canonical_params, custom_params, deformation_profile, si_params
 from .quadrature import default_projection_rule, uniform_grid

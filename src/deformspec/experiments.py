@@ -1,9 +1,12 @@
-"""Executable experiments: asymptotics, rigidity, inverse-limit decay and
-reconstruction convergence.
+"""Executable experiments: asymptotics, rigidity, inverse-limit decay,
+reconstruction convergence and the finite-difference refinement study.
 
 Each driver returns an :class:`ExperimentReport` whose verdict is justified by
 named series columns and explicit tolerances, so the same object serializes to
-JSON/CSV and backs the acceptance suite.
+JSON/CSV and backs the acceptance suite; the refinement study returns one
+:class:`FDSpectrumReport` per grid.  Every comparison with the closed form
+lives here: the finite-difference estimate comes from fdsolver, which never
+imports the closed form (tests/test_routes.py).
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError, _finite
+from .errors import ResolutionError, ValidationError, _finite
+from .fdsolver import discretize, top_eigenvalues
 from .params import OperatorParams
 from .quadrature import GAUSS_LEGENDRE_MAX_NODES, NODES_PER_MODE, default_projection_rule, fd_derivative, uniform_grid
 from .spectrum import _deficit, asymptotic_coefficient, asymptotic_eigenvalue, eigenvalue
@@ -36,6 +40,12 @@ DEFAULT_TOLERANCES = {
     "converge.final_l2_rel": 0.0248,
 }
 
+# Largest grid an FD validation discretizes; each eigenvalue sweep is an
+# m/2-step Python loop.  In process on a 2-core x86-64 box, `fd-validate
+# --grid-sizes 100000 --modes 10` takes 2.4-3.9 s and `--grid-sizes
+# 25000,50000,100000` 3.6-5.8 s.
+FD_MAX_INTERIOR_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -46,6 +56,19 @@ class ExperimentReport:
     tolerances: dict
     series: dict
     verdict: str
+
+
+@dataclass(frozen=True)
+class FDSpectrumReport:
+    """Per-grid comparison of discrete and analytic eigenvalues."""
+
+    m: int
+    h: float
+    eigenvalues_fd: np.ndarray
+    eigenvalues_analytic: np.ndarray
+    abs_errors: np.ndarray
+    rel_errors: np.ndarray
+    convergence_order: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -346,3 +369,31 @@ def convergence_study(
         series={"n": n_list, "l2_error": l2_errors, "interior_sup_error": sup_errors},
         verdict=VERDICT_PASS if ok else VERDICT_FAIL,
     )
+
+
+def refinement_study(params: OperatorParams, m_list, n_modes: int = 1) -> list[FDSpectrumReport]:
+    """The top n_modes discrete eigenvalues against the closed form at each of
+    one or more increasing grid sizes, only well-resolved modes (n_modes <= m/4
+    at every size).  From two sizes on, the mode-0 convergence order fitted
+    across them is stored on every report; with one size it stays NaN."""
+    m_list = _increasing(m_list)
+    n_modes = int(n_modes)
+    if not 1 <= n_modes <= m_list[0] / 4:
+        raise ValidationError("only well-resolved modes are compared: need 1 <= n_modes <= m/4")
+    if m_list[-1] > FD_MAX_INTERIOR_POINTS:
+        raise ResolutionError(f"grid of {m_list[-1]} interior points exceeds the FD limit of {FD_MAX_INTERIOR_POINTS}")
+    lam_an = eigenvalue(params, np.arange(n_modes))
+    hs = [2.0 * params.v_c / (m + 1) for m in m_list]
+    lam_fd = [top_eigenvalues(discretize(params, m), n_modes) for m in m_list]
+    abs_errs = [np.abs(lam - lam_an) for lam in lam_fd]
+    message = "relative error overflows a 64-bit float: a closed-form eigenvalue is 0 or nearly 0"
+    rel_errs = [_finite(lambda: err / np.abs(lam_an), message) for err in abs_errs]
+    order = math.nan
+    if len(m_list) > 1:
+        message = "zero error in refinement study; cannot fit an order"
+        log_errs = _finite(lambda: np.log([err[0] for err in abs_errs]), message)
+        order = float(np.polyfit(np.log(hs), log_errs, 1)[0])
+    return [
+        FDSpectrumReport(m, h, lam, lam_an, err, rel, order)
+        for m, h, lam, err, rel in zip(m_list, hs, lam_fd, abs_errs, rel_errs)
+    ]

@@ -8,8 +8,10 @@ bounds (each sweep counts at every midpoint of several bisection levels, once
 per distinct bracket and never again at a shift whose count is known, so the
 brackets are exactly those of one-midpoint bisection), returned as bracket
 midpoints; eigenvectors from shifted inverse iteration with a partially
-pivoted tridiagonal solve.  Nothing here touches the sine basis, so agreement
-with the analytic spectrum is a genuine two-route check.
+pivoted tridiagonal solve.  Importing only errors, params and quadrature, it
+never sees the closed form or the sine basis, so agreement with the analytic
+spectrum (experiments.refinement_study) is a genuine two-route check; the
+tests in tests/test_routes.py hold it to that.
 
 The matrix reads the same backwards (it commutes with v -> -v), so it splits
 exactly into a symmetric and an antisymmetric block of about m/2 rows that
@@ -28,22 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningWarning, NumericalError, ResolutionError, ValidationError, _finite
+from .errors import ConditioningWarning, NumericalError, ValidationError, _finite
 from .params import OperatorParams
 from .quadrature import uniform_grid
-from .spectrum import eigenvalue
 
 # A Sturm sweep over s shifts costs about (1 + s/SWEEP_WIDTH) sweeps over one
 # shift: below a few thousand shifts the per-row numpy call overhead dominates.
 # Counts alone fit 2100-2300 at m = 2000 (2-core x86-64 box); with the node
 # build and walk, whole solves tie from 2500 to 4000 and slow 15-20% at 2000.
 SWEEP_WIDTH = 3000
-
-# Largest grid an FD validation discretizes; each eigenvalue sweep is an
-# m/2-step Python loop.  In process on a 2-core x86-64 box, `fd-validate
-# --grid-sizes 100000 --modes 10` takes 2.4-3.9 s and `--grid-sizes
-# 25000,50000,100000` 3.6-5.8 s.
-FD_MAX_INTERIOR_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -72,19 +67,6 @@ class TridiagonalSymmetricMatrix:
         out[:-1] += self.offdiag * v[1:]
         out[1:] += self.offdiag * v[:-1]
         return out
-
-
-@dataclass(frozen=True)
-class FDSpectrumReport:
-    """Per-grid comparison of discrete and analytic eigenvalues."""
-
-    m: int
-    h: float
-    eigenvalues_fd: np.ndarray
-    eigenvalues_analytic: np.ndarray
-    abs_errors: np.ndarray
-    rel_errors: np.ndarray
-    convergence_order: float = math.nan
 
 
 def discretize(params: OperatorParams, m: int) -> TridiagonalSymmetricMatrix:
@@ -375,10 +357,10 @@ def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> 
     v = rng.standard_normal(A.dim)
     v /= np.linalg.norm(v)
     for _ in range(2):
-        w = _solve_shifted(A, lam, v)
+        w = _finite(lambda: _solve_shifted(A, lam, v), "inverse iteration produced a non-finite iterate")
         peak = np.max(np.abs(w))
-        if not np.isfinite(peak) or peak == 0.0:
-            raise NumericalError("inverse iteration produced a non-finite iterate")
+        if peak == 0.0:
+            raise NumericalError("inverse iteration produced a zero iterate")
         # a floored zero pivot leaves entries near 1e306, whose squares overflow;
         # a power-of-two scale is exact, so v is still w / |w| to the bit
         w = np.ldexp(w, -math.frexp(peak)[1])
@@ -391,32 +373,3 @@ def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> 
         v = -v
     return v
 
-
-def refinement_study(params: OperatorParams, m_list, n_modes: int = 1) -> list[FDSpectrumReport]:
-    """The top n_modes discrete eigenvalues against the closed form at each of
-    one or more increasing grid sizes, only well-resolved modes (n_modes <= m/4
-    at every size).  From two sizes on, the mode-0 convergence order fitted
-    across them is stored on every report; with one size it stays NaN."""
-    m_list = [int(m) for m in m_list]
-    n_modes = int(n_modes)
-    if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
-        raise ValidationError("m_list must be non-empty and increasing")
-    if not 1 <= n_modes <= m_list[0] / 4:
-        raise ValidationError("only well-resolved modes are compared: need 1 <= n_modes <= m/4")
-    if m_list[-1] > FD_MAX_INTERIOR_POINTS:
-        raise ResolutionError(f"grid of {m_list[-1]} interior points exceeds the FD limit of {FD_MAX_INTERIOR_POINTS}")
-    lam_an = eigenvalue(params, np.arange(n_modes))
-    hs = [2.0 * params.v_c / (m + 1) for m in m_list]
-    lam_fd = [top_eigenvalues(discretize(params, m), n_modes) for m in m_list]
-    abs_errs = [np.abs(lam - lam_an) for lam in lam_fd]
-    message = "relative error overflows a 64-bit float: a closed-form eigenvalue is 0 or nearly 0"
-    rel_errs = [_finite(lambda: err / np.abs(lam_an), message) for err in abs_errs]
-    order = math.nan
-    if len(m_list) > 1:
-        message = "zero error in refinement study; cannot fit an order"
-        log_errs = _finite(lambda: np.log([err[0] for err in abs_errs]), message)
-        order = float(np.polyfit(np.log(hs), log_errs, 1)[0])
-    return [
-        FDSpectrumReport(m, h, lam, lam_an, err, rel, order)
-        for m, h, lam, err, rel in zip(m_list, hs, lam_fd, abs_errs, rel_errs)
-    ]

@@ -42,9 +42,13 @@ def sinpi(x):
 
     The reduction x - round(x) is exact in binary floating point, which makes
     eigenfunction values at the interval endpoints exact zeros instead of
-    O(n*eps) residue from rounding pi*(n+1).
+    O(n*eps) residue from rounding pi*(n+1).  Every x must be finite: an
+    infinite or NaN x raises :class:`ValidationError`.
     """
-    out, odd = _half_turns(np.array(x, dtype=float))
+    x = np.array(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("sinpi needs finite x")
+    out, odd = _half_turns(x)
     np.sin(out, out=out)
     np.negative(out, out=out, where=odd)
     return float(out) if out.ndim == 0 else out

@@ -244,16 +244,16 @@ class TestReports:
 
     @pytest.mark.parametrize("sizes", ["20000000", "250,20000000"])
     def test_fd_validate_grid_over_limit_exits_2_before_allocating(self, capsys, monkeypatch, sizes):
-        from deformspec import fdsolver
+        from deformspec import experiments
 
         def no_discretize(*args):
             raise AssertionError("discretize reached with a grid over the FD limit")
 
-        monkeypatch.setattr(fdsolver, "discretize", no_discretize)
+        monkeypatch.setattr(experiments, "discretize", no_discretize)
         code, out, err = invoke(capsys, "fd-validate", "--grid-sizes", sizes)
         assert code == 2
         assert out == ""
-        assert "20000000" in err and str(fdsolver.FD_MAX_INTERIOR_POINTS) in err
+        assert "20000000" in err and str(experiments.FD_MAX_INTERIOR_POINTS) in err
         assert "Traceback" not in err
 
     def test_parseval(self, capsys):

@@ -722,6 +722,20 @@ class TestInverseIteration:
         with pytest.raises(NumericalError):
             eigenvector_inverse_iteration(A, 5.0)
 
+    @pytest.mark.parametrize(
+        "fill, message",
+        [(math.inf, "non-finite iterate"), (math.nan, "non-finite iterate"), (0.0, "zero iterate")],
+        ids=["inf", "nan", "zero"],
+    )
+    def test_an_iterate_that_is_not_finite_or_is_zero_is_a_numerical_error(self, monkeypatch, fill, message):
+        A = discretize(CANON, 50)
+        lam = top_eigenvalues(A, 1)[0]
+        monkeypatch.setattr(fdsolver, "_solve_shifted", lambda A, lam, b: np.full(A.dim, fill))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                eigenvector_inverse_iteration(A, lam)
+
 
 class TestValidation:
     def test_m2000_reproduces_leading_modes(self):

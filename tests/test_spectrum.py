@@ -331,6 +331,13 @@ class TestSinpi:
         assert sinpi(x) == 0.0
         assert np.array_equal(sinpi(np.array([x, 0.5])), [0.0, 1.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_arguments_are_rejected_without_a_warning(self, x):
+        for arg in (x, np.float64(x), np.array([0.5, x, 1.0])):
+            with pytest.raises(ValidationError, match="finite"):
+                sinpi(arg)
+
     @settings(max_examples=200, deadline=None)
     @given(x=st.floats(min_value=-8.0, max_value=8.0))
     def test_matches_library_sine(self, x):
