@@ -22,7 +22,7 @@ print("leading coefficients of the profile (odd modes vanish by symmetry):")
 for n in range(6):
     print(f"  a_{n} = {coeffs.coefficients[n]: .10f}")
 
-norm_sq = ds.l2_norm(params, profile, rule) ** 2
+norm_sq = ds.l2_norm(profile, rule) ** 2
 v_c = params.v_c
 analytic = 2 * np.pi**2 * (v_c - 2 * v_c**3 / 3 + v_c**5 / 5)
 print(f"\n||C||^2 by quadrature = {norm_sq:.12f}")
@@ -32,7 +32,7 @@ print("\nParseval defect ||C||^2 - sum a_n^2 (relative):")
 big_rule = ds.default_projection_rule(params, 1000)
 big = ds.project(params, profile, 1000, big_rule)
 cumulative = np.cumsum(big.coefficients**2)
-norm_sq_big = ds.l2_norm(params, profile, big_rule) ** 2
+norm_sq_big = ds.l2_norm(profile, big_rule) ** 2
 for n in (64, 128, 256, 512, 1000):
     defect = norm_sq_big - cumulative[n]
     print(f"  N = {n:>4}: {defect/norm_sq_big:.3e}")

@@ -56,7 +56,6 @@ from .spectrum import (
     critical_index,
     eigenfunction,
     eigenvalue,
-    sinpi,
     wavenumber,
 )
 from .transform import (
@@ -117,7 +116,6 @@ __all__ = [
     "refinement_study",
     "rigidity_report",
     "si_params",
-    "sinpi",
     "top_eigenvalues",
     "uniform_grid",
     "wavenumber",

@@ -100,10 +100,6 @@ class DecayModel:
     def weights(self) -> np.ndarray:
         return np.exp(-self.mode_decay * np.arange(self.n_max + 1, dtype=float))
 
-    def coefficients(self, tau: float) -> np.ndarray:
-        message = f"coefficients at tau = {tau!r} overflow a 64-bit float"
-        return _finite(lambda: math.pi + self.amplitude * math.exp(-self.decay_rate * tau) * self.weights, message)
-
 
 def _params_inputs(params: OperatorParams) -> dict:
     return {"hbar": params.hbar, "c": params.c, "v_c": params.v_c, "unit_mode": params.unit_mode}

@@ -124,8 +124,12 @@ def write_coefficients(stream, coeffs: CoefficientVector) -> None:
 
 
 def read_coefficients(path, params: OperatorParams) -> CoefficientVector:
-    """Parse a coefficient CSV (header ``n,a_n``, consecutive n from 0)."""
-    text = Path(path).read_text()
+    """Parse a coefficient CSV (header ``n,a_n``, consecutive n from 0);
+    raises :class:`FormatError` for bytes the text encoding cannot decode."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"byte {exc.start}: not {exc.encoding} text ({exc.reason})") from None
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != "n,a_n":
         raise FormatError("line 1: expected header 'n,a_n'")

@@ -100,7 +100,8 @@ def _theta_start(m: int) -> np.ndarray:
     exact cosine series of P_m; the others use Stieltjes' asymptotic series
     (Hale & Townsend, SISC 35(2), 2013, section 3).  Newton needs only the
     ratio P/P'.  The tests check that the result is within 1e-15 of the
-    roots, so the recurrence loop in _unit_gauss_legendre stops after one sweep.
+    roots, so the one recurrence sweep in _unit_gauss_legendre, a Newton step
+    in x, is enough.
     """
     i = np.arange(1, (m + 1) // 2 + 1)
     guess = (1.0 - 1.0 / (8.0 * m**2) + 1.0 / (8.0 * m**3)) * np.cos(np.pi * (i - 0.25) / (m + 0.5))

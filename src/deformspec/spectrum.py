@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError, ValidationError, _finite
+from .errors import NumericalError, ResolutionError, ValidationError, _finite
 from .params import OperatorParams, _require_in_interval
 from .quadrature import uniform_grid
 
@@ -35,23 +35,6 @@ def _half_turns(x):
     turns = n.view(np.int64)
     np.copyto(turns, n, casting="unsafe")
     return x, np.bitwise_and(turns, 1, out=turns).astype(bool)
-
-
-def sinpi(x):
-    """sin(pi*x) with argument reduction so integer x gives exactly 0.0.
-
-    The reduction x - round(x) is exact in binary floating point, which makes
-    eigenfunction values at the interval endpoints exact zeros instead of
-    O(n*eps) residue from rounding pi*(n+1).  Every x must be finite: an
-    infinite or NaN x raises :class:`ValidationError`.
-    """
-    x = np.array(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("sinpi needs finite x")
-    out, odd = _half_turns(x)
-    np.sin(out, out=out)
-    np.negative(out, out=out, where=odd)
-    return float(out) if out.ndim == 0 else out
 
 
 def _phase(params: OperatorParams, v) -> np.ndarray:
@@ -105,12 +88,18 @@ def _deficit(params: OperatorParams, n):
 
 
 def asymptotic_coefficient(params: OperatorParams) -> float:
-    """Quadratic decay rate alpha = hbar^2 pi^3 / (4 c^2 v_c^2).
+    """Quadratic decay rate alpha = (hbar/c)^2 pi^3 / (4 v_c^2).
 
-    Raises :class:`NumericalError` when alpha overflows a 64-bit float.
+    Raises :class:`NumericalError` when alpha overflows a 64-bit float or
+    underflows to zero.
     """
-    message = f"decay rate overflows for hbar/c = {params.hbar / params.c!r} and v_c = {params.v_c!r}"
-    return _finite(lambda: params.hbar**2 * math.pi**3 / (4.0 * params.c**2 * params.v_c**2), message)
+    ratio = params.hbar / params.c
+    where = f"for hbar/c = {ratio!r} and v_c = {params.v_c!r}"
+    # v_c * v_c is inf where v_c**2 would raise, so alpha reads 0 when the denominator overflows
+    alpha = _finite(lambda: ratio**2 * math.pi**3 / (4.0 * params.v_c * params.v_c), f"decay rate overflows {where}")
+    if alpha == 0.0:
+        raise NumericalError(f"decay rate underflows {where}")
+    return alpha
 
 
 def asymptotic_eigenvalue(params: OperatorParams, n):
@@ -138,7 +127,7 @@ def eigenfunction(params: OperatorParams, n, v):
 def critical_index(params: OperatorParams) -> CriticalIndexReport:
     """Compare the floor formula floor(2 v_c c / (pi hbar)) with the exact sign change.
 
-    C_n >= 0 is equivalent to n + 1 <= x with x = 2 v_c c / (pi hbar), so the
+    C_n >= 0 is equivalent to n + 1 <= x with x = 2 v_c / (pi hbar/c), so the
     exact largest non-negative index is floor(x) - 1 whenever x >= 1 and there
     is none otherwise.  Both indices are reported; ``agree`` records whether
     the floor formula matches the exact index.  For moderate x the candidate
@@ -146,7 +135,7 @@ def critical_index(params: OperatorParams) -> CriticalIndexReport:
     :class:`NumericalError` when x overflows a 64-bit float.
     """
     message = f"x = 2 v_c c/(pi hbar) overflows for hbar = {params.hbar!r}, c = {params.c!r}, v_c = {params.v_c!r}"
-    x = _finite(lambda: 2.0 * params.v_c * params.c / (math.pi * params.hbar), message)
+    x = _finite(lambda: 2.0 * params.v_c / (math.pi * (params.hbar / params.c)), message)
     n_star_paper = math.floor(x)
     n_star_exact: int | None = n_star_paper - 1 if x >= 1.0 else None
     if x < 2**52:

@@ -118,7 +118,7 @@ def _sine_sums(g: np.ndarray, count: int) -> np.ndarray:
     """sum_j g_j sin(pi k j/P) for k = 1..count over P+1 samples (DST-I).
 
     One real FFT of the odd extension of length 2P; the endpoint samples drop
-    out, as they do under the exact zeros of `sinpi`.
+    out, as every mode of `eigenfunction` is exactly zero at +-v_c.
     """
     p = len(g) - 1
     x = np.zeros(2 * p)
@@ -182,7 +182,7 @@ def _l2(rule: QuadratureRule, values: np.ndarray, minus=0.0) -> float:
     return _finite(lambda: float(np.sqrt(np.dot(rule.weights, (values - minus) ** 2))), message)
 
 
-def l2_norm(params: OperatorParams, f: Callable, rule: QuadratureRule) -> float:
+def l2_norm(f: Callable, rule: QuadratureRule) -> float:
     """sqrt of the quadrature integral of f^2; :class:`NumericalError` when it overflows."""
     return _l2(rule, _sample(f, rule.nodes))
 

@@ -195,7 +195,7 @@ def test_criterion_07_parseval():
     analytic_norm_sq = 2 * math.pi**2 * (v_c - 2 * v_c**3 / 3 + v_c**5 / 5)
     rule = default_projection_rule(CANON, 1000)
     profile = lambda v: deformation_profile(CANON, v)
-    norm_sq = l2_norm(CANON, profile, rule) ** 2
+    norm_sq = l2_norm(profile, rule) ** 2
     norm_ok = abs(norm_sq - analytic_norm_sq) < 1e-9
     coeffs = project(CANON, profile, 1000, rule)
     cumulative = np.cumsum(coeffs.coefficients**2)

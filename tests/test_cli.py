@@ -75,6 +75,12 @@ class TestCriticalIndexCommand:
         doc = json.loads(out)
         assert doc["n_star_exact"] == "none"
 
+    def test_x_from_the_ratio_of_hbar_and_c(self, capsys):
+        # 2 v_c c = 2e320 would overflow; 2 v_c / (pi hbar/c) does not
+        argv = ["critical-index", "--hbar", "1e200", "--c", "1e200", "--v-c", "1e120", "--no-meta"]
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and json.loads(out)["x"] == pytest.approx(6.366e119, rel=1e-4)
+
     @pytest.mark.parametrize(
         "custom", [["1e-200", "1e200", "1e199"], ["5e-324", "1", "0.5"]], ids=["huge-ratio", "denormal-hbar"]
     )
@@ -371,6 +377,7 @@ class TestUsageErrors:
             ["reconstruct", "--coeffs", "n,a_n\n0,1,2\n"],
             ["reconstruct", "--coeffs", "n,a_n\n0,abc\n"],
             ["reconstruct", "--coeffs", "n,a_n\n"],
+            ["reconstruct", "--coeffs", b"n,a_n\n0,\xff\n"],
             ["rigidity", "--n-list", ","],
             ["converge", "--n-list", ","],
             ["inverse-limit", "--tau-list", ","],
@@ -381,14 +388,15 @@ class TestUsageErrors:
         ids=[
             "tol-without-equals", "unknown-target", "n-list-not-int", "negative-amplitude", "k-max-5",
             "zero-amplitude", "nan-tau", "inf-tau", "zero-modes", "coeffs-three-fields", "coeffs-not-a-number",
-            "coeffs-header-only", "empty-n-list", "empty-converge-n-list", "empty-tau-list", "empty-grid-sizes",
-            "two-grid-points", "reconstruct-zero-grid-points",
+            "coeffs-header-only", "coeffs-not-utf8", "empty-n-list", "empty-converge-n-list", "empty-tau-list",
+            "empty-grid-sizes", "two-grid-points", "reconstruct-zero-grid-points",
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, capsys, tmp_path, argv):
         if argv[0] == "reconstruct":
             path = tmp_path / "coeffs.csv"
-            path.write_text(argv[-1])
+            contents = argv[-1]
+            path.write_bytes(contents if isinstance(contents, bytes) else contents.encode())
             argv = [*argv[:-1], str(path)]
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, "")
@@ -396,9 +404,21 @@ class TestUsageErrors:
         if "--grid-points" in argv:
             assert f"--grid-points must be >= 3, got {argv[argv.index('--grid-points') + 1]}" in err
 
+    def test_undecodable_coefficient_file_in_a_real_process(self, tmp_path):
+        """What a user sees: exit 2, one stderr line and no traceback."""
+        path = tmp_path / "coeffs.csv"
+        path.write_bytes(b"n,a_n\n0,\xff\n")
+        argv = ["reconstruct", "--coeffs", str(path)]
+        with deformspec_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+            out, err = child.communicate(timeout=120)
+        assert (child.returncode, out) == (2, b"")
+        assert err.startswith(b"deformspec: error: byte 8: not ") and err.count(b"\n") == 1
+        assert b"Traceback" not in err
 
-# Integer arguments past what numpy can allocate (2^63 bytes) or sinpi can cast
-# to int64; each once escaped as a traceback or printed meaningless samples.
+
+# Integer arguments past what numpy can allocate (2^63 bytes) or, for a mode n, whose
+# phase (n+1) t leaves the int64 range; each once escaped as a traceback or printed
+# meaningless samples.
 HUGE = str(10**20)
 OVERSIZED_ARGV = [
     ["spectrum", "--n-max", HUGE],
@@ -455,6 +475,19 @@ def test_overflowing_parameters_exit_three(capsys, command):
     code, out, err = invoke(capsys, command, "--hbar", "1", "--c", "1", "--v-c", "1e-300")
     assert (code, out) == (3, "")
     assert err.startswith("deformspec: numerical error:") and "Traceback" not in err
+
+
+def test_asymptotics_reads_hbar_and_c_through_their_ratio(capsys):
+    argv = ["asymptotics", "--format", "csv", "--v-c", "0.8"]
+    runs = [invoke(capsys, *argv, "--hbar", h, "--c", h) for h in ("1e155", "1")]
+    assert runs[0][0] == runs[1][0] == 0 and runs[0][1] == runs[1][1]
+
+
+@pytest.mark.parametrize("c,v_c", [("1e200", "1e120"), ("1.7e308", "2e307")])
+def test_underflowing_decay_rate_exits_three(capsys, c, v_c):
+    code, out, err = invoke(capsys, "asymptotics", "--hbar", "1", "--c", c, "--v-c", v_c)
+    assert (code, out) == (3, "")
+    assert err.startswith("deformspec: numerical error: decay rate underflows") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -166,27 +166,25 @@ class TestConstantCoefficients:
 
 
 class TestInverseLimit:
+    @staticmethod
+    def deviation(model, tau, grid):
+        """D(v, tau) = sum_n (C_n(tau) - pi) psi_n(v), the deviation the report
+        evaluates: the trajectory's expansion less the uniform partial sum."""
+        coeffs = model.amplitude * math.exp(-model.decay_rate * tau) * model.weights
+        return evaluate(CoefficientVector(CANON, coeffs), grid)
+
     def test_trajectory_far_in_time_is_uniform_sum(self):
         model = DecayModel(amplitude=1.0, decay_rate=1.0, n_max=8)
-        grid = uniform_grid(CANON, 600)
-        far = evaluate(CoefficientVector(CANON, model.coefficients(50.0)), grid)
-        uniform = evaluate(CoefficientVector(CANON, np.full(9, math.pi)), grid)
-        assert np.max(np.abs(far - uniform)) < math.exp(-50) * 20 + 1e-12
+        far = self.deviation(model, 50.0, uniform_grid(CANON, 600))
+        assert np.max(np.abs(far)) < math.exp(-50) * 20 + 1e-12
 
     def test_trajectory_zero_amplitude_is_uniform_sum(self):
         model = DecayModel(amplitude=0.0, decay_rate=1.0, n_max=8)
-        grid = uniform_grid(CANON, 600)
-        np.testing.assert_array_equal(
-            evaluate(CoefficientVector(CANON, model.coefficients(3.0)), grid),
-            evaluate(CoefficientVector(CANON, np.full(9, math.pi)), grid),
-        )
+        assert not np.any(self.deviation(model, 3.0, uniform_grid(CANON, 600)))
 
     def test_initial_deviation_bounded_by_geometric_sum(self):
         model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=32)
-        grid = uniform_grid(CANON, 64 * 33)
-        at_zero = evaluate(CoefficientVector(CANON, model.coefficients(0.0)), grid)
-        uniform = evaluate(CoefficientVector(CANON, np.full(33, math.pi)), grid)
-        deviation = np.max(np.abs(at_zero - uniform))
+        deviation = np.max(np.abs(self.deviation(model, 0.0, uniform_grid(CANON, 64 * 33))))
         bound = (1 - math.exp(-33)) / (1 - math.exp(-1)) / math.sqrt(CANON.v_c)
         assert deviation <= bound * (1 + 1e-12)
         assert bound == pytest.approx(1.741, abs=1e-3)
@@ -239,11 +237,11 @@ class TestInverseLimit:
             DecayModel(amplitude=1.0, decay_rate=1.0, n_max=4, mode_decay=-1.0)
 
     @pytest.mark.parametrize("tau", [-1000.0, -700.0])
-    def test_coefficients_that_overflow_are_a_numerical_error(self, tau):
-        # exp(1000) raises OverflowError; exp(700) * 1e300 is inf
+    def test_deviations_that_overflow_are_a_numerical_error(self, tau):
+        # exp(1000) raises OverflowError; exp(700) times a profile near 1e300 is inf
         model = DecayModel(amplitude=1e300 if tau == -700.0 else 1.0, decay_rate=1.0, n_max=4)
-        with pytest.raises(NumericalError, match=f"coefficients at tau = {tau!r} overflow"):
-            model.coefficients(tau)
+        with pytest.raises(NumericalError, match=f"deviation at tau = {tau!r} overflows"):
+            inverse_limit_report(model, CANON, [tau, 1.0, 2.0], 0)
 
     @pytest.mark.parametrize("mode_decay", [-1.0, math.nan, math.inf])
     def test_mode_decay_must_be_finite_non_negative(self, mode_decay):

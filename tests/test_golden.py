@@ -183,7 +183,7 @@ PUBLIC_NAMES = {
     "deformation_profile", "discretize", "eigenfunction", "eigenvalue", "eigenvalues_tridiagonal",
     "eigenvector_inverse_iteration", "evaluate", "fd_derivative", "gauss_legendre_rule", "gram_matrix",
     "interior_grid", "inverse_limit_report", "l2_norm", "parseval_defect", "project",
-    "refinement_study", "rigidity_report", "si_params", "sinpi", "top_eigenvalues", "uniform_grid",
+    "refinement_study", "rigidity_report", "si_params", "top_eigenvalues", "uniform_grid",
     "wavenumber",
 }
 

@@ -1,9 +1,11 @@
-"""The two-route guarantee as checked properties.
+"""The two-route guarantee and the package's caller rules as checked properties.
 
 The finite-difference route and the quadrature rules must reach their results
 without the closed form: statically, by the modules they import, and at run
 time, with the closed form and the sine basis made to raise.  Every comparison
-of an estimate with {C_n} lives in `experiments`.
+of an estimate with {C_n} lives in `experiments`.  Every exported name has a
+caller outside the tests, every parameter under `src/` is read, and the CLI
+imports no private name.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import deformspec
 from deformspec import (
     canonical_params,
     composite_simpson_rule,
@@ -26,12 +29,13 @@ from deformspec import (
 )
 from deformspec.quadrature import _unit_gauss_legendre
 
-SRC = Path(__file__).parents[1] / "src" / "deformspec"
+ROOT = Path(__file__).parents[1]
+SRC = ROOT / "src" / "deformspec"
 CANON = canonical_params()
 
 # The closed form and the sine basis, by the module that defines each name.
 CLOSED_FORM = {
-    "deformspec.spectrum": ("eigenvalue", "wavenumber", "_deficit", "eigenfunction", "sinpi", "_phase", "_half_turns"),
+    "deformspec.spectrum": ("eigenvalue", "wavenumber", "_deficit", "eigenfunction", "_phase", "_half_turns"),
     "deformspec.transform": ("_sine_tables", "_sine_sums", "project", "evaluate"),
 }
 
@@ -61,6 +65,59 @@ def test_the_estimate_modules_import_no_closed_form():
     assert _imports(SRC / "fdsolver.py")[0] <= {"errors", "params", "quadrature"}
     assert _imports(SRC / "quadrature.py")[0] <= {"errors", "params"}
     assert "fdsolver" not in _imports(SRC / "cli.py")[0]
+
+
+def test_the_cli_imports_no_private_name():
+    """Every relative import in cli.py binds public names (dunders allowed),
+    parenthesized lists included."""
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                assert not alias.name.startswith("_") or alias.name.startswith("__"), alias.name
+
+
+def _uses(tree: ast.Module) -> list[tuple]:
+    """(the name it defines or None, the names it loads or reads as
+    attributes) for each top-level statement of tree; an import reads none."""
+    uses = []
+    for top in tree.body:
+        defined = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        nodes = list(ast.walk(top))
+        names = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        uses.append((defined, names | {n.attr for n in nodes if isinstance(n, ast.Attribute)}))
+    return uses
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """A name in `__all__` is used by another library module, a demo or the
+    benchmark (perfbench/tests excluded), not only by its own definition."""
+    paths = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
+    paths += [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
+    uses = [use for path in paths for use in _uses(ast.parse(path.read_text()))]
+    called = {name for defined, names in uses for name in names - {defined}}
+    assert [name for name in deformspec.__all__ if name not in called] == []
+
+
+def test_every_parameter_under_src_is_read():
+    """Nested functions and lambdas count as readers of the enclosing
+    parameters; an augmented assignment reads its target."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = [node.body] if isinstance(node, ast.Lambda) else node.body
+            read = set()
+            for inner in (n for statement in body for n in ast.walk(statement)):
+                if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
+                    read.add(inner.id)
+                elif isinstance(inner, ast.AugAssign) and isinstance(inner.target, ast.Name):
+                    read.add(inner.target.id)
+            a = node.args
+            params = [arg.arg for arg in [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg] if arg]
+            label = getattr(node, "name", f"lambda at line {node.lineno}")
+            unread += [f"{path.stem}.{label}({name})" for name in params if name not in read]
+    assert unread == []
 
 
 def test_no_module_imports_scipy_or_mpmath():

@@ -21,7 +21,6 @@ from deformspec import (
     eigenvalue,
     gauss_legendre_rule,
     si_params,
-    sinpi,
     uniform_grid,
     wavenumber,
 )
@@ -267,32 +266,45 @@ def assert_bits_equal(got, want):
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+# On [-1/2, 1/2] the phase t = v + 1/2 is exact, so mode n at v has phase (n+1)(v + 1/2).
+HALF = custom_params(1.0, 1.0, 0.5)
+SQRT2 = math.sqrt(2.0)
+
+
 class TestSinpiAgainstReference:
-    """sinpi equals the earlier allocating sinpi bit for bit, sign bits
+    """eigenfunction, which reduces its phases through `_half_turns`, equals
+    the earlier allocating formula on reference_sinpi bit for bit, sign bits
     included, and the basis built from sine tables stays within its rounding
-    bound of the earlier per-entry formula."""
+    bound of that formula."""
 
     def test_random_arguments(self):
-        x = np.random.default_rng(11).uniform(-1e6, 1e6, 200_000)
-        assert_bits_equal(sinpi(x), reference_sinpi(x))
+        rng = np.random.default_rng(11)
+        n = rng.integers(0, 1_000_000, 200_000)
+        v = rng.uniform(-CANON.v_c, CANON.v_c, 200_000)
+        assert_bits_equal(eigenfunction(CANON, n, v), reference_eigenfunction(CANON, n, v))
 
     def test_integers_half_integers_and_signed_zeros(self):
-        k = np.arange(-41.0, 42.0)
-        x = np.concatenate([k, k + 0.5, k - 0.5, [0.0, -0.0]])
-        assert_bits_equal(sinpi(x), reference_sinpi(x))
+        # phases 0, (n+1)/4, (n+1)/2, 3(n+1)/4 and n+1 for n up to 82; odd integer phases give -0.0
+        n = np.arange(83)[:, None]
+        v = np.array([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5])
+        got = eigenfunction(HALF, n, v)
+        assert np.any(np.signbit(got) & (got == 0.0))
+        assert_bits_equal(got, reference_eigenfunction(HALF, n, v))
 
     @pytest.mark.parametrize("x", [0.0, -0.0, 0.5, -0.5, 1.5, -2.5, 3.0, -3.0, 0.1234, -7.75])
     def test_scalars(self, x):
-        assert_bits_equal(sinpi(x), reference_sinpi(x))
-        assert_bits_equal(sinpi(np.float64(x)), reference_sinpi(x))
-        assert_bits_equal(sinpi(np.array(x)), reference_sinpi(x))
-        assert type(sinpi(np.array(x))) is float
+        # mode 7 at v = x/16: phase 4 + x/2
+        v = x / 16.0
+        want = reference_eigenfunction(HALF, 7, v)
+        assert_bits_equal(eigenfunction(HALF, 7, v), want)
+        assert_bits_equal(eigenfunction(HALF, np.int64(7), np.float64(v)), want)
+        assert_bits_equal(eigenfunction(HALF, np.array(7), np.array(v)), want)
 
     def test_input_is_not_written(self):
-        x = np.linspace(-3.0, 3.0, 97)
-        before = x.copy()
-        sinpi(x)
-        assert np.array_equal(x, before)
+        n, v = np.arange(97), np.linspace(-0.5, 0.5, 97)
+        before = n.copy(), v.copy()
+        eigenfunction(HALF, n, v)
+        assert np.array_equal(n, before[0]) and np.array_equal(v, before[1])
 
     @pytest.mark.parametrize("params", [CANON, si_params()], ids=["canonical", "si"])
     def test_basis_matrix_on_gauss_legendre_nodes(self, params):
@@ -316,32 +328,32 @@ class TestSinpiAgainstReference:
 
 
 class TestSinpi:
+    """The reduced sine sin(pi x) inside eigenfunction, at phases where its
+    value is known exactly."""
+
     def test_integers_exact(self):
-        assert sinpi(3.0) == 0.0
-        assert sinpi(np.arange(20.0)).tolist() == [0.0] * 20
+        assert eigenfunction(HALF, 5, 0.0) == 0.0
+        assert eigenfunction(HALF, np.arange(20), 0.5).tolist() == [0.0] * 20
 
     def test_half_integers(self):
-        assert sinpi(0.5) == 1.0
-        assert sinpi(1.5) == -1.0
+        assert eigenfunction(HALF, 0, 0.0) == SQRT2
+        assert eigenfunction(HALF, 2, 0.0) == -SQRT2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("x", [1e300, -1e300, 2.0**63, 1.7976931348623157e308])
-    def test_arguments_past_the_int64_range_are_exact_zeros_without_a_warning(self, x):
+    @pytest.mark.parametrize("n", [2**62, 2**62 + 1, 2**63 - 1])
+    def test_arguments_past_the_int64_range_are_exact_zeros_without_a_warning(self, n):
+        # phases from 2^60 up to 2^63 at v = v_c, where (n+1.0) rounds to 2^63;
         # every float past 2^53 is an even integer
-        assert sinpi(x) == 0.0
-        assert np.array_equal(sinpi(np.array([x, 0.5])), [0.0, 1.0])
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
-    def test_non_finite_arguments_are_rejected_without_a_warning(self, x):
-        for arg in (x, np.float64(x), np.array([0.5, x, 1.0])):
-            with pytest.raises(ValidationError, match="finite"):
-                sinpi(arg)
+        v = np.array([-0.25, 0.0, 0.25, 0.5])
+        assert eigenfunction(HALF, n, 0.5) == 0.0
+        assert not np.any(eigenfunction(HALF, n, v))
+        assert np.array_equal(eigenfunction(HALF, np.array([n, 0]), np.array([0.5, 0.0])), [0.0, SQRT2])
 
     @settings(max_examples=200, deadline=None)
-    @given(x=st.floats(min_value=-8.0, max_value=8.0))
-    def test_matches_library_sine(self, x):
-        assert sinpi(x) == pytest.approx(math.sin(math.pi * x), abs=1e-13)
+    @given(v=st.floats(min_value=-0.5, max_value=0.5))
+    def test_matches_library_sine(self, v):
+        want = SQRT2 * math.sin(8.0 * math.pi * (v + 0.5))
+        assert eigenfunction(HALF, 7, v) == pytest.approx(want, abs=1e-13)
 
 
 class TestEigenrelation:

@@ -158,17 +158,17 @@ class TestReconstruct:
 
 class TestNorm:
     def test_eigenfunction_normalized(self):
-        assert l2_norm(CANON, lambda v: eigenfunction(CANON, 5, v), GL256) == pytest.approx(
+        assert l2_norm(lambda v: eigenfunction(CANON, 5, v), GL256) == pytest.approx(
             1.0, abs=1e-10
         )
 
     def test_profile_norm_closed_form(self):
         assert profile_norm_sq() == pytest.approx(10.40568505390259, rel=1e-14)
-        assert l2_norm(CANON, profile, GL256) == pytest.approx(math.sqrt(profile_norm_sq()), rel=1e-12)
-        assert l2_norm(CANON, profile, GL256) == pytest.approx(3.2257844, rel=1e-6)
+        assert l2_norm(profile, GL256) == pytest.approx(math.sqrt(profile_norm_sq()), rel=1e-12)
+        assert l2_norm(profile, GL256) == pytest.approx(3.2257844, rel=1e-6)
 
     def test_zero_function(self):
-        assert l2_norm(CANON, lambda v: np.zeros_like(v), gauss_legendre_rule(CANON, 8)) == 0.0
+        assert l2_norm(lambda v: np.zeros_like(v), gauss_legendre_rule(CANON, 8)) == 0.0
 
 
 class TestParseval:
@@ -179,7 +179,7 @@ class TestParseval:
     def test_profile_defect_matches_tail(self):
         rule = default_projection_rule(CANON, 200)
         norm, defect = parseval_defect(CANON, profile, 200, rule)
-        assert norm == l2_norm(CANON, profile, rule)
+        assert norm == l2_norm(profile, rule)
         tail = profile_norm_sq() - sum(profile_coefficient(n) ** 2 for n in range(201))
         assert defect == pytest.approx(tail, rel=1e-6)
         assert 0 < defect / profile_norm_sq() < 1e-3
@@ -212,7 +212,7 @@ class TestParseval:
     def test_defect_strictly_decreasing_over_doublings(self):
         rule = default_projection_rule(CANON, 512)
         coeffs = project(CANON, profile, 512, rule)
-        norm_sq = l2_norm(CANON, profile, rule) ** 2
+        norm_sq = l2_norm(profile, rule) ** 2
         cumulative = np.cumsum(coeffs.coefficients**2)
         defects = [norm_sq - cumulative[n] for n in (64, 128, 256, 512)]
         assert all(b < a for a, b in zip(defects, defects[1:]))
