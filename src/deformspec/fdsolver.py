@@ -7,19 +7,22 @@ matrix.  Eigenvalues come from Sturm-sequence multisection inside Gershgorin
 bounds (each sweep counts at every midpoint of several bisection levels, once
 per distinct bracket and never again at a shift whose count is known, so the
 brackets are exactly those of one-midpoint bisection), returned as bracket
-midpoints; eigenvectors from shifted inverse iteration with a partially
-pivoted tridiagonal solve.  Importing only errors, params and quadrature, it
-never sees the closed form or the sine basis, so agreement with the analytic
-spectrum (experiments.refinement_study) is a genuine two-route check; the
-tests in tests/test_routes.py hold it to that.
+midpoints; eigenvectors from two shifted inverse-iteration solves (partially
+pivoted tridiagonal LU) from a golden-ratio Weyl start, so no random numbers.
+Importing only errors, params and quadrature, it never sees the closed form or
+the sine basis, so agreement with the analytic spectrum
+(experiments.refinement_study) is a genuine two-route check; the tests in
+tests/test_routes.py hold it to that.
 
 The matrix reads the same backwards (it commutes with v -> -v), so it splits
 exactly into a symmetric and an antisymmetric block of about m/2 rows that
 share all rows but their last (Cantoni & Butler, LAA 13, 1976), and with
 positive off-diagonals its eigenvalues alternate between them, the largest
 symmetric (Hald, LAA 14, 1976).  Each eigenvalue is bisected on its own block,
-so every Sturm sweep walks ceil(m/2) rows; a matrix without that structure is
-one block of m rows.
+so every Sturm sweep walks ceil(m/2) rows, and each eigenvector is iterated on
+the block that holds its shift and mirrored to all m rows, so it is exactly
+symmetric or antisymmetric; a matrix without that structure is one block of m
+rows.
 """
 
 from __future__ import annotations
@@ -156,23 +159,29 @@ def _multisection_depth(k: int) -> int:
 
 
 def _sturm_view(A: TridiagonalSymmetricMatrix):
-    """``(count, sizes, lower, upper)``: ``count(xs, block)`` is the number of
-    eigenvalues <= xs[j] of block block[j], by :func:`_sturm_counts` looked up
-    at each call, the blocks have ``sizes`` rows and A's Gershgorin bounds
-    [lower, upper] hold them all.  Raises :class:`NumericalError` if a squared
-    off-diagonal, or a bound doubled (bisection adds two bracket ends), overflows.
+    """``(count, sizes, lower, upper, blocks)``: ``count(xs, block)`` is the
+    number of eigenvalues <= xs[j] of block block[j], by :func:`_sturm_counts`
+    looked up at each call, the blocks have ``sizes`` rows and A's Gershgorin
+    bounds [lower, upper] hold them all.  ``blocks[b]`` is block b as a
+    ``(B, mirror)`` pair, ``mirror`` taking a vector u of B to one of A with
+    A mirror(u) = mirror(B u).  Raises :class:`NumericalError` if a squared
+    off-diagonal, or a bound doubled (bisection adds two bracket ends),
+    overflows.
 
     A persymmetric A (equal read backwards) with positive off-diagonals e
     commutes with the reversal, so from m = 3 on it splits into a symmetric
     block of ceil(m/2) rows and an antisymmetric one of floor(m/2) rows that
     share every leading row.  For even m = 2p both keep rows 0..p-2 and end on
-    diagonal d_(p-1) + e_(p-1) and d_(p-1) - e_(p-1) respectively; for odd
-    m = 2p + 1 the antisymmetric block is rows 0..p-1 and the symmetric one
-    adds row p, coupled by 2 e_(p-1)^2 (the product of its two off-diagonals
-    e and 2e in the block's unsymmetric form).  Any other matrix, or one
-    whose coupling square overflows, is one block of all m rows.
+    diagonal d_(p-1) + e_(p-1) and d_(p-1) - e_(p-1) respectively, and mirror
+    u to (u, +-reversed u); for odd m = 2p + 1 the antisymmetric block is rows
+    0..p-1, mirrored to (u, 0, -reversed u), and the symmetric one adds row p,
+    coupled by 2 e_(p-1)^2 (the product of its two off-diagonals e and 2e in
+    the block's unsymmetric form; sqrt(2) e once symmetrized, so its mirror
+    multiplies the middle entry by sqrt(2)).  Any other matrix, or one whose
+    coupling square overflows, is one block of all m rows, mirrored as itself.
     """
     diag, off, p, tails = A.diag, A.offdiag, A.dim // 2, (None,)
+    blocks = ((A, lambda u: u),)
     message = "Sturm bisection overflows: off-diagonal or Gershgorin bound too large"
 
     def gershgorin():
@@ -188,17 +197,27 @@ def _sturm_view(A: TridiagonalSymmetricMatrix):
     persymmetric = np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
     if A.dim >= 3 and persymmetric and np.all(off > 0.0):
         if A.dim % 2 == 0:
-            tails = tuple((end, off2[p - 2]) for end in (diag[p - 1] + off[p - 1], diag[p - 1] - off[p - 1]))
+            ends = (diag[p - 1] + off[p - 1], diag[p - 1] - off[p - 1])
+            tails = tuple((end, off2[p - 2]) for end in ends)
+            halves = [TridiagonalSymmetricMatrix(np.r_[diag[: p - 1], end], off[: p - 1]) for end in ends]
+            blocks = tuple((half, lambda u, s=s: np.r_[u, s * u[::-1]]) for half, s in zip(halves, (1.0, -1.0)))
             diag, off2 = diag[: p - 1], off2[: p - 2]
         elif math.isfinite(2.0 * float(off2[p - 1])):
+            root2 = math.sqrt(2.0)
             tails = ((diag[p], 2.0 * float(off2[p - 1])), None)
+            symmetric = TridiagonalSymmetricMatrix(diag[: p + 1], np.r_[off[: p - 1], root2 * off[p - 1]])
+            antisymmetric = TridiagonalSymmetricMatrix(diag[:p], off[: p - 1])
+            blocks = (
+                (symmetric, lambda u: np.r_[u[:p], root2 * u[p], u[p - 1 :: -1]]),
+                (antisymmetric, lambda u: np.r_[u, 0.0, -u[::-1]]),
+            )
             diag, off2 = diag[:p], off2[: p - 1]
     sizes = len(diag) + np.array([tail is not None for tail in tails])
 
     def count(xs: np.ndarray, block: np.ndarray) -> np.ndarray:
         return _sturm_counts(diag, off2, pivmin, xs, tails, block)
 
-    return count, sizes, lower, upper
+    return count, sizes, lower, upper, blocks
 
 
 def _bisect_top(A: TridiagonalSymmetricMatrix, k: int) -> np.ndarray:
@@ -226,7 +245,7 @@ def _bisect_top(A: TridiagonalSymmetricMatrix, k: int) -> np.ndarray:
     ends, and a sweep counts only the distinct nodes that differ from those
     ends, so none for a bracket collapsed to adjacent floats.
     """
-    count, sizes, lower, upper = _sturm_view(A)
+    count, sizes, lower, upper, _ = _sturm_view(A)
     blocks = len(sizes)
     rank = np.arange(k)  # rank j: the j-th largest eigenvalue
     # brackets sorted by block, then ascending within it
@@ -331,13 +350,36 @@ def _solve_shifted(A: TridiagonalSymmetricMatrix, lam: float, b: np.ndarray) -> 
     return np.array(x[:n])
 
 
+def _inverse_iterate(A: TridiagonalSymmetricMatrix, lam: float) -> np.ndarray:
+    """Two shifted solves from a golden-ratio Weyl start (no random numbers,
+    no trig), each from the last iterate at unit norm; the second iterate is
+    returned scaled by a power of two to a peak in [0.5, 1)."""
+    w = np.arange(A.dim) * 0.6180339887498949 % 1.0 - 0.5
+    message = "inverse iteration produced a non-finite iterate"
+    for _ in range(2):
+        w = _finite(lambda: _solve_shifted(A, lam, w / np.linalg.norm(w)), message)
+        peak = np.max(np.abs(w))
+        if peak == 0.0:
+            raise NumericalError("inverse iteration produced a zero iterate")
+        # a floored zero pivot leaves entries near 1e306, whose squares overflow;
+        # a power-of-two scale is exact, so w / |w| is unchanged to the bit
+        w = np.ldexp(w, -math.frexp(peak)[1])
+    return w
+
+
 def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> np.ndarray:
     """Unit eigenvector for a shift accurate to working precision, such as a
-    :func:`top_eigenvalues` entry, by two shifted solves from a seeded start.
+    :func:`top_eigenvalues` entry, by two shifted solves from a deterministic
+    start on the parity block of :func:`_sturm_view` that holds the shift,
+    mirrored back to all rows.
 
-    With scale = max|diag| + max|off|, the residual |A v - lam v| is then a
-    few eps * scale (the 1e-15 relative bisection bracket alone allows about
-    3 eps * scale), growing slowly with dim, and a third solve does not lower it.
+    The block whose count changes within the clustering window below holds
+    the shift; where both do, or neither, each block is solved and the vector
+    with the smaller residual on A kept.  On a split A the mirror makes each
+    vector exactly symmetric or antisymmetric.  With scale = max|diag| +
+    max|off|, the residual |A v - lam v| is then a few eps * scale (the 1e-15
+    relative bisection bracket alone allows about 3 eps * scale), growing
+    slowly with dim, and a third solve does not lower it.
     :class:`NumericalError` is raised when it exceeds 4 * dim * eps * scale:
     the shift is not that close to an eigenvalue.  Sign is gauged so the first
     component of noticeable size is positive.  The vector's error is about
@@ -346,30 +388,23 @@ def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> 
     1e-8 * max(1, scale) of the shift, where that error could exceed 2e-8.
     """
     lam = float(lam)
-    count, sizes, _, _ = _sturm_view(A)
+    count, sizes, _, _, blocks = _sturm_view(A)
     scale = float(np.max(np.abs(A.diag)) + (np.max(np.abs(A.offdiag)) if A.dim > 1 else 0.0))
     gap = 1e-8 * max(1.0, scale)
     # A's count at each end is the sum of its blocks' counts
     nearby = count(np.tile([lam + gap, lam - gap], len(sizes)), np.repeat(np.arange(len(sizes)), 2))
-    if int(np.sum(nearby[0::2] - nearby[1::2])) > 1:
+    held = nearby[0::2] - nearby[1::2]
+    if int(np.sum(held)) > 1:
         warnings.warn("clustered eigenvalues near the shift", ConditioningWarning)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(A.dim)
-    v /= np.linalg.norm(v)
-    for _ in range(2):
-        w = _finite(lambda: _solve_shifted(A, lam, v), "inverse iteration produced a non-finite iterate")
-        peak = np.max(np.abs(w))
-        if peak == 0.0:
-            raise NumericalError("inverse iteration produced a zero iterate")
-        # a floored zero pivot leaves entries near 1e306, whose squares overflow;
-        # a power-of-two scale is exact, so v is still w / |w| to the bit
-        w = np.ldexp(w, -math.frexp(peak)[1])
-        v = w / np.linalg.norm(w)
-    residual = np.linalg.norm(A.matvec(v) - lam * v)
+    candidates = []
+    for matrix, mirror in [blocks[b] for b in np.flatnonzero(held)] or blocks:
+        v = mirror(_inverse_iterate(matrix, lam))
+        v = v / np.linalg.norm(v)
+        candidates.append((np.linalg.norm(A.matvec(v) - lam * v), v))
+    residual, v = min(candidates, key=lambda candidate: candidate[0])
     if not residual <= 4 * A.dim * np.finfo(float).eps * scale:
         raise NumericalError(f"shift {lam!r} leaves residual {residual:.3e}, above 4 * dim * eps * scale")
     significant = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
     if len(significant) and v[significant[0]] < 0:
         v = -v
     return v
-

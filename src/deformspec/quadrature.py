@@ -212,7 +212,8 @@ def fd_derivative(params: OperatorParams, values, order: int) -> np.ndarray:
     Central 2nd-order-accurate stencils in the interior; one-sided
     2nd-order-accurate stencils where the central window leaves the grid
     (the first/last point for orders 1-2, the first/last two for 3-4).
-    Raises :class:`NumericalError` when the derivative overflows a 64-bit float.
+    Raises :class:`NumericalError` when the derivative overflows a 64-bit
+    float, or when the spacing is so wide that the weights 1/h**order underflow.
     """
     order = int(order)
     if order not in (1, 2, 3, 4):
@@ -224,9 +225,11 @@ def fd_derivative(params: OperatorParams, values, order: int) -> np.ndarray:
     if npts < order + 5:
         raise ResolutionError(f"need at least {order + 5} points for order {order}")
     h = 2.0 * params.v_c / (npts - 1)
+    # the Python-float h**order raises exactly where the weights 1/h**order underflow
+    power = _finite(lambda: h**order, f"order-{order} finite difference underflows a 64-bit float at h = {h!r}")
 
     def stencils():
-        central, fwd = (np.array(w) / h**order for w in _STENCILS[order])
+        central, fwd = (np.array(w) / power for w in _STENCILS[order])
         bwd = (-1) ** order * fwd[::-1]
         radius, side = len(central) // 2, len(fwd)
         out = np.empty_like(f)

@@ -95,8 +95,8 @@ def asymptotic_coefficient(params: OperatorParams) -> float:
     """
     ratio = params.hbar / params.c
     where = f"for hbar/c = {ratio!r} and v_c = {params.v_c!r}"
-    # v_c * v_c is inf where v_c**2 would raise, so alpha reads 0 when the denominator overflows
-    alpha = _finite(lambda: ratio**2 * math.pi**3 / (4.0 * params.v_c * params.v_c), f"decay rate overflows {where}")
+    # one quotient, squared: where (hbar/c)^2 and v_c^2 both underflow, their ratio need not
+    alpha = _finite(lambda: (ratio / params.v_c) ** 2 * math.pi**3 / 4.0, f"decay rate overflows {where}")
     if alpha == 0.0:
         raise NumericalError(f"decay rate underflows {where}")
     return alpha

@@ -490,6 +490,13 @@ def test_underflowing_decay_rate_exits_three(capsys, c, v_c):
     assert err.startswith("deformspec: numerical error: decay rate underflows") and err.count("\n") == 1
 
 
+def test_decay_rate_where_both_squares_underflow(capsys):
+    # (hbar/c)^2 and v_c^2 are both 0.0 in floats, but (hbar/(c v_c))^2 = 1
+    code, out, err = invoke(capsys, "asymptotics", "--hbar", "1e-200", "--c", "1", "--v-c", "1e-200", "--no-meta")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["inputs"]["alpha"] == pytest.approx(math.pi**3 / 4, rel=1e-15)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("v_c", ["2e-77", "5e-154"])
 def test_fd_validate_off_diagonal_overflow_exits_three(capsys, v_c):
@@ -528,6 +535,9 @@ def test_inverse_limit_seminorm_underflow_exits_three(capsys, beta):
     assert err.startswith("deformspec: numerical error:") and err.count("\n") == 1
 
 
+WIDE_SPACING = ["--hbar", "1", "--c", "1e300", "--v-c", "1e160"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
@@ -535,15 +545,18 @@ def test_inverse_limit_seminorm_underflow_exits_three(capsys, beta):
         ["--beta", "1000", "--tau-list=-3,-2,-1"],  # exp(-beta tau) overflows
         ["--A", "1e300", "--beta", "1", "--tau-list=-700,-699,-698"],  # A exp(-beta tau) overflows
         ["--A", "1e300", "--beta", "1", "--tau-list", "1,2,3", "--k-max", "4"],  # a derivative overflows
-        # a grid spacing near 1e156: the stencils' Python-float h**order overflows
-        ["--hbar", "1", "--c", "1e300", "--v-c", "1e160"],
-        ["--hbar", "1", "--c", "1e300", "--v-c", "1e160", "--k-max", "4"],
+        # a grid spacing near 1e156: the stencils' Python-float h**order
+        # overflows, so their weights 1/h**order underflow
+        [*WIDE_SPACING],
+        [*WIDE_SPACING, "--k-max", "4"],
     ],
 )
 def test_inverse_limit_overflow_exits_three(capsys, argv):
     code, out, err = invoke(capsys, "inverse-limit", *argv)
     assert (code, out) == (3, "")
     assert err.startswith("deformspec: numerical error:") and err.count("\n") == 1
+    if argv[: len(WIDE_SPACING)] == WIDE_SPACING:
+        assert err.startswith("deformspec: numerical error: order-2 finite difference underflows")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -142,6 +142,19 @@ def reference_solve_shifted(A, lam, b):
     return x
 
 
+def reference_inverse_iteration(A, lam):
+    """The full-matrix inverse iteration the parity-block path replaced: two
+    solves on all m rows from a seeded normal start, the same gauge."""
+    v = np.random.default_rng(0).standard_normal(A.dim)
+    v /= np.linalg.norm(v)
+    for _ in range(2):
+        w = _solve_shifted(A, lam, v)
+        w = np.ldexp(w, -math.frexp(np.max(np.abs(w)))[1])
+        v = w / np.linalg.norm(w)
+    significant = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
+    return -v if v[significant[0]] < 0 else v
+
+
 def toeplitz_eigenvalues(params, m):
     """Closed form for the discretized operator: classic tridiagonal Toeplitz."""
     h = 2 * params.v_c / (m + 1)
@@ -465,9 +478,13 @@ class TestBitIdenticalToReference:
         A = TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
         off2 = off**2
         pivmin = max(float(np.max(off2)), 1.0) * 1e-290
-        count, sizes, _, _ = fdsolver._sturm_view(A)
+        count, sizes, _, _, matrices = fdsolver._sturm_view(A)
         blocks = parity_blocks(A)
         assert list(sizes) == [(A.dim + 1) // 2, A.dim // 2]
+        for size, (block, mirror) in zip(sizes, matrices):
+            # A mirror(u) = mirror(B u): B's eigenvectors mirror to A's
+            u = np.linspace(-1.0, 2.0, size)
+            np.testing.assert_allclose(A.matvec(mirror(u)), mirror(block.matvec(u)), rtol=0, atol=1e-14)
         xs = np.unique(np.r_[diag, [d[-1] for d, _ in blocks], 0.0, -0.0, 1.0, 2.0])
         xs = np.r_[xs, -0.0]
         for b, (block_diag, block_off2) in enumerate(blocks):
@@ -552,7 +569,7 @@ def test_all_eigenvalues_count_each_distinct_shift_once(monkeypatch):
 
 def test_sturm_view_looks_up_the_count_at_each_call(monkeypatch):
     # the work guards above replace _sturm_counts; a view made earlier must see that too
-    count, sizes, _, _ = fdsolver._sturm_view(discretize(CANON, 9))
+    count, sizes, _, _, _ = fdsolver._sturm_view(discretize(CANON, 9))
     calls = []
 
     def counting(diag, off2, pivmin, xs, tails, block):
@@ -700,7 +717,9 @@ class TestInverseIteration:
         lam = top_eigenvalues(A, 2)
         assert 0 < lam[0] - lam[1] < 1e-9
         with pytest.warns(ConditioningWarning):
-            eigenvector_inverse_iteration(A, lam[0])
+            vec = eigenvector_inverse_iteration(A, lam[0])
+        # both blocks are solved; the symmetric one leaves the smaller residual
+        assert np.array_equal(vec, vec[::-1])
 
     def test_clustering_check_counts_on_parity_blocks(self, monkeypatch):
         # one count of lam +- gap on both blocks, over ceil(m/2) rows
@@ -716,6 +735,48 @@ class TestInverseIteration:
         monkeypatch.setattr(fdsolver, "_sturm_counts", counting)
         eigenvector_inverse_iteration(A, lam)
         assert calls == [(4, 1001)]
+
+    def test_solves_run_on_the_block_that_holds_the_shift(self, monkeypatch):
+        dims = []
+        solve = fdsolver._solve_shifted
+
+        def recording(A, lam, b):
+            dims.append(A.dim)
+            return solve(A, lam, b)
+
+        A = discretize(CANON, 2001)
+        lams = top_eigenvalues(A, 2)
+        monkeypatch.setattr(fdsolver, "_solve_shifted", recording)
+        for lam in lams:
+            eigenvector_inverse_iteration(A, lam)
+        assert dims == [1001, 1001, 1000, 1000]
+
+    @pytest.mark.parametrize("params", [CANON, custom_params(0.8, 3.0, 1.7)], ids=["canonical", "custom"])
+    @pytest.mark.parametrize("m", [3, 4, 5, 250, 251, 2000, 2001])
+    def test_exact_parity(self, params, m):
+        # the j-th largest eigenvalue lives on the symmetric block for even j;
+        # equal nonzero floats have equal bits, so only a zero's sign may differ
+        A = discretize(params, m)
+        for j, lam in enumerate(top_eigenvalues(A, min(10, m))):
+            vec = eigenvector_inverse_iteration(A, lam)
+            assert np.array_equal(vec, (-1.0) ** j * vec[::-1])
+            if m % 2 and j % 2:
+                assert vec[m // 2] == 0.0
+
+    @pytest.mark.parametrize("params", [CANON, custom_params(0.8, 3.0, 1.7)], ids=["canonical", "custom"])
+    @pytest.mark.parametrize("m", [250, 251, 2000, 2001, 4000])
+    def test_no_less_accurate_than_the_full_matrix_iteration(self, params, m):
+        # sup error of the ten top vectors against the normalized sine samples
+        A = discretize(params, m)
+        lams, grid = top_eigenvalues(A, 10), interior_grid(params, m)
+        samples = [eigenfunction(params, n, grid) for n in range(10)]
+        samples = [s / np.linalg.norm(s) for s in samples]
+
+        def sup_error(solve):
+            vectors = [solve(A, lam) for lam in lams]
+            return max(np.max(np.abs(v - np.sign(s @ v) * s)) for v, s in zip(vectors, samples))
+
+        assert sup_error(eigenvector_inverse_iteration) <= sup_error(reference_inverse_iteration)
 
     def test_far_shift_does_not_converge(self):
         A = TridiagonalSymmetricMatrix(diag=np.array([0.0, 10.0]), offdiag=np.array([0.1]))

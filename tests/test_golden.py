@@ -166,7 +166,7 @@ RIGIDITY_SERIES = {
 DEMOS = {
     "01_closed_form_spectrum.py": "e5840a9f669f651550ddd68645fed8dfbac7059b5354300ee79489db1b2abc96",
     "02_transform_and_parseval.py": "44ee3f24242cb14e54e266756373d7719aa61664f008588968c4f5103e1b443e",
-    "03_fd_cross_validation.py": "adca7b0c59c53733ca9602d4aee2227741f0267984835cbc846693f5db730fd4",
+    "03_fd_cross_validation.py": "2a436858b5cb7b38c2bb6f9293222973e764fcf4cf3f9b11dcd30d9eb9593555",
     "04_rigidity_obstruction.py": "c684db6224d153adc08c2a0e19ecaec9ea13d7d2c1da496db9362774cdcc4ce4",
     "05_inverse_limit_decay.py": "28923f4af41eaccb37bf53b96580c1c0f2a9c6f67a5e34cb2572a4a69073c3e3",
     "06_reconstruction_convergence.py": "377ff2edb5ce657159a7298e3c3cbe012fec58be88a5f3ef647085371f6c9872",

@@ -11,6 +11,8 @@ imports no private name.
 import ast
 import importlib
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -123,6 +125,35 @@ def test_every_parameter_under_src_is_read():
 def test_no_module_imports_scipy_or_mpmath():
     for path in SRC.rglob("*.py"):
         assert not _imports(path)[1] & {"scipy", "mpmath"}, path.name
+
+
+def test_no_module_uses_numpy_random():
+    """No `random` attribute and no import of numpy.random under src/: its
+    import alone adds about 5 MB to a process."""
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "random", f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("numpy"):
+                assert node.module != "numpy.random" and "random" not in [a.name for a in node.names], path.name
+            elif isinstance(node, ast.Import):
+                assert "numpy.random" not in [a.name for a in node.names], path.name
+
+
+def test_fd_eigenvectors_never_import_numpy_random():
+    """The benchmark's path: the CLI imported, the ten top vectors at m = 2000."""
+    script = """
+import sys
+from deformspec import canonical_params, cli, discretize, eigenvector_inverse_iteration, top_eigenvalues
+cli.run(["--version"])
+A = discretize(canonical_params(), 2000)
+vectors = [eigenvector_inverse_iteration(A, lam) for lam in top_eigenvalues(A, 10)]
+assert len(vectors) == 10 and "numpy.random" not in sys.modules, sorted(sys.modules)
+"""
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 def test_the_fd_comparison_is_defined_only_in_experiments():
