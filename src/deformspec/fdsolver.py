@@ -162,11 +162,11 @@ def _sturm_view(A: TridiagonalSymmetricMatrix):
     """``(count, sizes, lower, upper, blocks)``: ``count(xs, block)`` is the
     number of eigenvalues <= xs[j] of block block[j], by :func:`_sturm_counts`
     looked up at each call, the blocks have ``sizes`` rows and A's Gershgorin
-    bounds [lower, upper] hold them all.  ``blocks[b]`` is block b as a
+    bounds [lower, upper] hold them all.  ``blocks()[b]`` builds block b as a
     ``(B, mirror)`` pair, ``mirror`` taking a vector u of B to one of A with
-    A mirror(u) = mirror(B u).  Raises :class:`NumericalError` if a squared
-    off-diagonal, or a bound doubled (bisection adds two bracket ends),
-    overflows.
+    A mirror(u) = mirror(B u); only eigenvectors need it.  Raises
+    :class:`NumericalError` if a squared off-diagonal, or a bound doubled
+    (bisection adds two bracket ends), overflows.
 
     A persymmetric A (equal read backwards) with positive off-diagonals e
     commutes with the reversal, so from m = 3 on it splits into a symmetric
@@ -181,7 +181,6 @@ def _sturm_view(A: TridiagonalSymmetricMatrix):
     coupling square overflows, is one block of all m rows, mirrored as itself.
     """
     diag, off, p, tails = A.diag, A.offdiag, A.dim // 2, (None,)
-    blocks = ((A, lambda u: u),)
     message = "Sturm bisection overflows: off-diagonal or Gershgorin bound too large"
 
     def gershgorin():
@@ -197,25 +196,31 @@ def _sturm_view(A: TridiagonalSymmetricMatrix):
     persymmetric = np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
     if A.dim >= 3 and persymmetric and np.all(off > 0.0):
         if A.dim % 2 == 0:
-            ends = (diag[p - 1] + off[p - 1], diag[p - 1] - off[p - 1])
-            tails = tuple((end, off2[p - 2]) for end in ends)
-            halves = [TridiagonalSymmetricMatrix(np.r_[diag[: p - 1], end], off[: p - 1]) for end in ends]
-            blocks = tuple((half, lambda u, s=s: np.r_[u, s * u[::-1]]) for half, s in zip(halves, (1.0, -1.0)))
+            tails = tuple((end, off2[p - 2]) for end in (diag[p - 1] + off[p - 1], diag[p - 1] - off[p - 1]))
             diag, off2 = diag[: p - 1], off2[: p - 2]
         elif math.isfinite(2.0 * float(off2[p - 1])):
-            root2 = math.sqrt(2.0)
             tails = ((diag[p], 2.0 * float(off2[p - 1])), None)
-            symmetric = TridiagonalSymmetricMatrix(diag[: p + 1], np.r_[off[: p - 1], root2 * off[p - 1]])
-            antisymmetric = TridiagonalSymmetricMatrix(diag[:p], off[: p - 1])
-            blocks = (
-                (symmetric, lambda u: np.r_[u[:p], root2 * u[p], u[p - 1 :: -1]]),
-                (antisymmetric, lambda u: np.r_[u, 0.0, -u[::-1]]),
-            )
             diag, off2 = diag[:p], off2[: p - 1]
     sizes = len(diag) + np.array([tail is not None for tail in tails])
 
     def count(xs: np.ndarray, block: np.ndarray) -> np.ndarray:
         return _sturm_counts(diag, off2, pivmin, xs, tails, block)
+
+    def blocks():
+        if len(tails) == 1:
+            return ((A, lambda u: u),)
+        shared = off[: p - 1]
+        if A.dim % 2 == 0:
+            halves = [TridiagonalSymmetricMatrix(np.r_[diag, end], shared) for end, _ in tails]
+            return tuple((half, lambda u, s=s: np.r_[u, s * u[::-1]]) for half, s in zip(halves, (1.0, -1.0)))
+        root2 = math.sqrt(2.0)
+        return (
+            (
+                TridiagonalSymmetricMatrix(A.diag[: p + 1], np.r_[shared, root2 * off[p - 1]]),
+                lambda u: np.r_[u[:p], root2 * u[p], u[p - 1 :: -1]],
+            ),
+            (TridiagonalSymmetricMatrix(diag, shared), lambda u: np.r_[u, 0.0, -u[::-1]]),
+        )
 
     return count, sizes, lower, upper, blocks
 
@@ -397,7 +402,8 @@ def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> 
     if int(np.sum(held)) > 1:
         warnings.warn("clustered eigenvalues near the shift", ConditioningWarning)
     candidates = []
-    for matrix, mirror in [blocks[b] for b in np.flatnonzero(held)] or blocks:
+    split = blocks()
+    for matrix, mirror in [split[b] for b in np.flatnonzero(held)] or split:
         v = mirror(_inverse_iterate(matrix, lam))
         v = v / np.linalg.norm(v)
         candidates.append((np.linalg.norm(A.matvec(v) - lam * v), v))

@@ -481,7 +481,7 @@ class TestBitIdenticalToReference:
         count, sizes, _, _, matrices = fdsolver._sturm_view(A)
         blocks = parity_blocks(A)
         assert list(sizes) == [(A.dim + 1) // 2, A.dim // 2]
-        for size, (block, mirror) in zip(sizes, matrices):
+        for size, (block, mirror) in zip(sizes, matrices()):
             # A mirror(u) = mirror(B u): B's eigenvectors mirror to A's
             u = np.linspace(-1.0, 2.0, size)
             np.testing.assert_allclose(A.matvec(mirror(u)), mirror(block.matvec(u)), rtol=0, atol=1e-14)

@@ -128,8 +128,9 @@ def test_no_module_imports_scipy_or_mpmath():
 
 
 def test_no_module_uses_numpy_random():
-    """No `random` attribute and no import of numpy.random under src/: its
-    import alone adds about 5 MB to a process."""
+    """No `random` attribute and no import of numpy.random under src/: on
+    NumPy >= 2, which loads it lazily, its import alone adds about 5 MB to a
+    process."""
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute):
@@ -141,9 +142,14 @@ def test_no_module_uses_numpy_random():
 
 
 def test_fd_eigenvectors_never_import_numpy_random():
-    """The benchmark's path: the CLI imported, the ten top vectors at m = 2000."""
+    """The benchmark's path: the CLI imported, the ten top vectors at m = 2000.
+    NumPy 1.x imports numpy.random with numpy itself; there only the name scan
+    above can tell."""
     script = """
 import sys
+import numpy
+if "numpy.random" in sys.modules:
+    sys.exit(99)
 from deformspec import canonical_params, cli, discretize, eigenvector_inverse_iteration, top_eigenvalues
 cli.run(["--version"])
 A = discretize(canonical_params(), 2000)
@@ -153,6 +159,8 @@ assert len(vectors) == 10 and "numpy.random" not in sys.modules, sorted(sys.modu
     path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    if done.returncode == 99:
+        pytest.skip(f"numpy.random is loaded with numpy {np.__version__}, before deformspec")
     assert done.returncode == 0, done.stderr
 
 
