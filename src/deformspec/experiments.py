@@ -309,6 +309,7 @@ def inverse_limit_report(
             "amplitude": model.amplitude,
             "decay_rate": model.decay_rate,
             "n_max": model.n_max,
+            "mode_decay": model.mode_decay,
             "k_max": k_max,
             "grid_points": len(grid),
         },

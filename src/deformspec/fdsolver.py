@@ -18,11 +18,11 @@ The matrix reads the same backwards (it commutes with v -> -v), so it splits
 exactly into a symmetric and an antisymmetric block of about m/2 rows that
 share all rows but their last (Cantoni & Butler, LAA 13, 1976), and with
 positive off-diagonals its eigenvalues alternate between them, the largest
-symmetric (Hald, LAA 14, 1976).  Each eigenvalue is bisected on its own block,
-so every Sturm sweep walks ceil(m/2) rows, and each eigenvector is iterated on
-the block that holds its shift and mirrored to all m rows, so it is exactly
-symmetric or antisymmetric; a matrix without that structure is one block of m
-rows.
+symmetric (Hald, LAA 14, 1976): the j-th largest, from j = 0, lives on block
+j % 2.  Each eigenvalue is bisected on that block, so every Sturm sweep walks
+ceil(m/2) rows, and each eigenvector is iterated on it and mirrored to all m
+rows, so it is exactly symmetric or antisymmetric; a matrix without that
+structure is one block of m rows.
 """
 
 from __future__ import annotations
@@ -159,14 +159,15 @@ def _multisection_depth(k: int) -> int:
 
 
 def _sturm_view(A: TridiagonalSymmetricMatrix):
-    """``(count, sizes, lower, upper, blocks)``: ``count(xs, block)`` is the
+    """``(count, sizes, lower, upper, block)``: ``count(xs, block)`` is the
     number of eigenvalues <= xs[j] of block block[j], by :func:`_sturm_counts`
     looked up at each call, the blocks have ``sizes`` rows and A's Gershgorin
-    bounds [lower, upper] hold them all.  ``blocks()[b]`` builds block b as a
-    ``(B, mirror)`` pair, ``mirror`` taking a vector u of B to one of A with
-    A mirror(u) = mirror(B u); only eigenvectors need it.  Raises
-    :class:`NumericalError` if a squared off-diagonal, or a bound doubled
-    (bisection adds two bracket ends), overflows.
+    bounds [lower, upper] hold them all.  A's eigenvalue of rank j (the j-th
+    largest, from 0) is one of block j % len(sizes).  ``block(b)`` builds
+    block b alone as a ``(B, mirror)`` pair, ``mirror`` taking a vector u of
+    B to one of A with A mirror(u) = mirror(B u); only eigenvectors need it.
+    Raises :class:`NumericalError` if a squared off-diagonal, or a bound
+    doubled (bisection adds two bracket ends), overflows.
 
     A persymmetric A (equal read backwards) with positive off-diagonals e
     commutes with the reversal, so from m = 3 on it splits into a symmetric
@@ -206,23 +207,22 @@ def _sturm_view(A: TridiagonalSymmetricMatrix):
     def count(xs: np.ndarray, block: np.ndarray) -> np.ndarray:
         return _sturm_counts(diag, off2, pivmin, xs, tails, block)
 
-    def blocks():
+    def block(b: int):
         if len(tails) == 1:
-            return ((A, lambda u: u),)
+            return A, lambda u: u
         shared = off[: p - 1]
         if A.dim % 2 == 0:
-            halves = [TridiagonalSymmetricMatrix(np.r_[diag, end], shared) for end, _ in tails]
-            return tuple((half, lambda u, s=s: np.r_[u, s * u[::-1]]) for half, s in zip(halves, (1.0, -1.0)))
+            sign = (1.0, -1.0)[b]
+            return TridiagonalSymmetricMatrix(np.r_[diag, tails[b][0]], shared), lambda u: np.r_[u, sign * u[::-1]]
+        if b == 1:
+            return TridiagonalSymmetricMatrix(diag, shared), lambda u: np.r_[u, 0.0, -u[::-1]]
         root2 = math.sqrt(2.0)
         return (
-            (
-                TridiagonalSymmetricMatrix(A.diag[: p + 1], np.r_[shared, root2 * off[p - 1]]),
-                lambda u: np.r_[u[:p], root2 * u[p], u[p - 1 :: -1]],
-            ),
-            (TridiagonalSymmetricMatrix(diag, shared), lambda u: np.r_[u, 0.0, -u[::-1]]),
+            TridiagonalSymmetricMatrix(A.diag[: p + 1], np.r_[shared, root2 * off[p - 1]]),
+            lambda u: np.r_[u[:p], root2 * u[p], u[p - 1 :: -1]],
         )
 
-    return count, sizes, lower, upper, blocks
+    return count, sizes, lower, upper, block
 
 
 def _bisect_top(A: TridiagonalSymmetricMatrix, k: int) -> np.ndarray:
@@ -232,12 +232,11 @@ def _bisect_top(A: TridiagonalSymmetricMatrix, k: int) -> np.ndarray:
     wide, or 2^-110 of the Gershgorin interval where the 110-level cap stops
     the bisection first.
 
-    Each eigenvalue is bisected on its own parity block:
-    the eigenvalues of a persymmetric Jacobi matrix alternate between the
-    blocks, the largest symmetric (Hald, LAA 14, 1976), so the j-th largest of
-    A is the (j // 2)-th largest of block j % 2.  Every block starts from A's
-    own Gershgorin bounds and pivmin, and all brackets stop together, so each
-    follows the path one-midpoint bisection takes on its block.
+    Each eigenvalue is bisected on its own parity block: by the rank rule of
+    :func:`_sturm_view`, the j-th largest of A is the (j // 2)-th largest of
+    block j % 2.  Every block starts from A's own Gershgorin bounds and
+    pivmin, and all brackets stop together, so each follows the path
+    one-midpoint bisection takes on its block.
 
     One sweep counts at all 2^b - 1 midpoints of the next b bisection levels
     of every bracket; the midpoints come from the same 0.5*(lo + hi)
@@ -375,40 +374,38 @@ def _inverse_iterate(A: TridiagonalSymmetricMatrix, lam: float) -> np.ndarray:
 def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> np.ndarray:
     """Unit eigenvector for a shift accurate to working precision, such as a
     :func:`top_eigenvalues` entry, by two shifted solves from a deterministic
-    start on the parity block of :func:`_sturm_view` that holds the shift,
-    mirrored back to all rows.
+    start on one parity block of :func:`_sturm_view`, mirrored back to all
+    rows, so on a split A each vector is exactly symmetric or antisymmetric.
 
-    The block whose count changes within the clustering window below holds
-    the shift; where both do, or neither, each block is solved and the vector
-    with the smaller residual on A kept.  On a split A the mirror makes each
-    vector exactly symmetric or antisymmetric.  With scale = max|diag| +
-    max|off|, the residual |A v - lam v| is then a few eps * scale (the 1e-15
-    relative bisection bracket alone allows about 3 eps * scale), growing
-    slowly with dim, and a third solve does not lower it.
-    :class:`NumericalError` is raised when it exceeds 4 * dim * eps * scale:
-    the shift is not that close to an eigenvalue.  Sign is gauged so the first
-    component of noticeable size is positive.  The vector's error is about
-    eps * scale / gap, gap being the distance to the next eigenvalue;
-    :class:`ConditioningWarning` is emitted when another eigenvalue lies within
-    1e-8 * max(1, scale) of the shift, where that error could exceed 2e-8.
+    With scale = max|diag| + max|off|, the residual |A v - lam v| is a few
+    eps * scale (the 1e-15 relative bisection bracket alone allows about
+    3 eps * scale), growing slowly with dim, and a third solve does not lower
+    it.  :class:`NumericalError` is raised when it exceeds r = 4 * dim * eps *
+    scale: the shift is not that close to an eigenvalue.  The block is that of
+    the largest eigenvalue <= lam + r, the one such a shift approximates.
+    Sign is gauged so the first component of noticeable size is positive.
+    The vector's error is about eps * scale / gap, gap being the distance to
+    the next eigenvalue; :class:`ConditioningWarning` is emitted when another
+    eigenvalue lies within 1e-8 * max(1, scale) of the shift, where that error
+    could exceed 2e-8.
     """
     lam = float(lam)
-    count, sizes, _, _, blocks = _sturm_view(A)
+    count, sizes, _, _, block = _sturm_view(A)
     scale = float(np.max(np.abs(A.diag)) + (np.max(np.abs(A.offdiag)) if A.dim > 1 else 0.0))
     gap = 1e-8 * max(1.0, scale)
-    # A's count at each end is the sum of its blocks' counts
-    nearby = count(np.tile([lam + gap, lam - gap], len(sizes)), np.repeat(np.arange(len(sizes)), 2))
-    held = nearby[0::2] - nearby[1::2]
-    if int(np.sum(held)) > 1:
+    bound = 4 * A.dim * np.finfo(float).eps * scale
+    # A's count at each shift is the sum of its blocks' counts
+    k = len(sizes)
+    shifts = np.tile([lam + gap, lam - gap, lam + bound], k)
+    above, below, reach = count(shifts, np.repeat(np.arange(k), 3)).reshape(k, 3).sum(axis=0)
+    if above - below > 1:
         warnings.warn("clustered eigenvalues near the shift", ConditioningWarning)
-    candidates = []
-    split = blocks()
-    for matrix, mirror in [split[b] for b in np.flatnonzero(held)] or split:
-        v = mirror(_inverse_iterate(matrix, lam))
-        v = v / np.linalg.norm(v)
-        candidates.append((np.linalg.norm(A.matvec(v) - lam * v), v))
-    residual, v = min(candidates, key=lambda candidate: candidate[0])
-    if not residual <= 4 * A.dim * np.finfo(float).eps * scale:
+    # the largest eigenvalue <= lam + bound has rank dim - reach, on that rank's block
+    matrix, mirror = block(int(A.dim - reach) % k)
+    v = mirror(_inverse_iterate(matrix, lam))
+    v = v / np.linalg.norm(v)
+    residual = np.linalg.norm(A.matvec(v) - lam * v)
+    if not residual <= bound:
         raise NumericalError(f"shift {lam!r} leaves residual {residual:.3e}, above 4 * dim * eps * scale")
     significant = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
     if len(significant) and v[significant[0]] < 0:

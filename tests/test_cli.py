@@ -631,6 +631,11 @@ def test_inverse_limit_rejects_bad_mode_decay(capsys, gamma):
     assert err.startswith("deformspec: error: mode_decay") and err.count("\n") == 1
 
 
+def test_inverse_limit_json_names_its_mode_decay(capsys):
+    code, out, _ = invoke(capsys, "inverse-limit", "--n-max", "8", "--gamma-mode-decay", "0.5", "--no-meta")
+    assert code == 0 and json.loads(out)["inputs"]["mode_decay"] == 0.5
+
+
 def test_si_asymptotics_exits_zero(capsys):
     # every C_n rounds to pi in SI units; the verdict reads the deficits pi - C_n
     code, out, _ = invoke(capsys, "asymptotics", "--si", "--n-min", "10", "--n-max", "20", "--no-meta")

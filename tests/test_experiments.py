@@ -211,6 +211,7 @@ class TestInverseLimit:
         uniform_sup = np.max(np.abs(uniform / math.pi))
         assert report.series["seminorm_k0"][0] == pytest.approx(uniform_sup, rel=1e-12)
         assert report.series["fitted_slope"][0] == pytest.approx(-2.0, abs=1e-9)
+        assert report.inputs["mode_decay"] == 0.0
 
     def test_degenerate_fit_rejected(self):
         model = DecayModel(amplitude=1.0, decay_rate=2.0, n_max=4)

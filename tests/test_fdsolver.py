@@ -155,6 +155,27 @@ def reference_inverse_iteration(A, lam):
     return -v if v[significant[0]] < 0 else v
 
 
+def reference_window_inverse_iteration(A, lam):
+    """The block rule the rank rule replaced: solve every parity block whose
+    count changes within lam +- 1e-8 max(1, scale), or every block where none
+    does, and keep the vector with the smaller residual on A."""
+    count, sizes, _, _, build = fdsolver._sturm_view(A)
+    scale = float(np.max(np.abs(A.diag)) + (np.max(np.abs(A.offdiag)) if A.dim > 1 else 0.0))
+    gap = 1e-8 * max(1.0, scale)
+    nearby = count(np.tile([lam + gap, lam - gap], len(sizes)), np.repeat(np.arange(len(sizes)), 2))
+    held = np.flatnonzero(nearby[0::2] - nearby[1::2])
+    candidates = []
+    for b in held if len(held) else range(len(sizes)):
+        matrix, mirror = build(b)
+        v = mirror(fdsolver._inverse_iterate(matrix, lam))
+        v = v / np.linalg.norm(v)
+        candidates.append((np.linalg.norm(A.matvec(v) - lam * v), v))
+    residual, v = min(candidates, key=lambda candidate: candidate[0])
+    assert residual <= 4 * A.dim * np.finfo(float).eps * scale
+    significant = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
+    return -v if v[significant[0]] < 0 else v
+
+
 def toeplitz_eigenvalues(params, m):
     """Closed form for the discretized operator: classic tridiagonal Toeplitz."""
     h = 2 * params.v_c / (m + 1)
@@ -478,10 +499,11 @@ class TestBitIdenticalToReference:
         A = TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
         off2 = off**2
         pivmin = max(float(np.max(off2)), 1.0) * 1e-290
-        count, sizes, _, _, matrices = fdsolver._sturm_view(A)
+        count, sizes, _, _, build = fdsolver._sturm_view(A)
         blocks = parity_blocks(A)
         assert list(sizes) == [(A.dim + 1) // 2, A.dim // 2]
-        for size, (block, mirror) in zip(sizes, matrices()):
+        for b, size in enumerate(sizes):
+            block, mirror = build(b)
             # A mirror(u) = mirror(B u): B's eigenvectors mirror to A's
             u = np.linspace(-1.0, 2.0, size)
             np.testing.assert_allclose(A.matvec(mirror(u)), mirror(block.matvec(u)), rtol=0, atol=1e-14)
@@ -634,6 +656,20 @@ class TestAccuracyContract:
         assert_within_sturm_brackets(A, eigenvalues_tridiagonal(A))
 
 
+@pytest.fixture
+def solve_dims(monkeypatch):
+    """The rows of every shifted solve run after the fixture is set up."""
+    dims = []
+    solve = fdsolver._solve_shifted
+
+    def recording(A, lam, b):
+        dims.append(A.dim)
+        return solve(A, lam, b)
+
+    monkeypatch.setattr(fdsolver, "_solve_shifted", recording)
+    return dims
+
+
 class TestInverseIteration:
     def test_mode_zero_matches_samples(self):
         # the discrete eigenvector equals the eigenfunction samples exactly
@@ -718,11 +754,10 @@ class TestInverseIteration:
         assert 0 < lam[0] - lam[1] < 1e-9
         with pytest.warns(ConditioningWarning):
             vec = eigenvector_inverse_iteration(A, lam[0])
-        # both blocks are solved; the symmetric one leaves the smaller residual
         assert np.array_equal(vec, vec[::-1])
 
     def test_clustering_check_counts_on_parity_blocks(self, monkeypatch):
-        # one count of lam +- gap on both blocks, over ceil(m/2) rows
+        # one count of lam +- gap and lam + r on both blocks, over ceil(m/2) rows
         calls = []
         count = fdsolver._sturm_counts
 
@@ -734,22 +769,39 @@ class TestInverseIteration:
         lam = top_eigenvalues(A, 1)[0]
         monkeypatch.setattr(fdsolver, "_sturm_counts", counting)
         eigenvector_inverse_iteration(A, lam)
-        assert calls == [(4, 1001)]
+        assert calls == [(6, 1001)]
 
-    def test_solves_run_on_the_block_that_holds_the_shift(self, monkeypatch):
-        dims = []
-        solve = fdsolver._solve_shifted
-
-        def recording(A, lam, b):
-            dims.append(A.dim)
-            return solve(A, lam, b)
-
+    def test_solves_run_on_the_block_that_holds_the_shift(self, solve_dims):
         A = discretize(CANON, 2001)
-        lams = top_eigenvalues(A, 2)
-        monkeypatch.setattr(fdsolver, "_solve_shifted", recording)
-        for lam in lams:
+        for lam in top_eigenvalues(A, 2):
             eigenvector_inverse_iteration(A, lam)
-        assert dims == [1001, 1001, 1000, 1000]
+        assert solve_dims == [1001, 1001, 1000, 1000]
+
+    def test_window_wider_than_the_spectrum_solves_one_block(self, solve_dims):
+        # the clustering window, about 100 wide, holds all ten eigenvalues
+        # 1e10 + 20 cos(j pi/11); the top ones are 2.4 apart and r is about 9e-5
+        A = TridiagonalSymmetricMatrix(diag=np.full(10, 1e10), offdiag=np.full(9, 10.0))
+        for j, lam in enumerate(top_eigenvalues(A, 4)):
+            solve_dims.clear()
+            with pytest.warns(ConditioningWarning):
+                vec = eigenvector_inverse_iteration(A, lam)
+            assert solve_dims == [5, 5]
+            assert np.array_equal(vec, (-1.0) ** j * vec[::-1])
+
+    def test_shift_between_eigenvalues_solves_one_block_and_fails(self, solve_dims):
+        A = discretize(CANON, 250)
+        lam = float(np.mean(top_eigenvalues(A, 2)))
+        with pytest.raises(NumericalError, match="residual"):
+            eigenvector_inverse_iteration(A, lam)
+        assert solve_dims == [125, 125]
+
+    @pytest.mark.parametrize("params", [CANON, custom_params(0.8, 3.0, 1.7)], ids=["canonical", "custom"])
+    @pytest.mark.parametrize("m", [250, 251, 2000, 2001])
+    def test_same_vectors_as_the_window_rule(self, params, m):
+        A = discretize(params, m)
+        for lam in top_eigenvalues(A, 10):
+            expected = reference_window_inverse_iteration(A, lam)
+            assert eigenvector_inverse_iteration(A, lam).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("params", [CANON, custom_params(0.8, 3.0, 1.7)], ids=["canonical", "custom"])
     @pytest.mark.parametrize("m", [3, 4, 5, 250, 251, 2000, 2001])

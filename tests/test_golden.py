@@ -129,9 +129,9 @@ GOLDEN = {
     "gram-simpson-csv": "02842c7ad612b502a4b057b6b8428c574b327da9f63122e0f58013266288de3c",
     "gram-two-blocks-csv": "c56fd1303b0efed95017f5867784d29af82cd784a12ac438450c02e870181dce",
     "inverse-limit-csv": "9f14459d58e55886d3ecbdb49a099240a65100c5f131b3b1e8af67e38f286f66",
-    "inverse-limit-custom-json": "83f641b1e18dde83549b59e5e91614e059b713d4cd90540ea9b4868394e4f76d",
-    "inverse-limit-json": "28b20f3b87267115ea3a4236f72c5fecab908ac546ff27ce2578d7a70832ca3f",
-    "inverse-limit-si-json": "ac7488dede4d05f29bd9f7e74bac32a18ffbfa878028b59621a0371755c90b7c",
+    "inverse-limit-custom-json": "7544390bf8b62a35912c373636c05f8358c0e841403828e70160fe049eaab423",
+    "inverse-limit-json": "735030730ce73544c1dca1428ab4aaba3876aa7ad670e2f04037d7f358cac8d6",
+    "inverse-limit-si-json": "16804ab6b5e747989713c4f06846eace3a005ad10f46797721dd2c1208f5b5be",
     "parseval-csv": "1e51f85598e9080941fd0cab104ba9936d7e797caadccaa2b2adf7d48aeaa2aa",
     "parseval-json": "4ceb26058bcb3a73533f7ec64c0155933ca6d92213a5063760f1bb65214fa9db",
     "project-csv": "bdc6161b097ce8bd6c803497e97e30c57bf5ae1e20f953fe69bbbbd3ecefd220",
