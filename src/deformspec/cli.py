@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from pathlib import Path
@@ -325,7 +324,7 @@ def _cmd_fd_validate(args) -> int:
         payload = [
             {
                 "grid": {"m": r.m, "h": r.h},
-                "convergence_order": None if math.isnan(r.convergence_order) else r.convergence_order,
+                "convergence_order": r.convergence_order,
                 "eigenvalues_fd": r.eigenvalues_fd,
                 "eigenvalues_analytic": r.eigenvalues_analytic,
                 "abs_errors": r.abs_errors,

@@ -68,7 +68,7 @@ class FDSpectrumReport:
     eigenvalues_analytic: np.ndarray
     abs_errors: np.ndarray
     rel_errors: np.ndarray
-    convergence_order: float = math.nan
+    convergence_order: float | None = None
 
 
 @dataclass(frozen=True)
@@ -372,7 +372,7 @@ def refinement_study(params: OperatorParams, m_list, n_modes: int = 1) -> list[F
     """The top n_modes discrete eigenvalues against the closed form at each of
     one or more increasing grid sizes, only well-resolved modes (n_modes <= m/4
     at every size).  From two sizes on, the mode-0 convergence order fitted
-    across them is stored on every report; with one size it stays NaN."""
+    across them is stored on every report; with one size it stays None."""
     m_list = _increasing(m_list)
     n_modes = int(n_modes)
     if not 1 <= n_modes <= m_list[0] / 4:
@@ -385,7 +385,7 @@ def refinement_study(params: OperatorParams, m_list, n_modes: int = 1) -> list[F
     abs_errs = [np.abs(lam - lam_an) for lam in lam_fd]
     message = "relative error overflows a 64-bit float: a closed-form eigenvalue is 0 or nearly 0"
     rel_errs = [_finite(lambda: err / np.abs(lam_an), message) for err in abs_errs]
-    order = math.nan
+    order = None
     if len(m_list) > 1:
         message = "zero error in refinement study; cannot fit an order"
         log_errs = _finite(lambda: np.log([err[0] for err in abs_errs]), message)

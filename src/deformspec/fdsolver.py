@@ -75,15 +75,27 @@ class TridiagonalSymmetricMatrix:
 def discretize(params: OperatorParams, m: int) -> TridiagonalSymmetricMatrix:
     """3-point discretization of the operator on m interior points, h = 2 v_c/(m+1).
 
-    Raises :class:`NumericalError` when the diagonal pi - 2 pi hbar^2/(c h)^2
-    overflows a 64-bit float.
+    Raises :class:`NumericalError` when the diagonal pi - 2 pi (hbar/c)^2/h^2
+    overflows a 64-bit float or its coefficient pi (hbar/c)^2/h^2 underflows
+    to zero.
     """
     m = int(m)
     if m < 3:
         raise ValidationError("discretization needs m >= 3 interior points")
+    r = params.hbar_over_c
     h = 2.0 * params.v_c / (m + 1)
-    message = f"3-point coefficient overflows for hbar/c = {params.hbar / params.c!r} and h = {h!r}"
-    coeff = _finite(lambda: math.pi * params.hbar**2 / (params.c**2 * h**2), message)
+    where = f"for hbar/c = {r!r} and h = {h!r}"
+    message = f"3-point coefficient overflows {where}"
+    try:
+        coeff = math.pi * r**2 / h**2
+    except (OverflowError, ZeroDivisionError):
+        coeff = 0.0
+    # r^2 or h^2 left the float range, or is subnormal (a root below 2^-511)
+    # and keeps few bits; the quotient squared need not
+    if not 0.0 < coeff < math.inf or min(r, h) < 2.0**-511:
+        coeff = _finite(lambda: math.pi * (r / h) ** 2, message)
+        if coeff == 0.0:
+            raise NumericalError(f"3-point coefficient underflows {where}")
     diag = np.full(m, _finite(lambda: math.pi - 2.0 * coeff, message))
     return TridiagonalSymmetricMatrix(diag=diag, offdiag=np.full(m - 1, coeff))
 

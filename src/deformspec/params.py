@@ -55,9 +55,14 @@ class OperatorParams:
                 raise ValidationError("dimensionless mode requires v_c = sqrt(1 - 1/pi)")
 
     @property
+    def hbar_over_c(self) -> float:
+        """hbar/c, the only combination of hbar and c the operator depends on."""
+        return self.hbar / self.c
+
+    @property
     def gamma(self) -> float:
         """The single dimensionless group hbar/(c*v_c) controlling the spectrum."""
-        return self.hbar / (self.c * self.v_c)
+        return self.hbar_over_c / self.v_c
 
 
 def canonical_params() -> OperatorParams:

@@ -78,13 +78,13 @@ def eigenvalue(params: OperatorParams, n):
     happens only for a v_c tiny against hbar/c.
     """
     k = wavenumber(params, n)
-    message = f"eigenvalue overflows for hbar/c = {params.hbar / params.c!r} and v_c = {params.v_c!r}"
-    return _finite(lambda: math.pi * (1.0 - (params.hbar / params.c * k) ** 2), message)
+    message = f"eigenvalue overflows for hbar/c = {params.hbar_over_c!r} and v_c = {params.v_c!r}"
+    return _finite(lambda: math.pi * (1.0 - (params.hbar_over_c * k) ** 2), message)
 
 
 def _deficit(params: OperatorParams, n):
     """d_n = pi - C_n = pi (hbar k_n / c)^2, free of the cancellation in pi - C_n."""
-    return math.pi * (params.hbar / params.c * wavenumber(params, n)) ** 2
+    return math.pi * (params.hbar_over_c * wavenumber(params, n)) ** 2
 
 
 def asymptotic_coefficient(params: OperatorParams) -> float:
@@ -93,10 +93,9 @@ def asymptotic_coefficient(params: OperatorParams) -> float:
     Raises :class:`NumericalError` when alpha overflows a 64-bit float or
     underflows to zero.
     """
-    ratio = params.hbar / params.c
-    where = f"for hbar/c = {ratio!r} and v_c = {params.v_c!r}"
-    # one quotient, squared: where (hbar/c)^2 and v_c^2 both underflow, their ratio need not
-    alpha = _finite(lambda: (ratio / params.v_c) ** 2 * math.pi**3 / 4.0, f"decay rate overflows {where}")
+    where = f"for hbar/c = {params.hbar_over_c!r} and v_c = {params.v_c!r}"
+    # gamma = (hbar/c)/v_c, one quotient, squared: where (hbar/c)^2 and v_c^2 both underflow, gamma^2 need not
+    alpha = _finite(lambda: params.gamma**2 * math.pi**3 / 4.0, f"decay rate overflows {where}")
     if alpha == 0.0:
         raise NumericalError(f"decay rate underflows {where}")
     return alpha
@@ -135,7 +134,7 @@ def critical_index(params: OperatorParams) -> CriticalIndexReport:
     :class:`NumericalError` when x overflows a 64-bit float.
     """
     message = f"x = 2 v_c c/(pi hbar) overflows for hbar = {params.hbar!r}, c = {params.c!r}, v_c = {params.v_c!r}"
-    x = _finite(lambda: 2.0 * params.v_c / (math.pi * (params.hbar / params.c)), message)
+    x = _finite(lambda: 2.0 * params.v_c / (math.pi * params.hbar_over_c), message)
     n_star_paper = math.floor(x)
     n_star_exact: int | None = n_star_paper - 1 if x >= 1.0 else None
     if x < 2**52:

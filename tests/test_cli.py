@@ -477,17 +477,27 @@ def test_overflowing_parameters_exit_three(capsys, command):
     assert err.startswith("deformspec: numerical error:") and "Traceback" not in err
 
 
-def test_asymptotics_reads_hbar_and_c_through_their_ratio(capsys):
-    argv = ["asymptotics", "--format", "csv", "--v-c", "0.8"]
+@pytest.mark.parametrize("command", ["asymptotics", "fd-validate"])
+def test_hbar_and_c_enter_through_their_ratio(capsys, command):
+    # hbar^2 = c^2 = 1e310 overflow, their ratio is 1
+    argv = [command, "--format", "csv", "--v-c", "0.8"]
     runs = [invoke(capsys, *argv, "--hbar", h, "--c", h) for h in ("1e155", "1")]
     assert runs[0][0] == runs[1][0] == 0 and runs[0][1] == runs[1][1]
 
 
-@pytest.mark.parametrize("c,v_c", [("1e200", "1e120"), ("1.7e308", "2e307")])
-def test_underflowing_decay_rate_exits_three(capsys, c, v_c):
-    code, out, err = invoke(capsys, "asymptotics", "--hbar", "1", "--c", c, "--v-c", v_c)
+@pytest.mark.parametrize(
+    "command,c,v_c,what",
+    [
+        ("asymptotics", "1e200", "1e120", "decay rate"),
+        ("asymptotics", "1.7e308", "2e307", "decay rate"),
+        # h^2 = 2.5e610 overflows, and pi (hbar/(c h))^2 underflows to zero
+        ("fd-validate", "1.7e308", "2e307", "3-point coefficient"),
+    ],
+)
+def test_underflowing_coefficient_exits_three(capsys, command, c, v_c, what):
+    code, out, err = invoke(capsys, command, "--hbar", "1", "--c", c, "--v-c", v_c)
     assert (code, out) == (3, "")
-    assert err.startswith("deformspec: numerical error: decay rate underflows") and err.count("\n") == 1
+    assert err.startswith(f"deformspec: numerical error: {what} underflows") and err.count("\n") == 1
 
 
 def test_decay_rate_where_both_squares_underflow(capsys):

@@ -184,6 +184,13 @@ def toeplitz_eigenvalues(params, m):
     return np.sort(math.pi * (1 - (params.hbar / params.c) ** 2 * mu))[::-1]
 
 
+def reference_coefficient(params, m):
+    """The 3-point coefficient with hbar and c squared apart, as it was formed
+    before every formula read hbar/c as one quotient."""
+    h = 2.0 * params.v_c / (m + 1)
+    return math.pi * params.hbar**2 / (params.c**2 * h**2)
+
+
 class TestDiscretize:
     def test_m3_entries(self):
         A = discretize(CANON, 3)
@@ -209,6 +216,45 @@ class TestDiscretize:
         # kappa = pi (hbar/c)^2/h^2 = 1.003e308 is finite, but the diagonal pi - 2 kappa is not
         with pytest.raises(NumericalError, match="3-point coefficient overflows"):
             discretize(custom_params(1.0, 2.0, 1.77e-154), 3)
+
+    @pytest.mark.parametrize("m", [3, 250, 251, 2000])
+    @pytest.mark.parametrize(
+        "params", [CANON, custom_params(1.0, 2.0, 1.7), custom_params(2.0, 1.0, 0.8)], ids=["canonical", "half", "two"]
+    )
+    def test_same_bits_as_the_squares_taken_apart(self, params, m):
+        # hbar/c = 1, 1/2 and 2: both forms scale pi/h^2 by the same power of two
+        A, coeff = discretize(params, m), reference_coefficient(params, m)
+        assert A.offdiag.tobytes() == np.full(m - 1, coeff).tobytes()
+        assert A.diag.tobytes() == np.full(m, math.pi - 2.0 * coeff).tobytes()
+
+    @pytest.mark.parametrize("m", [3, 250, 251, 2000])
+    def test_same_operator_for_the_same_ratio(self, m):
+        # hbar^2 = c^2 = 1e310 overflow, their ratio is 1
+        A, B = discretize(custom_params(1e155, 1e155, 0.8), m), discretize(custom_params(1, 1, 0.8), m)
+        assert A.diag.tobytes() == B.diag.tobytes() and A.offdiag.tobytes() == B.offdiag.tobytes()
+
+    def test_overflowing_squares_with_a_finite_coefficient(self):
+        # (hbar/c)^2 = 3.0e307 is finite, h^2 = 2.25e308 overflows, and (hbar/(c h))^2 = 0.134
+        params = custom_params(1.7e308, 3.1e154, 3e154)
+        A, h = discretize(params, 3), 3e154 / 2
+        assert A.offdiag[0] == math.pi * (params.hbar_over_c / h) ** 2
+        assert A.offdiag[0] == pytest.approx(0.4199, abs=1e-4)
+        assert A.diag[0] == math.pi - 2.0 * A.offdiag[0]
+
+    @pytest.mark.parametrize("hbar,v_c", [(1e-170, 1e-158), (1e-160, 1e-154)], ids=["zero", "subnormal"])
+    def test_ratio_square_below_the_normal_range(self, hbar, v_c):
+        # (hbar/c)^2 = 1e-340 is 0.0 in floats and 1e-320 a subnormal with 11
+        # bits, but pi (hbar/(c h))^2 = 4 pi 1e-24 and 4 pi 1e-12 are normal
+        A, h = discretize(custom_params(hbar, 1.0, v_c), 3), v_c / 2
+        assert A.offdiag[0] == pytest.approx(math.pi * (hbar / h) ** 2, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "params,m", [(custom_params(1e-200, 1.0, 0.5), 250), (custom_params(1.0, 1.7e308, 2e307), 250)]
+    )
+    def test_coefficient_underflow_raises(self, params, m):
+        # no longer pi I, whose every eigenvalue is exactly pi
+        with pytest.raises(NumericalError, match="3-point coefficient underflows for hbar/c = "):
+            discretize(params, m)
 
     def test_consistency_on_mode_zero(self):
         # applying A to samples of psi_0 approximates C_0 psi_0 with O(h^2) residual
@@ -883,6 +929,6 @@ class TestValidation:
         assert (report.m, report.h) == (expected.m, expected.h)
         for name in ("eigenvalues_fd", "eigenvalues_analytic", "abs_errors", "rel_errors"):
             np.testing.assert_array_equal(getattr(report, name), getattr(expected, name))
-        assert math.isnan(report.convergence_order) and not math.isnan(expected.convergence_order)
+        assert report.convergence_order is None and expected.convergence_order is not None
         with pytest.raises(ValidationError):
             refinement_study(CANON, [], 2)

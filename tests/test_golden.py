@@ -114,11 +114,11 @@ GOLDEN = {
     "eigenfunction-custom-csv": "963ad731f8fa03b152dacd7912d2a03171990cf055fc58967e9741a874382187",
     "eigenfunction-json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "eigenfunction-si-csv": "965baf9dfb3994353eb82f44bb9150f02a73042d6e831ff75a61375b4021425e",
-    "fd-validate-bench-custom-json": "69f61297a770e45580183ae633fdc97b5e60d050795bcbab0e094cdddd24c1be",
+    "fd-validate-bench-custom-json": "b4f98ed3049459f97f7b291efe25b5fed7e5e6cb5831898680066058d0b0b8fa",
     "fd-validate-bench-json": "5e1cdfc794e0011ac42907bc4f9705398bd111d95fe02381310d1ec1f52cb771",
     "fd-validate-csv": "537c0f33cece00e132ce3760a1bc422437faa838ab4c0a8c787047a16a2f3436",
     "fd-validate-json": "bc0f215514cd9d342b6da7a4e24cd9dd47e925fc2eccd54f0f5a6eacc082c1fe",
-    "fd-validate-odd-custom-csv": "86d2058d09dfb07fac9bc396a974c1d72936e3ce1723237674f6c39de1bf1904",
+    "fd-validate-odd-custom-csv": "48e347d07a3332a96cc36648deeb3770a26e509af06cd26a18a06ea26ae8d357",
     "fd-validate-single-csv": "609515138346b65b4754205dd2643716b81a32b868239b4574352be8f47705ac",
     "gram-bench-255-csv": "bf41661947ed34849a6903ca8303188c5eebd69c043db0b3863e55f77739fc04",
     "gram-bench-600-csv": "1ad41d4dac317ce6c14ef14a76df9ed5b6cd4a73ad2c4969bbc8d73bf25534a5",

@@ -122,6 +122,30 @@ def test_every_parameter_under_src_is_read():
     assert unread == []
 
 
+def test_hbar_enters_arithmetic_only_through_hbar_over_c():
+    """hbar and c combine in one place: an operand `.hbar` of arithmetic under
+    src/ appears only inside OperatorParams.hbar_over_c, which the closed form
+    and the FD matrix read alike."""
+    operands = {ast.BinOp: ("left", "right"), ast.UnaryOp: ("operand",), ast.AugAssign: ("target", "value")}
+    inside, outside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "OperatorParams"
+            for function in cls.body
+            if isinstance(function, ast.FunctionDef) and function.name == "hbar_over_c"
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            for field in operands.get(type(node), ()):
+                operand = getattr(node, field)
+                if isinstance(operand, ast.Attribute) and operand.attr == "hbar":
+                    (inside if id(node) in exempt else outside).append(f"{path.name}:{node.lineno}")
+    assert outside == [] and len(inside) == 1, (outside, inside)
+
+
 def test_no_module_imports_scipy_or_mpmath():
     for path in SRC.rglob("*.py"):
         assert not _imports(path)[1] & {"scipy", "mpmath"}, path.name
