@@ -18,7 +18,7 @@ print("first modes:")
 print(f"{'n':>3} {'k_n':>12} {'C_n':>14} {'interior zeros':>15}")
 ns = np.arange(9)
 for n, k, c in zip(ns, ds.wavenumber(params, ns), ds.eigenvalue(params, ns)):
-    zeros = ds.count_interior_zeros(params, n, 1000)
+    zeros = ds.count_interior_zeros(params, n)
     print(f"{n:>3} {k:>12.6f} {c:>14.6f} {zeros:>15}")
 
 print("\nevery eigenvalue sits strictly below pi; the first one is already negative")

@@ -19,6 +19,8 @@ import numpy as np
 from . import __version__
 from .errors import DeformSpecError, NumericalError, ValidationError
 from .experiments import (
+    VERDICT_DOCUMENTED,
+    VERDICT_PASS,
     DecayModel,
     asymptotics_report,
     convergence_study,
@@ -28,7 +30,7 @@ from .experiments import (
 )
 from .io import Records, format_floats, read_coefficients, write_coefficients, write_csv, write_json
 from .params import OperatorParams, canonical_params, custom_params, deformation_profile, si_params
-from .quadrature import default_projection_rule, uniform_grid
+from .quadrature import GAUSS_LEGENDRE_MAX_NODES, default_projection_rule, uniform_grid
 from .spectrum import critical_index, eigenfunction, eigenvalue, wavenumber
 from .transform import evaluate, gram_matrix, parseval_defect, project
 
@@ -93,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", parents=[common], help="coefficients of a target function")
     p.add_argument("--target", default="C")
     p.add_argument("--n-max", type=_int_arg, default=16)
-    p.add_argument("--nodes", type=_int_arg, help="quadrature nodes (Gauss-Legendre up to 4096)")
+    p.add_argument("--nodes", type=_int_arg, help=f"quadrature nodes (Gauss-Legendre up to {GAUSS_LEGENDRE_MAX_NODES})")
 
     p = sub.add_parser("reconstruct", parents=[common], help="partial sum from a coefficient CSV")
     p.add_argument("--coeffs", required=True, help="CSV file with header n,a_n")
@@ -221,7 +223,7 @@ def _emit_report(args, report) -> int:
             index += range(len(series))
             values += series
         _emit(args, write_csv, ["series", "index", "value"], [names, index, values])
-    return EXIT_OK if report.verdict in ("pass", "documented_discrepancy") else EXIT_VERDICT_FAIL
+    return EXIT_OK if report.verdict in (VERDICT_PASS, VERDICT_DOCUMENTED) else EXIT_VERDICT_FAIL
 
 
 def _cmd_spectrum(args) -> int:
@@ -237,10 +239,15 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eigenfunction(args) -> int:
+def _grid_from(args) -> np.ndarray:
+    """The --grid-points uniform grid; raises :class:`ValidationError` below 3 points."""
     if args.grid_points < 3:
         raise ValidationError(f"--grid-points must be >= 3, got {args.grid_points}")
-    grid = uniform_grid(args.params, args.grid_points - 1)
+    return uniform_grid(args.params, args.grid_points - 1)
+
+
+def _cmd_eigenfunction(args) -> int:
+    grid = _grid_from(args)
     _emit(args, write_csv, ["v", "f"], [grid, eigenfunction(args.params, args.n, grid)])
     return EXIT_OK
 
@@ -269,10 +276,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    if args.grid_points < 3:
-        raise ValidationError(f"--grid-points must be >= 3, got {args.grid_points}")
+    grid = _grid_from(args)
     coeffs = read_coefficients(args.coeffs, args.params)
-    grid = uniform_grid(args.params, args.grid_points - 1)
     _emit(args, write_csv, ["v", "f"], [grid, evaluate(coeffs, grid)])
     return EXIT_OK
 

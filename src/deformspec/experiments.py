@@ -181,13 +181,15 @@ def rigidity_report(
     Two mechanisms are measured: the squared norm of the uniform partial sum
     grows like pi^2 (N+1), and every partial sum vanishes at the endpoints
     while the target constant pi does not, so the sup distance never drops
-    below pi.  Raises :class:`NumericalError` when a norm overflows a 64-bit
-    float, which happens only for a tiny v_c.
+    below pi.  The boundary gap and the sup deviation are taken on a uniform
+    grid of max(2048, NODES_PER_MODE * N) intervals, N the largest cutoff, so
+    the top mode is resolved at every N.  Raises :class:`NumericalError` when
+    a norm overflows a 64-bit float, which happens only for a tiny v_c.
     """
     tolerances = _tolerances("rigidity", tolerances)
     n_list = _increasing(n_list)
     rule = default_projection_rule(params, max(n_list))
-    grid = uniform_grid(params, 2048)
+    grid = uniform_grid(params, max(2048, NODES_PER_MODE * n_list[-1]))
     norm_sq, ratio_err, boundary_gap, sup_dev, dist = [], [], [], [], []
     for n in n_list:
         coeffs = CoefficientVector(params, np.full(n + 1, math.pi))
@@ -329,10 +331,11 @@ def convergence_study(
 
     Columns: L^2 error via `default_projection_rule` for the largest cutoff,
     and the sup error on the interior window |v| <= 0.9 v_c (away from the
-    endpoint mismatch).  The target is sampled once on each point set.  The
-    final L^2 error is judged relative to the target's L^2 norm on the same
-    rule, reported as the input `target_l2_norm`, so the verdict does not
-    depend on the units of v.
+    endpoint mismatch) of a uniform grid of max(4096, NODES_PER_MODE * N)
+    intervals, N the largest cutoff.  The target is sampled once on each
+    point set.  The final L^2 error is judged relative to the target's L^2
+    norm on the same rule, reported as the input `target_l2_norm`, so the
+    verdict does not depend on the units of v.
     """
     tolerances = _tolerances("converge", tolerances)
     slack = tolerances["converge.monotonic_slack"]
@@ -340,7 +343,7 @@ def convergence_study(
     rule = default_projection_rule(params, n_list[-1])
     target_on_nodes, coeffs = _projection(params, target, n_list[-1], rule)
     target_norm = _l2(rule, target_on_nodes)
-    window = uniform_grid(params, 4096)
+    window = uniform_grid(params, max(4096, NODES_PER_MODE * n_list[-1]))
     interior = np.abs(window) <= 0.9 * params.v_c
     target_interior = _sample(target, window[interior])
     l2_errors, sup_errors = [], []

@@ -32,19 +32,14 @@ from .transform import CoefficientVector
 BLOCK_CELLS = 2**12
 
 
-def format_float(x: float) -> str:
-    """Round-trippable decimal rendering of a 64-bit float."""
-    return f"{float(x):.17g}"
-
-
 def format_floats(values: np.ndarray, directive: str) -> np.ndarray:
     """``directive % x`` for every entry x of a float array, as an object array
-    of the same shape: ``"%.17g"`` is :func:`format_float` (the cells of the
-    Gram CSV), ``"%r"`` json's rendering of a finite float (the cells of a float
-    matrix's innermost JSON lists, one-column tables of :func:`_rows`).  Each
-    distinct 64-bit pattern is formatted once, so ``-0.0`` and ``0.0`` (and NaN
-    payloads) stay apart; this pays off where the values repeat, such as the
-    entries of a Gram matrix."""
+    of the same shape: ``"%.17g"`` the CSV rendering of a float (the cells of
+    the Gram CSV), ``"%r"`` json's rendering of a finite float (the cells of a
+    float matrix's innermost JSON lists, one-column tables of :func:`_rows`).
+    Each distinct 64-bit pattern is formatted once, so ``-0.0`` and ``0.0``
+    (and NaN payloads) stay apart; this pays off where the values repeat, such
+    as the entries of a Gram matrix."""
     values = np.asarray(values, dtype=np.float64)
     keys, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
     distinct = ((directive + "\n") * len(keys) % tuple(keys.view(np.float64).tolist())).splitlines()
@@ -56,7 +51,7 @@ def write_csv(stream, header, columns) -> None:
     every column.
 
     The columns are sequences (lists, ranges, ndarrays), sliced block by block.
-    A float cell is written by :func:`format_float`, any other cell through
+    A float cell is written as ``"%.17g" % x``, any other cell through
     ``str``; ndarray slices are converted with ``tolist`` first.  A 2-D ndarray
     of strings is a group of adjacent columns, row i its row i.  Raises
     ``ValueError``, before writing anything, when the columns differ in length.
@@ -115,7 +110,7 @@ def _column(column: list) -> tuple[str, list]:
         return "%.17g", column
     if types == {int}:
         return "%d", column
-    return "%s", [format_float(x) if isinstance(x, float) else str(x) for x in column]
+    return "%s", ["%.17g" % x if isinstance(x, float) else str(x) for x in column]
 
 
 def write_coefficients(stream, coeffs: CoefficientVector) -> None:

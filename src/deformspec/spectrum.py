@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ResolutionError, ValidationError, _finite
+from .errors import NumericalError, ValidationError, _finite
 from .params import OperatorParams, _require_in_interval
-from .quadrature import uniform_grid
+from .quadrature import NODES_PER_MODE, uniform_grid
 
 
 def _half_turns(x):
@@ -149,24 +149,16 @@ def critical_index(params: OperatorParams) -> CriticalIndexReport:
     return CriticalIndexReport(x=x, n_star_paper=n_star_paper, n_star_exact=n_star_exact, agree=agree)
 
 
-def count_interior_zeros(params: OperatorParams, n: int, grid_points: int = 1000) -> int:
+def count_interior_zeros(params: OperatorParams, n: int) -> int:
     """Count sign changes of psi_n strictly inside (-v_c, v_c) on a uniform scan grid.
 
-    Samples within one band width 2 v_c / grid_points of each endpoint are
-    excluded so the Dirichlet zeros at the boundary are never counted.
-    Returns exactly n for the analytic eigenfunctions once resolved.
+    The grid is `uniform_grid(params, max(999, NODES_PER_MODE * n))`: 1000
+    points up to n = 124, NODES_PER_MODE intervals a mode past it.  The
+    samples at +-v_c are exact zeros and drop out with every other zero
+    sample before sign changes are counted.  Returns exactly n for the
+    analytic eigenfunctions.
     """
     n = int(_check_index(n))
-    grid_points = int(grid_points)
-    if grid_points < 1000:
-        raise ValidationError("grid_points must be >= 1000")
-    if grid_points < 10 * (n + 1):
-        raise ResolutionError(
-            f"grid_points = {grid_points} too coarse for mode {n}; need >= {10 * (n + 1)}"
-        )
-    grid = uniform_grid(params, grid_points - 1)
-    band = 2.0 * params.v_c / grid_points
-    values = eigenfunction(params, n, grid[np.abs(grid) < params.v_c - band])
-    signs = np.sign(values)
+    signs = np.sign(eigenfunction(params, n, uniform_grid(params, max(999, NODES_PER_MODE * n))))
     signs = signs[signs != 0.0]
     return int(np.sum(signs[1:] * signs[:-1] < 0))

@@ -174,7 +174,7 @@ def test_criterion_05_upper_bound_and_monotonicity():
 
 
 def test_criterion_06_oscillation():
-    analytic_ok = all(count_interior_zeros(CANON, n, 2000) == n for n in range(33))
+    analytic_ok = all(count_interior_zeros(CANON, n) == n for n in range(33))
     A = discretize(CANON, 500)
     lams = top_eigenvalues(A, 9)
     fd_ok = True

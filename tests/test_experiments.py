@@ -16,11 +16,13 @@ from deformspec import (
     constant_coefficient_report,
     convergence_study,
     custom_params,
+    default_projection_rule,
     deformation_profile,
     eigenfunction,
     evaluate,
     gauss_legendre_rule,
     inverse_limit_report,
+    project,
     rigidity_report,
     si_params,
     uniform_grid,
@@ -116,6 +118,16 @@ class TestRigidity:
             h_odd = sum(1.0 / m for m in range(1, n + 2) if m % 2 == 1)
             closed = math.pi**2 * (n + 1) - 8 * math.pi * math.sqrt(CANON.v_c) * h_odd + 2 * math.pi**2 * CANON.v_c
             assert value**2 == pytest.approx(closed, rel=1e-9)
+
+    def test_sup_deviation_resolved_at_large_cutoffs(self):
+        # the sup grid must grow with the largest cutoff to catch the peaks of its top modes
+        report = rigidity_report(CANON, [1000, 4000])
+        fine = uniform_grid(CANON, 400000)
+        for n, sup in zip(report.series["n"], report.series["sup_deviation_from_pi"]):
+            partial = evaluate(CoefficientVector(CANON, np.full(n + 1, math.pi)), fine)
+            assert sup == pytest.approx(np.max(np.abs(partial - math.pi)), rel=1e-3)
+        sups = report.series["sup_deviation_from_pi"]
+        assert sups[0] < sups[1]
 
     def test_needs_increasing_list(self):
         with pytest.raises(ValidationError):
@@ -262,6 +274,17 @@ class TestConvergenceStudy:
         )
         sup = report.series["interior_sup_error"]
         assert all(b <= a + 1e-9 for a, b in zip(sup, sup[1:]))
+
+    def test_interior_sup_error_resolved_at_large_cutoffs(self):
+        # the window must grow with the largest cutoff to catch the peaks of its top modes
+        profile = lambda v: deformation_profile(CANON, v)
+        report = convergence_study(CANON, profile, [1000, 2000])
+        coeffs = project(CANON, profile, 2000, default_projection_rule(CANON, 2000)).coefficients
+        fine = uniform_grid(CANON, 400000)
+        interior = np.abs(fine) <= 0.9 * CANON.v_c
+        for n, sup in zip(report.series["n"], report.series["interior_sup_error"]):
+            partial = evaluate(CoefficientVector(CANON, coeffs[: n + 1]), fine)
+            assert sup == pytest.approx(np.max(np.abs(profile(fine) - partial)[interior]), rel=1e-2)
 
     def test_in_span_target_error_vanishes(self):
         report = convergence_study(CANON, lambda v: eigenfunction(CANON, 4, v), [4, 8])

@@ -1,6 +1,6 @@
 """The CSV and JSON writers against the writers they replaced.
 
-``oracle_table_to_csv`` (one ``format_float`` or ``str`` call per cell, rows
+``oracle_table_to_csv`` (one ``oracle_format_float`` or ``str`` call per cell, rows
 joined by ``zip``) and ``oracle_to_json`` (plain ``json.dumps(indent=2)``) are
 the writers ``deformspec.io`` used before its row and record templates and
 its blocks; ``oracle_format_floats`` formats every entry, where

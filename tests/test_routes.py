@@ -4,8 +4,8 @@ The finite-difference route and the quadrature rules must reach their results
 without the closed form: statically, by the modules they import, and at run
 time, with the closed form and the sine basis made to raise.  Every comparison
 of an estimate with {C_n} lives in `experiments`.  Every exported name has a
-caller outside the tests, every parameter under `src/` is read, and the CLI
-imports no private name.
+caller outside the tests, every parameter under `src/` is read, the CLI
+imports no private name, and no sampled grid has a hand-picked size.
 """
 
 import ast
@@ -144,6 +144,21 @@ def test_hbar_enters_arithmetic_only_through_hbar_over_c():
                 if isinstance(operand, ast.Attribute) and operand.attr == "hbar":
                     (inside if id(node) in exempt else outside).append(f"{path.name}:{node.lineno}")
     assert outside == [] and len(inside) == 1, (outside, inside)
+
+
+def test_every_uniform_grid_is_sized_from_its_inputs():
+    """No `uniform_grid(...)` call under src/ has an integer-literal interval
+    count: a grid that samples modes 0..N takes its size from N (through
+    NODES_PER_MODE) or from a caller's count, never from a fixed number alone."""
+    literal = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "uniform_grid"):
+                continue
+            counts = node.args[1:] + [k.value for k in node.keywords if k.arg == "m"]
+            if any(isinstance(count, ast.Constant) and isinstance(count.value, int) for count in counts):
+                literal.append(f"{path.name}:{node.lineno}")
+    assert literal == []
 
 
 def test_no_module_imports_scipy_or_mpmath():
