@@ -19,10 +19,12 @@ exactly into a symmetric and an antisymmetric block of about m/2 rows that
 share all rows but their last (Cantoni & Butler, LAA 13, 1976), and with
 positive off-diagonals its eigenvalues alternate between them, the largest
 symmetric (Hald, LAA 14, 1976): the j-th largest, from j = 0, lives on block
-j % 2.  Each eigenvalue is bisected on that block, so every Sturm sweep walks
-ceil(m/2) rows, and each eigenvector is iterated on it and mirrored to all m
-rows, so it is exactly symmetric or antisymmetric; a matrix without that
-structure is one block of m rows.
+j % 2.  Each eigenvalue is bisected on that block, and one Sturm count
+answers for every block: it walks the shared rows once for all shifts and
+adds each block's own last row, so every sweep walks ceil(m/2) rows and
+counts each shift once.  Each eigenvector is iterated on its block and
+mirrored to all m rows, so it is exactly symmetric or antisymmetric; a matrix
+without that structure is one block of m rows.
 """
 
 from __future__ import annotations
@@ -105,15 +107,14 @@ def interior_grid(params: OperatorParams, m: int) -> np.ndarray:
     return uniform_grid(params, m + 1)[1:-1]
 
 
-def _sturm_counts(
-    diag: np.ndarray, off2: np.ndarray, pivmin: float, xs: np.ndarray, tails=(None,), block=None
-) -> np.ndarray:
-    """Number of eigenvalues <= x for each shift x (negative-pivot count).
+def _sturm_counts(diag: np.ndarray, off2: np.ndarray, pivmin: float, xs: np.ndarray, tails=(None,)) -> np.ndarray:
+    """Number of eigenvalues <= x of each block at each shift x
+    (negative-pivot count), shape (len(tails), len(xs)).
 
-    Shift xs[j] is counted on block block[j]: the leading rows diag/off2 that
-    every block shares, then that block's own last row tails[block[j]], a
-    (diagonal, squared coupling) pair, or none.  By default there is one
-    block, the matrix with bands diag and off2.
+    One count answers for every block: the leading rows diag/off2 that every
+    block shares are walked once for all shifts, and row b of the result adds
+    block b's own last row tails[b], a (diagonal, squared coupling) pair, or
+    none.  By default there is one block, the matrix with bands diag and off2.
 
     Zero pivots are treated as negative (replaced by -pivmin before the next
     division), which keeps the count monotone when a shift hits an eigenvalue
@@ -153,15 +154,9 @@ def _sturm_counts(
                 count += tally
                 tally[...] = 0
     count += tally
-    for b, tail in enumerate(tails):
-        if tail is not None:
-            row, link = tail
-            at = np.flatnonzero(block == b)
-            last = d[at]
-            last[last == 0.0] = -pivmin
-            with np.errstate(all="ignore"):
-                count[at] += (row - xs[at]) - link / last <= 0.0
-    return count
+    d[d == 0.0] = -pivmin
+    with np.errstate(all="ignore"):
+        return np.array([count if tail is None else count + ((tail[0] - xs) - tail[1] / d <= 0.0) for tail in tails])
 
 
 def _multisection_depth(k: int) -> int:
@@ -171,13 +166,14 @@ def _multisection_depth(k: int) -> int:
 
 
 def _sturm_view(A: TridiagonalSymmetricMatrix):
-    """``(count, sizes, lower, upper, block)``: ``count(xs, block)`` is the
-    number of eigenvalues <= xs[j] of block block[j], by :func:`_sturm_counts`
-    looked up at each call, the blocks have ``sizes`` rows and A's Gershgorin
-    bounds [lower, upper] hold them all.  A's eigenvalue of rank j (the j-th
-    largest, from 0) is one of block j % len(sizes).  ``block(b)`` builds
-    block b alone as a ``(B, mirror)`` pair, ``mirror`` taking a vector u of
-    B to one of A with A mirror(u) = mirror(B u); only eigenvectors need it.
+    """``(count, sizes, lower, upper, block)``: ``count(xs)`` holds in row b
+    the number of eigenvalues <= each shift of block b, one count answering
+    for every block (:func:`_sturm_counts`, looked up at each call), the
+    blocks have ``sizes`` rows and A's Gershgorin bounds [lower, upper] hold
+    them all.  A's eigenvalue of rank j (the j-th largest, from 0) is one of
+    block j % len(sizes).  ``block(b)`` builds block b alone as a
+    ``(B, mirror)`` pair, ``mirror`` taking a vector u of B to one of A with
+    A mirror(u) = mirror(B u); only eigenvectors need it.
     Raises :class:`NumericalError` if a squared off-diagonal, or a bound
     doubled (bisection adds two bracket ends), overflows.
 
@@ -216,8 +212,8 @@ def _sturm_view(A: TridiagonalSymmetricMatrix):
             diag, off2 = diag[:p], off2[: p - 1]
     sizes = len(diag) + np.array([tail is not None for tail in tails])
 
-    def count(xs: np.ndarray, block: np.ndarray) -> np.ndarray:
-        return _sturm_counts(diag, off2, pivmin, xs, tails, block)
+    def count(xs: np.ndarray) -> np.ndarray:
+        return _sturm_counts(diag, off2, pivmin, xs, tails)
 
     def block(b: int):
         if len(tails) == 1:
@@ -258,8 +254,9 @@ def _bisect_top(A: TridiagonalSymmetricMatrix, k: int) -> np.ndarray:
     count depends only on its block and the value of its shift: eigenvalues
     that share a bracket (all of a block's at the start, many where eigenvalues
     cluster) share one row of nodes, each bracket carries the counts at its
-    ends, and a sweep counts only the distinct nodes that differ from those
-    ends, so none for a bracket collapsed to adjacent floats.
+    ends, and a sweep counts each distinct node value that differs from those
+    ends once, for every block at once, so none for a bracket collapsed to
+    adjacent floats and one for a node that brackets on both blocks share.
     """
     count, sizes, lower, upper, _ = _sturm_view(A)
     blocks = len(sizes)
@@ -292,12 +289,9 @@ def _bisect_top(A: TridiagonalSymmetricMatrix, k: int) -> np.ndarray:
         at_lo = nodes == nodes[:, :1]
         counts = np.where(at_lo, count_lo[first, None], count_hi[first, None])
         fresh = ~(at_lo | (nodes == nodes[:, -1:])) | (levels == 0)
-        # the fresh nodes ascend row after row within a block, so repeats are adjacent
-        xs = nodes[fresh]
-        xb = np.broadcast_to(block[first, None], nodes.shape)[fresh]
-        distinct = np.r_[True, (xs[1:] != xs[:-1]) | (xb[1:] != xb[:-1])]
-        fresh_counts = count(xs[distinct], xb[distinct])
-        counts[fresh] = fresh_counts[np.cumsum(distinct) - 1]
+        # each distinct value is counted once for every block; a node reads its block's row
+        xs, at = np.unique(nodes[fresh], return_inverse=True)
+        counts[fresh] = count(xs)[block[first][np.nonzero(fresh)[0]], at]
         left = np.zeros(k, dtype=np.intp)
         for _ in range(b):
             width //= 2
@@ -317,7 +311,7 @@ def _bisect_top(A: TridiagonalSymmetricMatrix, k: int) -> np.ndarray:
 
 def eigenvalues_tridiagonal(A: TridiagonalSymmetricMatrix) -> np.ndarray:
     """All eigenvalues, sorted decreasing."""
-    return top_eigenvalues(A, A.dim)
+    return _bisect_top(A, A.dim)
 
 
 def top_eigenvalues(A: TridiagonalSymmetricMatrix, count: int) -> np.ndarray:
@@ -407,13 +401,11 @@ def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> 
     gap = 1e-8 * max(1.0, scale)
     bound = 4 * A.dim * np.finfo(float).eps * scale
     # A's count at each shift is the sum of its blocks' counts
-    k = len(sizes)
-    shifts = np.tile([lam + gap, lam - gap, lam + bound], k)
-    above, below, reach = count(shifts, np.repeat(np.arange(k), 3)).reshape(k, 3).sum(axis=0)
+    above, below, reach = count([lam + gap, lam - gap, lam + bound]).sum(axis=0)
     if above - below > 1:
         warnings.warn("clustered eigenvalues near the shift", ConditioningWarning)
     # the largest eigenvalue <= lam + bound has rank dim - reach, on that rank's block
-    matrix, mirror = block(int(A.dim - reach) % k)
+    matrix, mirror = block(int(A.dim - reach) % len(sizes))
     v = mirror(_inverse_iterate(matrix, lam))
     v = v / np.linalg.norm(v)
     residual = np.linalg.norm(A.matvec(v) - lam * v)

@@ -162,8 +162,7 @@ def reference_window_inverse_iteration(A, lam):
     count, sizes, _, _, build = fdsolver._sturm_view(A)
     scale = float(np.max(np.abs(A.diag)) + (np.max(np.abs(A.offdiag)) if A.dim > 1 else 0.0))
     gap = 1e-8 * max(1.0, scale)
-    nearby = count(np.tile([lam + gap, lam - gap], len(sizes)), np.repeat(np.arange(len(sizes)), 2))
-    held = np.flatnonzero(nearby[0::2] - nearby[1::2])
+    held = [b for b, (above, below) in enumerate(count([lam + gap, lam - gap])) if above != below]
     candidates = []
     for b in held if len(held) else range(len(sizes)):
         matrix, mirror = build(b)
@@ -385,7 +384,7 @@ def test_sturm_count_monotone_in_shift(data, shift_a, shift_b):
     off2 = off**2
     pivmin = max(float(np.max(off2)) if len(off2) else 0.0, 1.0) * 1e-290
     lo, hi = sorted((shift_a, shift_b))
-    counts = _sturm_counts(diag, off2, pivmin, np.array([lo, hi]))
+    counts = _sturm_counts(diag, off2, pivmin, np.array([lo, hi]))[0]
     assert 0 <= counts[0] <= counts[1] <= dim
 
 
@@ -495,7 +494,7 @@ class TestBitIdenticalToReference:
             pivmin = max(float(np.max(off2)), 1.0) * 1e-290
             xs = np.array(xs)
             expected = reference_sturm_counts(diag, off2, pivmin, xs)
-            assert np.array_equal(_sturm_counts(diag, off2, pivmin, xs), expected)
+            assert np.array_equal(_sturm_counts(diag, off2, pivmin, xs)[0], expected)
             A = TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
             assert np.array_equal(eigenvalues_tridiagonal(A), reference_top_eigenvalues(A, A.dim))
 
@@ -523,7 +522,7 @@ class TestBitIdenticalToReference:
         xs = np.concatenate([diag, [0.0, -0.0]])
         assert kind in zero_pivot_kinds(diag, off2, pivmin, xs)
         expected = reference_sturm_counts(diag, off2, pivmin, xs)
-        assert np.array_equal(_sturm_counts(diag, off2, pivmin, xs), expected)
+        assert np.array_equal(_sturm_counts(diag, off2, pivmin, xs)[0], expected)
         A = TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
         for count in range(1, A.dim + 1):
             assert top_eigenvalues(A, count).tobytes() == reference_top_eigenvalues(A, count).tobytes()
@@ -555,12 +554,11 @@ class TestBitIdenticalToReference:
             np.testing.assert_allclose(A.matvec(mirror(u)), mirror(block.matvec(u)), rtol=0, atol=1e-14)
         xs = np.unique(np.r_[diag, [d[-1] for d, _ in blocks], 0.0, -0.0, 1.0, 2.0])
         xs = np.r_[xs, -0.0]
+        got = count(xs)
         for b, (block_diag, block_off2) in enumerate(blocks):
-            got = count(xs, np.full(len(xs), b))
-            assert np.array_equal(got, reference_sturm_counts(block_diag, block_off2, pivmin, xs))
+            assert np.array_equal(got[b], reference_sturm_counts(block_diag, block_off2, pivmin, xs))
         # the blocks' counts add up to the whole matrix's where no pivot rounds
-        both = count(np.r_[xs, xs], np.repeat([0, 1], len(xs)))
-        assert np.array_equal(both[: len(xs)] + both[len(xs) :], reference_sturm_counts(diag, off2, pivmin, xs))
+        assert np.array_equal(got.sum(axis=0), reference_sturm_counts(diag, off2, pivmin, xs))
 
     def test_coupling_overflow_counts_the_whole_matrix(self):
         # e^2 is finite but the odd split's coupling 2 e^2 is not
@@ -609,7 +607,7 @@ class TestBitIdenticalToReference:
             with np.errstate(**outer):
                 got = [eigenvalues_tridiagonal(A) for A in matrices]
                 top = top_eigenvalues(matrices[0], 10)
-                counts = [_sturm_counts(*args) for args in count_args]
+                counts = [_sturm_counts(*args)[0] for args in count_args]
         assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
         assert top.tobytes() == reference_split_top_eigenvalues(matrices[0], 10).tobytes()
         assert all(np.array_equal(c, e) for c, e in zip(counts, expected_counts))
@@ -617,21 +615,25 @@ class TestBitIdenticalToReference:
 
 def test_all_eigenvalues_count_each_distinct_shift_once(monkeypatch):
     """Deterministic work guard: all 2000 eigenvalues of the canonical grid
-    take 133252 shift evaluations in 32 sweeps, each walking 1000 rows, the
-    parity blocks' 999 shared rows and one of their own.  Counting every
-    index's nodes anew, shared and known ones included, took 216000 in 36;
-    the whole matrix took 130220 in 32, each walking 2000 rows."""
-    sizes, rows = [], []
+    take 130369 shift evaluations in 32 sweeps, each walking 1000 rows, the
+    parity blocks' 999 shared rows and one of their own, and no sweep counts
+    a shift value twice, not even for both blocks.  Counting every index's
+    nodes anew, shared and known ones included, took 216000 in 36; each
+    block's shifts apart, 133252 in 32; the whole matrix took 130220 in 32,
+    each walking 2000 rows."""
+    sizes, rows, repeats = [], [], []
     count = fdsolver._sturm_counts
 
-    def counting(diag, off2, pivmin, xs, tails, block):
+    def counting(diag, off2, pivmin, xs, tails):
         sizes.append(len(xs))
         rows.append(len(diag) + any(tail is not None for tail in tails))
-        return count(diag, off2, pivmin, xs, tails, block)
+        repeats.append(len(xs) - len(np.unique(xs)))
+        return count(diag, off2, pivmin, xs, tails)
 
     monkeypatch.setattr(fdsolver, "_sturm_counts", counting)
     eigenvalues_tridiagonal(discretize(CANON, 2000))
     assert sum(sizes) <= 150_000, f"{sum(sizes)} shifts in {len(sizes)} sweeps"
+    assert not any(repeats), f"repeated shift values in {np.count_nonzero(repeats)} sweeps"
     assert max(rows) <= math.ceil(2000 / 2) + 1, f"sweeps walk up to {max(rows)} rows"
 
 
@@ -640,12 +642,12 @@ def test_sturm_view_looks_up_the_count_at_each_call(monkeypatch):
     count, sizes, _, _, _ = fdsolver._sturm_view(discretize(CANON, 9))
     calls = []
 
-    def counting(diag, off2, pivmin, xs, tails, block):
+    def counting(diag, off2, pivmin, xs, tails):
         calls.append(len(xs))
-        return np.zeros(len(xs), dtype=np.int64)
+        return np.zeros((len(tails), len(xs)), dtype=np.int64)
 
     monkeypatch.setattr(fdsolver, "_sturm_counts", counting)
-    count(np.zeros(3), np.zeros(3, dtype=np.intp))
+    count(np.zeros(3))
     assert calls == [3] and list(sizes) == [5, 4]
 
 
@@ -667,8 +669,8 @@ def assert_within_sturm_brackets(A, eigenvalues, blocks=None):
     block, local = block_ranks(blocks, len(x))
     for b, (diag, block_off2) in enumerate(blocks):
         at = block == b
-        assert np.all(_sturm_counts(diag, block_off2, pivmin, x[at] - t[at]) <= local[at])
-        assert np.all(_sturm_counts(diag, block_off2, pivmin, x[at] + t[at]) >= local[at] + 1)
+        assert np.all(_sturm_counts(diag, block_off2, pivmin, x[at] - t[at])[0] <= local[at])
+        assert np.all(_sturm_counts(diag, block_off2, pivmin, x[at] + t[at])[0] >= local[at] + 1)
 
 
 class TestAccuracyContract:
@@ -803,19 +805,19 @@ class TestInverseIteration:
         assert np.array_equal(vec, vec[::-1])
 
     def test_clustering_check_counts_on_parity_blocks(self, monkeypatch):
-        # one count of lam +- gap and lam + r on both blocks, over ceil(m/2) rows
+        # one count of lam +- gap and lam + r for both blocks, over ceil(m/2) rows
         calls = []
         count = fdsolver._sturm_counts
 
-        def counting(diag, off2, pivmin, xs, tails, block):
+        def counting(diag, off2, pivmin, xs, tails):
             calls.append((len(xs), len(diag) + any(tail is not None for tail in tails)))
-            return count(diag, off2, pivmin, xs, tails, block)
+            return count(diag, off2, pivmin, xs, tails)
 
         A = discretize(CANON, 2001)
         lam = top_eigenvalues(A, 1)[0]
         monkeypatch.setattr(fdsolver, "_sturm_counts", counting)
         eigenvector_inverse_iteration(A, lam)
-        assert calls == [(6, 1001)]
+        assert calls == [(3, 1001)]
 
     def test_solves_run_on_the_block_that_holds_the_shift(self, solve_dims):
         A = discretize(CANON, 2001)

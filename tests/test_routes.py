@@ -5,7 +5,8 @@ without the closed form: statically, by the modules they import, and at run
 time, with the closed form and the sine basis made to raise.  Every comparison
 of an estimate with {C_n} lives in `experiments`.  Every exported name has a
 caller outside the tests, every parameter under `src/` is read, the CLI
-imports no private name, and no sampled grid has a hand-picked size.
+imports no private name, no sampled grid has a hand-picked size, and no FD
+entry point calls another.
 """
 
 import ast
@@ -159,6 +160,22 @@ def test_every_uniform_grid_is_sized_from_its_inputs():
             if any(isinstance(count, ast.Constant) and isinstance(count.value, int) for count in counts):
                 literal.append(f"{path.name}:{node.lineno}")
     assert literal == []
+
+
+def test_no_fdsolver_function_calls_a_public_one():
+    """No module-level function of fdsolver, public or private, calls a public
+    one: perfbench's tracer derives the FD work counts from the arguments of
+    public calls, so a nested call would count the same Sturm work twice."""
+    tree = ast.parse((SRC / "fdsolver.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    public = {function.name for function in functions if not function.name.startswith("_")}
+    nested = [
+        f"{function.name} -> {node.func.id}"
+        for function in functions
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in public
+    ]
+    assert nested == []
 
 
 def test_no_module_imports_scipy_or_mpmath():
