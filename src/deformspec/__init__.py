@@ -29,7 +29,6 @@ from .fdsolver import (
     discretize,
     eigenvalues_tridiagonal,
     eigenvector_inverse_iteration,
-    interior_grid,
     top_eigenvalues,
 )
 from .params import (
@@ -46,6 +45,7 @@ from .quadrature import (
     default_projection_rule,
     fd_derivative,
     gauss_legendre_rule,
+    interior_grid,
     uniform_grid,
 )
 from .spectrum import (

@@ -9,22 +9,22 @@ per distinct bracket and never again at a shift whose count is known, so the
 brackets are exactly those of one-midpoint bisection), returned as bracket
 midpoints; eigenvectors from two shifted inverse-iteration solves (partially
 pivoted tridiagonal LU) from a golden-ratio Weyl start, so no random numbers.
-Importing only errors, params and quadrature, it never sees the closed form or
-the sine basis, so agreement with the analytic spectrum
-(experiments.refinement_study) is a genuine two-route check; the tests in
-tests/test_routes.py hold it to that.
+Importing only errors and params, it never sees the closed form or the sine
+basis, so agreement with the analytic spectrum (experiments.refinement_study)
+is a genuine two-route check; the tests in tests/test_routes.py hold it to
+that.
 
-The matrix reads the same backwards (it commutes with v -> -v), so it splits
-exactly into a symmetric and an antisymmetric block of about m/2 rows that
-share all rows but their last (Cantoni & Butler, LAA 13, 1976), and with
-positive off-diagonals its eigenvalues alternate between them, the largest
-symmetric (Hald, LAA 14, 1976): the j-th largest, from j = 0, lives on block
-j % 2.  Each eigenvalue is bisected on that block, and one Sturm count
-answers for every block: it walks the shared rows once for all shifts and
-adds each block's own last row, so every sweep walks ceil(m/2) rows and
-counts each shift once.  Each eigenvector is iterated on its block and
-mirrored to all m rows, so it is exactly symmetric or antisymmetric; a matrix
-without that structure is one block of m rows.
+Eigenvalues are bisected on the matrix's own Sturm count.  The matrix reads
+the same backwards (it commutes with v -> -v), so it splits exactly into a
+symmetric and an antisymmetric block of about m/2 rows that share all rows
+but their last (Cantoni & Butler, LAA 13, 1976), and the split is how that
+count walks ceil(m/2) rows: the shared rows once for all shifts, counted once
+per block, plus each block's own last row.  With positive off-diagonals the
+blocks' eigenvalues alternate, the largest symmetric (Hald, LAA 14, 1976), so
+the j-th largest, from j = 0, lives on block j % 2; only eigenvectors need
+that.  Each is iterated on its block and mirrored to all m rows, so it is
+exactly symmetric or antisymmetric; a matrix without that structure is one
+block of m rows.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import ConditioningWarning, NumericalError, ValidationError, _finite
 from .params import OperatorParams
-from .quadrature import uniform_grid
 
 # A Sturm sweep over s shifts costs about (1 + s/SWEEP_WIDTH) sweeps over one
 # shift: below a few thousand shifts the per-row numpy call overhead dominates.
@@ -102,19 +101,15 @@ def discretize(params: OperatorParams, m: int) -> TridiagonalSymmetricMatrix:
     return TridiagonalSymmetricMatrix(diag=diag, offdiag=np.full(m - 1, coeff))
 
 
-def interior_grid(params: OperatorParams, m: int) -> np.ndarray:
-    """The m interior points the discretization acts on."""
-    return uniform_grid(params, m + 1)[1:-1]
-
-
 def _sturm_counts(diag: np.ndarray, off2: np.ndarray, pivmin: float, xs: np.ndarray, tails=(None,)) -> np.ndarray:
-    """Number of eigenvalues <= x of each block at each shift x
-    (negative-pivot count), shape (len(tails), len(xs)).
+    """Number of eigenvalues <= x at each shift x (negative-pivot count) of
+    a matrix whose spectrum is that of len(tails) blocks, shape (len(xs),).
 
-    One count answers for every block: the leading rows diag/off2 that every
-    block shares are walked once for all shifts, and row b of the result adds
-    block b's own last row tails[b], a (diagonal, squared coupling) pair, or
-    none.  By default there is one block, the matrix with bands diag and off2.
+    The blocks share their leading rows diag/off2, and block b adds its own
+    last row tails[b], a (diagonal, squared coupling) pair, or none.  The
+    count is the sum of theirs: the shared rows are walked once for all
+    shifts and counted once per block, plus each block's last row.  By
+    default there is one block, the matrix with bands diag and off2.
 
     Zero pivots are treated as negative (replaced by -pivmin before the next
     division), which keeps the count monotone when a shift hits an eigenvalue
@@ -156,7 +151,7 @@ def _sturm_counts(diag: np.ndarray, off2: np.ndarray, pivmin: float, xs: np.ndar
     count += tally
     d[d == 0.0] = -pivmin
     with np.errstate(all="ignore"):
-        return np.array([count if tail is None else count + ((tail[0] - xs) - tail[1] / d <= 0.0) for tail in tails])
+        return len(tails) * count + sum((tail[0] - xs) - tail[1] / d <= 0.0 for tail in tails if tail is not None)
 
 
 def _multisection_depth(k: int) -> int:
@@ -166,12 +161,11 @@ def _multisection_depth(k: int) -> int:
 
 
 def _sturm_view(A: TridiagonalSymmetricMatrix):
-    """``(count, sizes, lower, upper, block)``: ``count(xs)`` holds in row b
-    the number of eigenvalues <= each shift of block b, one count answering
-    for every block (:func:`_sturm_counts`, looked up at each call), the
-    blocks have ``sizes`` rows and A's Gershgorin bounds [lower, upper] hold
-    them all.  A's eigenvalue of rank j (the j-th largest, from 0) is one of
-    block j % len(sizes).  ``block(b)`` builds block b alone as a
+    """``(count, lower, upper, block)``: ``count(xs)`` is the number of A's
+    eigenvalues <= each shift (:func:`_sturm_counts`, looked up at each call),
+    and A's Gershgorin bounds [lower, upper] hold them all; the bisection
+    driver needs nothing else.  ``block(rank)`` builds the block that holds
+    A's eigenvalue of that rank (the rank-th largest, from 0) alone, as a
     ``(B, mirror)`` pair, ``mirror`` taking a vector u of B to one of A with
     A mirror(u) = mirror(B u); only eigenvectors need it.
     Raises :class:`NumericalError` if a squared off-diagonal, or a bound
@@ -180,14 +174,17 @@ def _sturm_view(A: TridiagonalSymmetricMatrix):
     A persymmetric A (equal read backwards) with positive off-diagonals e
     commutes with the reversal, so from m = 3 on it splits into a symmetric
     block of ceil(m/2) rows and an antisymmetric one of floor(m/2) rows that
-    share every leading row.  For even m = 2p both keep rows 0..p-2 and end on
-    diagonal d_(p-1) + e_(p-1) and d_(p-1) - e_(p-1) respectively, and mirror
-    u to (u, +-reversed u); for odd m = 2p + 1 the antisymmetric block is rows
-    0..p-1, mirrored to (u, 0, -reversed u), and the symmetric one adds row p,
-    coupled by 2 e_(p-1)^2 (the product of its two off-diagonals e and 2e in
-    the block's unsymmetric form; sqrt(2) e once symmetrized, so its mirror
-    multiplies the middle entry by sqrt(2)).  Any other matrix, or one whose
-    coupling square overflows, is one block of all m rows, mirrored as itself.
+    share every leading row; A's count is the sum of theirs, and the split is
+    how it walks ceil(m/2) rows.  For even m = 2p both keep rows 0..p-2 and
+    end on diagonal d_(p-1) + e_(p-1) and d_(p-1) - e_(p-1) respectively, and
+    mirror u to (u, +-reversed u); for odd m = 2p + 1 the antisymmetric block
+    is rows 0..p-1, mirrored to (u, 0, -reversed u), and the symmetric one
+    adds row p, coupled by 2 e_(p-1)^2 (the product of its two off-diagonals
+    e and 2e in the block's unsymmetric form; sqrt(2) e once symmetrized, so
+    its mirror multiplies the middle entry by sqrt(2)).  The blocks'
+    eigenvalues alternate, the largest symmetric (Hald, LAA 14, 1976), so
+    rank j lives on block j % 2.  Any other matrix, or one whose coupling
+    square overflows, is one block of all m rows, mirrored as itself.
     """
     diag, off, p, tails = A.diag, A.offdiag, A.dim // 2, (None,)
     message = "Sturm bisection overflows: off-diagonal or Gershgorin bound too large"
@@ -210,15 +207,14 @@ def _sturm_view(A: TridiagonalSymmetricMatrix):
         elif math.isfinite(2.0 * float(off2[p - 1])):
             tails = ((diag[p], 2.0 * float(off2[p - 1])), None)
             diag, off2 = diag[:p], off2[: p - 1]
-    sizes = len(diag) + np.array([tail is not None for tail in tails])
 
     def count(xs: np.ndarray) -> np.ndarray:
         return _sturm_counts(diag, off2, pivmin, xs, tails)
 
-    def block(b: int):
+    def block(rank: int):
         if len(tails) == 1:
             return A, lambda u: u
-        shared = off[: p - 1]
+        b, shared = rank % 2, off[: p - 1]
         if A.dim % 2 == 0:
             sign = (1.0, -1.0)[b]
             return TridiagonalSymmetricMatrix(np.r_[diag, tails[b][0]], shared), lambda u: np.r_[u, sign * u[::-1]]
@@ -230,52 +226,44 @@ def _sturm_view(A: TridiagonalSymmetricMatrix):
             lambda u: np.r_[u[:p], root2 * u[p], u[p - 1 :: -1]],
         )
 
-    return count, sizes, lower, upper, block
+    return count, lower, upper, block
 
 
 def _bisect_top(A: TridiagonalSymmetricMatrix, k: int) -> np.ndarray:
-    """The k largest eigenvalues, sorted decreasing, by bisection on the
-    Sturm count of :func:`_sturm_view` inside the Gershgorin bounds.  Each
+    """The k largest eigenvalues, sorted decreasing, by bisection on A's
+    Sturm count from :func:`_sturm_view` inside the Gershgorin bounds.  Each
     eigenvalue is the midpoint of its final bracket, at most 1e-15 relative
     wide, or 2^-110 of the Gershgorin interval where the 110-level cap stops
-    the bisection first.
-
-    Each eigenvalue is bisected on its own parity block: by the rank rule of
-    :func:`_sturm_view`, the j-th largest of A is the (j // 2)-th largest of
-    block j % 2.  Every block starts from A's own Gershgorin bounds and
-    pivmin, and all brackets stop together, so each follows the path
-    one-midpoint bisection takes on its block.
+    the bisection first.  All brackets stop together, so each follows the
+    path one-midpoint bisection takes.  On a split A the count is the sum of
+    the parity blocks' over ceil(m/2) rows, and as their eigenvalues
+    alternate, it passes an index where the count of the block that holds
+    that eigenvalue passes its own, so the brackets are those of bisection on
+    each eigenvalue's block.
 
     One sweep counts at all 2^b - 1 midpoints of the next b bisection levels
     of every bracket; the midpoints come from the same 0.5*(lo + hi)
     recursion and the levels are walked with the same stop test after each,
     so the brackets equal those of one-midpoint-per-sweep bisection bit for
     bit, whatever b is.  Reusing a count changes no bracket either, since a
-    count depends only on its block and the value of its shift: eigenvalues
-    that share a bracket (all of a block's at the start, many where eigenvalues
-    cluster) share one row of nodes, each bracket carries the counts at its
-    ends, and a sweep counts each distinct node value that differs from those
-    ends once, for every block at once, so none for a bracket collapsed to
-    adjacent floats and one for a node that brackets on both blocks share.
+    count depends only on the value of its shift: eigenvalues that share a
+    bracket (all of them at the start, many where eigenvalues cluster) share
+    one row of nodes, each bracket carries the counts at its ends, and a
+    sweep counts each distinct node value that differs from those ends once,
+    so none for a bracket collapsed to adjacent floats.
     """
-    count, sizes, lower, upper, _ = _sturm_view(A)
-    blocks = len(sizes)
-    rank = np.arange(k)  # rank j: the j-th largest eigenvalue
-    # brackets sorted by block, then ascending within it
-    order = np.lexsort((-rank, rank % blocks))
-    block = rank[order] % blocks
-    local = sizes[block] - 1 - rank[order] // blocks
+    count, lower, upper, _ = _sturm_view(A)
+    index = np.arange(A.dim - k, A.dim)  # ascending: brackets ascend with it
     lo, hi = np.full(k, lower), np.full(k, upper)
     # placeholders: the first sweep counts every node, the Gershgorin bounds
     # too, since an eigenvalue can lie on one
     count_lo = count_hi = np.zeros(k, dtype=np.int64)
     levels, converged = 0, False
     while levels < 110 and not converged:
-        # a block's brackets ascend with the index, so equal ones are adjacent;
-        # compared as bits, since [-0.0, -0.0] and [0.0, 0.0] have different
-        # midpoints
+        # equal brackets are adjacent; compared as bits, since [-0.0, -0.0]
+        # and [0.0, 0.0] have different midpoints
         ends = np.stack((lo, hi), axis=1).view(np.int64)
-        new = np.r_[True, np.any(ends[1:] != ends[:-1], axis=1) | (block[1:] != block[:-1])]
+        new = np.r_[True, np.any(ends[1:] != ends[:-1], axis=1)]
         first, bracket = np.flatnonzero(new), np.cumsum(new) - 1
         b = min(_multisection_depth(len(first)), 110 - levels)
         width = 2**b
@@ -289,13 +277,13 @@ def _bisect_top(A: TridiagonalSymmetricMatrix, k: int) -> np.ndarray:
         at_lo = nodes == nodes[:, :1]
         counts = np.where(at_lo, count_lo[first, None], count_hi[first, None])
         fresh = ~(at_lo | (nodes == nodes[:, -1:])) | (levels == 0)
-        # each distinct value is counted once for every block; a node reads its block's row
+        # a narrow bracket's 2^b + 1 nodes round onto each other: count each value once
         xs, at = np.unique(nodes[fresh], return_inverse=True)
-        counts[fresh] = count(xs)[block[first][np.nonzero(fresh)[0]], at]
+        counts[fresh] = count(xs)[at]
         left = np.zeros(k, dtype=np.intp)
         for _ in range(b):
             width //= 2
-            below = counts[bracket, left + width] <= local
+            below = counts[bracket, left + width] <= index
             left += width * below
             lo, hi = nodes[bracket, left], nodes[bracket, left + width]
             levels += 1
@@ -304,9 +292,7 @@ def _bisect_top(A: TridiagonalSymmetricMatrix, k: int) -> np.ndarray:
             if converged:
                 break
         count_lo, count_hi = counts[bracket, left], counts[bracket, left + width]
-    out = np.empty(k)
-    out[order] = 0.5 * (lo + hi)
-    return out
+    return 0.5 * (lo + hi)[::-1]
 
 
 def eigenvalues_tridiagonal(A: TridiagonalSymmetricMatrix) -> np.ndarray:
@@ -396,16 +382,15 @@ def eigenvector_inverse_iteration(A: TridiagonalSymmetricMatrix, lam: float) -> 
     could exceed 2e-8.
     """
     lam = float(lam)
-    count, sizes, _, _, block = _sturm_view(A)
+    count, _, _, block = _sturm_view(A)
     scale = float(np.max(np.abs(A.diag)) + (np.max(np.abs(A.offdiag)) if A.dim > 1 else 0.0))
     gap = 1e-8 * max(1.0, scale)
     bound = 4 * A.dim * np.finfo(float).eps * scale
-    # A's count at each shift is the sum of its blocks' counts
-    above, below, reach = count([lam + gap, lam - gap, lam + bound]).sum(axis=0)
+    above, below, reach = count([lam + gap, lam - gap, lam + bound])
     if above - below > 1:
         warnings.warn("clustered eigenvalues near the shift", ConditioningWarning)
-    # the largest eigenvalue <= lam + bound has rank dim - reach, on that rank's block
-    matrix, mirror = block(int(A.dim - reach) % len(sizes))
+    # the largest eigenvalue <= lam + bound has rank dim - reach
+    matrix, mirror = block(int(A.dim - reach))
     v = mirror(_inverse_iterate(matrix, lam))
     v = v / np.linalg.norm(v)
     residual = np.linalg.norm(A.matvec(v) - lam * v)

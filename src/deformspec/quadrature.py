@@ -48,6 +48,12 @@ def uniform_grid(params: OperatorParams, m: int) -> np.ndarray:
     return np.linspace(-params.v_c, params.v_c, m + 1)
 
 
+def interior_grid(params: OperatorParams, m: int) -> np.ndarray:
+    """The m interior points of the finite-difference discretization:
+    uniform_grid(params, m + 1) without its two ends."""
+    return uniform_grid(params, m + 1)[1:-1]
+
+
 #: Roots nearest +1 that take the exact cosine series of P_m.  Past them the
 #: terms of Stieltjes' series shrink by a factor 0.15 or less from term to term.
 _BOUNDARY_ROOTS = 20

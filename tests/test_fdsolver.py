@@ -159,13 +159,16 @@ def reference_window_inverse_iteration(A, lam):
     """The block rule the rank rule replaced: solve every parity block whose
     count changes within lam +- 1e-8 max(1, scale), or every block where none
     does, and keep the vector with the smaller residual on A."""
-    count, sizes, _, _, build = fdsolver._sturm_view(A)
+    build = fdsolver._sturm_view(A)[3]
     scale = float(np.max(np.abs(A.diag)) + (np.max(np.abs(A.offdiag)) if A.dim > 1 else 0.0))
     gap = 1e-8 * max(1.0, scale)
-    held = [b for b, (above, below) in enumerate(count([lam + gap, lam - gap])) if above != below]
+    pivmin = max(float(np.max(A.offdiag**2)), 1.0) * 1e-290
+    shifts = np.array([lam + gap, lam - gap])
+    counts = [reference_sturm_counts(diag, off2, pivmin, shifts) for diag, off2 in parity_blocks(A)]
+    held = [b for b, (above, below) in enumerate(counts) if above != below]
     candidates = []
-    for b in held if len(held) else range(len(sizes)):
-        matrix, mirror = build(b)
+    for b in held if len(held) else range(len(counts)):
+        matrix, mirror = build(b)  # rank b lives on block b
         v = mirror(fdsolver._inverse_iterate(matrix, lam))
         v = v / np.linalg.norm(v)
         candidates.append((np.linalg.norm(A.matvec(v) - lam * v), v))
@@ -384,7 +387,7 @@ def test_sturm_count_monotone_in_shift(data, shift_a, shift_b):
     off2 = off**2
     pivmin = max(float(np.max(off2)) if len(off2) else 0.0, 1.0) * 1e-290
     lo, hi = sorted((shift_a, shift_b))
-    counts = _sturm_counts(diag, off2, pivmin, np.array([lo, hi]))[0]
+    counts = _sturm_counts(diag, off2, pivmin, np.array([lo, hi]))
     assert 0 <= counts[0] <= counts[1] <= dim
 
 
@@ -494,7 +497,7 @@ class TestBitIdenticalToReference:
             pivmin = max(float(np.max(off2)), 1.0) * 1e-290
             xs = np.array(xs)
             expected = reference_sturm_counts(diag, off2, pivmin, xs)
-            assert np.array_equal(_sturm_counts(diag, off2, pivmin, xs)[0], expected)
+            assert np.array_equal(_sturm_counts(diag, off2, pivmin, xs), expected)
             A = TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
             assert np.array_equal(eigenvalues_tridiagonal(A), reference_top_eigenvalues(A, A.dim))
 
@@ -522,7 +525,7 @@ class TestBitIdenticalToReference:
         xs = np.concatenate([diag, [0.0, -0.0]])
         assert kind in zero_pivot_kinds(diag, off2, pivmin, xs)
         expected = reference_sturm_counts(diag, off2, pivmin, xs)
-        assert np.array_equal(_sturm_counts(diag, off2, pivmin, xs)[0], expected)
+        assert np.array_equal(_sturm_counts(diag, off2, pivmin, xs), expected)
         A = TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
         for count in range(1, A.dim + 1):
             assert top_eigenvalues(A, count).tobytes() == reference_top_eigenvalues(A, count).tobytes()
@@ -544,26 +547,27 @@ class TestBitIdenticalToReference:
         A = TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
         off2 = off**2
         pivmin = max(float(np.max(off2)), 1.0) * 1e-290
-        count, sizes, _, _, build = fdsolver._sturm_view(A)
+        count, _, _, build = fdsolver._sturm_view(A)
         blocks = parity_blocks(A)
-        assert list(sizes) == [(A.dim + 1) // 2, A.dim // 2]
-        for b, size in enumerate(sizes):
-            block, mirror = build(b)
+        sizes = [build(rank)[0].dim for rank in (0, 1)]
+        assert sizes == [(A.dim + 1) // 2, A.dim // 2]
+        for rank, size in enumerate(sizes):
+            block, mirror = build(rank)
             # A mirror(u) = mirror(B u): B's eigenvectors mirror to A's
             u = np.linspace(-1.0, 2.0, size)
             np.testing.assert_allclose(A.matvec(mirror(u)), mirror(block.matvec(u)), rtol=0, atol=1e-14)
         xs = np.unique(np.r_[diag, [d[-1] for d, _ in blocks], 0.0, -0.0, 1.0, 2.0])
         xs = np.r_[xs, -0.0]
         got = count(xs)
-        for b, (block_diag, block_off2) in enumerate(blocks):
-            assert np.array_equal(got[b], reference_sturm_counts(block_diag, block_off2, pivmin, xs))
+        expected = sum(reference_sturm_counts(block_diag, block_off2, pivmin, xs) for block_diag, block_off2 in blocks)
+        assert np.array_equal(got, expected)
         # the blocks' counts add up to the whole matrix's where no pivot rounds
-        assert np.array_equal(got.sum(axis=0), reference_sturm_counts(diag, off2, pivmin, xs))
+        assert np.array_equal(got, reference_sturm_counts(diag, off2, pivmin, xs))
 
     def test_coupling_overflow_counts_the_whole_matrix(self):
         # e^2 is finite but the odd split's coupling 2 e^2 is not
         A = TridiagonalSymmetricMatrix(diag=np.zeros(3), offdiag=np.full(2, 1e154))
-        assert list(fdsolver._sturm_view(A)[1]) == [3]
+        assert fdsolver._sturm_view(A)[3](0)[0] is A
         with np.errstate(all="raise"):
             lam = eigenvalues_tridiagonal(A)
         assert lam.tobytes() == reference_top_eigenvalues(A, 3).tobytes()
@@ -588,6 +592,23 @@ class TestBitIdenticalToReference:
             assert top_eigenvalues(A, count).tobytes() == reference_top_eigenvalues(A, count).tobytes()
         assert lam.tobytes() == reference_top_eigenvalues(A, A.dim).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pairs_across_the_blocks(self, seed):
+        # a middle coupling of 1e-4 to 1e-300 leaves the blocks nearly or
+        # exactly equal, so their eigenvalues pair up: where A's count and a
+        # block's could first disagree on which side of a node an eigenvalue is
+        rng = np.random.default_rng(seed)
+        for exponent in [4, 300, *rng.uniform(4, 300, 30)]:
+            m = int(rng.integers(3, 41))
+            half_off = rng.uniform(1e-3, 1, m // 2)
+            half_off[-1] = 10.0**-exponent
+            A = persymmetric_jacobi(rng.uniform(-1, 1, (m + 1) // 2), half_off, m)
+            lam = eigenvalues_tridiagonal(A)
+            assert lam.tobytes() == reference_split_top_eigenvalues(A, m).tobytes()
+            assert np.all(np.diff(lam) <= 0.0)
+            top = top_eigenvalues(A, min(4, m))
+            assert top.tobytes() == reference_split_top_eigenvalues(A, min(4, m)).tobytes()
+
     @pytest.mark.parametrize(
         "outer", [{"all": "raise"}, {"all": "warn"}, {"under": "raise"}], ids=["raise", "warn", "under-raise"]
     )
@@ -607,48 +628,68 @@ class TestBitIdenticalToReference:
             with np.errstate(**outer):
                 got = [eigenvalues_tridiagonal(A) for A in matrices]
                 top = top_eigenvalues(matrices[0], 10)
-                counts = [_sturm_counts(*args)[0] for args in count_args]
+                counts = [_sturm_counts(*args) for args in count_args]
         assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
         assert top.tobytes() == reference_split_top_eigenvalues(matrices[0], 10).tobytes()
         assert all(np.array_equal(c, e) for c, e in zip(counts, expected_counts))
 
 
-def test_all_eigenvalues_count_each_distinct_shift_once(monkeypatch):
-    """Deterministic work guard: all 2000 eigenvalues of the canonical grid
-    take 130369 shift evaluations in 32 sweeps, each walking 1000 rows, the
-    parity blocks' 999 shared rows and one of their own, and no sweep counts
-    a shift value twice, not even for both blocks.  Counting every index's
-    nodes anew, shared and known ones included, took 216000 in 36; each
-    block's shifts apart, 133252 in 32; the whole matrix took 130220 in 32,
-    each walking 2000 rows."""
-    sizes, rows, repeats = [], [], []
+@pytest.fixture
+def sweeps(monkeypatch):
+    """(shifts, rows walked, repeated shift values) of every Sturm count run
+    after the fixture is set up."""
+    log = []
     count = fdsolver._sturm_counts
 
     def counting(diag, off2, pivmin, xs, tails):
-        sizes.append(len(xs))
-        rows.append(len(diag) + any(tail is not None for tail in tails))
-        repeats.append(len(xs) - len(np.unique(xs)))
+        rows = len(diag) + any(tail is not None for tail in tails)
+        log.append((len(xs), rows, len(xs) - len(np.unique(xs))))
         return count(diag, off2, pivmin, xs, tails)
 
     monkeypatch.setattr(fdsolver, "_sturm_counts", counting)
+    return log
+
+
+def test_all_eigenvalues_count_each_distinct_shift_once(sweeps):
+    """Deterministic work guard: all 2000 eigenvalues of the canonical grid
+    take 130219 shift evaluations in 32 sweeps, each walking 1000 rows, the
+    parity blocks' 999 shared rows and one of their own, and no sweep counts
+    a shift value twice.  Counting every index's nodes anew, shared and known
+    ones included, took 216000 in 36; each block's shifts apart, 133252 in
+    32; each eigenvalue on its own block's count, 130369 in 32; the whole
+    matrix unsplit took 130220 in 32, each walking 2000 rows."""
     eigenvalues_tridiagonal(discretize(CANON, 2000))
+    sizes, rows, repeats = zip(*sweeps)
     assert sum(sizes) <= 150_000, f"{sum(sizes)} shifts in {len(sizes)} sweeps"
     assert not any(repeats), f"repeated shift values in {np.count_nonzero(repeats)} sweeps"
     assert max(rows) <= math.ceil(2000 / 2) + 1, f"sweeps walk up to {max(rows)} rows"
 
 
+@pytest.mark.parametrize("m", [250, 500, 1000, 2000])
+def test_top_ten_count_each_distinct_shift_once(sweeps, m):
+    """Deterministic work guard for fd-validate's top ten: 5896, 5730, 5979
+    and 6643 shifts in 11 sweeps at m = 250, 500, 1000 and 2000 (5470, 5467,
+    5623 and 5763 with each eigenvalue on its own block's count, whose more
+    distinct brackets picked shallower multisection trees)."""
+    top_eigenvalues(discretize(CANON, m), 10)
+    sizes, rows, repeats = zip(*sweeps)
+    assert len(sizes) <= 11 and sum(sizes) <= 7_000, f"{sum(sizes)} shifts in {len(sizes)} sweeps"
+    assert not any(repeats), f"repeated shift values in {np.count_nonzero(repeats)} sweeps"
+    assert max(rows) <= math.ceil(m / 2) + 1, f"sweeps walk up to {max(rows)} rows"
+
+
 def test_sturm_view_looks_up_the_count_at_each_call(monkeypatch):
     # the work guards above replace _sturm_counts; a view made earlier must see that too
-    count, sizes, _, _, _ = fdsolver._sturm_view(discretize(CANON, 9))
+    count, _, _, _ = fdsolver._sturm_view(discretize(CANON, 9))
     calls = []
 
     def counting(diag, off2, pivmin, xs, tails):
         calls.append(len(xs))
-        return np.zeros((len(tails), len(xs)), dtype=np.int64)
+        return np.zeros(len(xs))
 
     monkeypatch.setattr(fdsolver, "_sturm_counts", counting)
     count(np.zeros(3))
-    assert calls == [3] and list(sizes) == [5, 4]
+    assert calls == [3]
 
 
 def assert_within_sturm_brackets(A, eigenvalues, blocks=None):
@@ -669,8 +710,8 @@ def assert_within_sturm_brackets(A, eigenvalues, blocks=None):
     block, local = block_ranks(blocks, len(x))
     for b, (diag, block_off2) in enumerate(blocks):
         at = block == b
-        assert np.all(_sturm_counts(diag, block_off2, pivmin, x[at] - t[at])[0] <= local[at])
-        assert np.all(_sturm_counts(diag, block_off2, pivmin, x[at] + t[at])[0] >= local[at] + 1)
+        assert np.all(_sturm_counts(diag, block_off2, pivmin, x[at] - t[at]) <= local[at])
+        assert np.all(_sturm_counts(diag, block_off2, pivmin, x[at] + t[at]) >= local[at] + 1)
 
 
 class TestAccuracyContract:
